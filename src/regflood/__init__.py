@@ -85,7 +85,6 @@ from .tail import (
     default_k,
     hill,
     pickands_cfg,
-    regional_gamma,
     regional_tail_fit,
     semi_sigma,
     seasonal_weissman_quantile,

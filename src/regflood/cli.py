@@ -97,7 +97,11 @@ def _target_site(args, scheme) -> str:
     return args.target_site or scheme.site_ids[0]
 
 
-def _check_homogeneity(args, scheme, method: str, label: str) -> float:
+def _check_homogeneity(args, scheme, method: str, label: str) -> float | None:
+    """Homogeneity p-value, or None for a single site (nothing to test)."""
+    if scheme.d == 1:
+        print(f"note: homogeneity ({label}) not tested: single site", file=sys.stderr)
+        return None
     stat, p_value = homogeneity_test(scheme, method)
     print(f"homogeneity ({label}): statistic={stat:.3f}, p-value={p_value:.3f}")
     threshold = getattr(args, "homogeneity_alpha", 0.05) or 0.05
@@ -179,7 +183,8 @@ def _cmd_fit_two_component(args) -> int:
         f"summer xi={fit.theta_s.xi:.4f}"
     )
     interval = twocomp_quantile_ci(fit, p, alpha)
-    _report_interval(f"s{method}", target, p, interval, min(hom_w, hom_s), out=args.out)
+    hom_p = None if hom_w is None or hom_s is None else min(hom_w, hom_s)
+    _report_interval(f"s{method}", target, p, interval, hom_p, out=args.out)
     return EXIT_OK
 
 

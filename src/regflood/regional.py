@@ -12,7 +12,7 @@ test of shape homogeneity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -53,9 +53,7 @@ __all__ = [
     "RegionalGevFit",
 ]
 
-# Covariance validity thresholds: eigenvalues below the first value count
-# as negative; condition numbers above the second trigger the fallback.
-PSD_EIGEN_TOL = -1e-10
+# Shape covariances with a condition number above this trigger the fallback.
 MAX_CONDITION = 1e12
 
 _METHOD_ORDERS = {"L": 3, "TL": 4}
@@ -181,12 +179,16 @@ class ObservationScheme:
 
 @dataclass(frozen=True)
 class CovarianceBlocks:
-    """Estimated dK x dK limiting covariance of the stacked sample PWMs."""
+    """Estimated dK x dK limiting covariance of the stacked sample PWMs.
+
+    ``matrix`` is exactly symmetric but not necessarily positive
+    semi-definite: finite-sample estimates can have negative
+    eigenvalues, which the shape weighting handles with its fallback.
+    """
 
     matrix: np.ndarray
     order: int
     site_ids: tuple[str, ...]
-    psd: bool = field(default=False)
 
     def block(self, j: int, l: int) -> np.ndarray:
         k = self.order
@@ -227,40 +229,90 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> CovarianceBlocks:
 
     Block (j, l) is ``min(r_j, r_l)/(r_j*r_l)`` times the empirical
     covariance of the sites' influence rows over their overlapping
-    years, with ``r_j = n_j/n``.  The result is exactly symmetric.
+    years, with ``r_j = n_j/n``.  Each site's influence rows are
+    computed once and centred once per distinct overlap start (once in
+    all when the records have equal lengths); each block is one product
+    of two such centred row sets.  The result is exactly symmetric.
     """
     if K < 1:
         raise ParameterError("K must be >= 1")
     d, n = scheme.d, scheme.n
     r = scheme.ratios
+    offsets = [s.offset for s in scheme.sites]
     zhats = [zhat_vectors(s.values, K) for s in scheme.sites]
-    centered = [z - z.mean(axis=0) for z in zhats]
     matrix = np.empty((d * K, d * K))
-    for j in range(d):
-        for l in range(j, d):
-            start = max(scheme.sites[j].offset, scheme.sites[l].offset)
-            m = n - start
-            if m < 2:
-                raise OverlapError(
-                    f"sites {scheme.site_ids[j]!r} and {scheme.site_ids[l]!r} "
-                    f"share only {m} observation years"
-                )
-            zj = zhats[j][start - scheme.sites[j].offset :]
-            zl = zhats[l][start - scheme.sites[l].offset :]
-            zj = zj - zj.mean(axis=0)
-            zl = zl - zl.mean(axis=0)
-            cov = zj.T @ zl / (m - 1)
-            pref = min(r[j], r[l]) / (r[j] * r[l])
-            matrix[j * K : (j + 1) * K, l * K : (l + 1) * K] = pref * cov
-            if l != j:
-                matrix[l * K : (l + 1) * K, j * K : (j + 1) * K] = pref * cov.T
-    eigs = np.linalg.eigvalsh(matrix)
-    return CovarianceBlocks(
-        matrix=matrix,
-        order=K,
-        site_ids=tuple(scheme.site_ids),
-        psd=bool(eigs.min() >= PSD_EIGEN_TOL),
+    # Pairs are grouped by overlap start, so only one group's centred
+    # rows are held at a time.
+    for start in sorted(set(offsets)):
+        m = n - start
+        group = [j for j in range(d) if offsets[j] <= start]
+        late = [j for j in group if offsets[j] == start]
+        if m < 2:
+            raise OverlapError(
+                f"sites {[scheme.site_ids[j] for j in late]} share only {m} "
+                "observation years with the others"
+            )
+        centred = {}
+        for j in group:
+            z = zhats[j][start - offsets[j] :]
+            centred[j] = z - z.mean(axis=0)
+        for a in late:
+            for b in group:
+                if offsets[b] == start and b < a:
+                    continue  # both start here: the pair was done from b
+                j, l = min(a, b), max(a, b)
+                zj = centred[j]
+                # A.T @ A on one buffer would dispatch to a symmetric rank-k
+                # update; a distinct operand keeps every block on one product.
+                zl = centred[l] if l != j else zj.copy()
+                cov = zj.T @ zl / (m - 1)
+                block = min(r[j], r[l]) / (r[j] * r[l]) * cov
+                matrix[j * K : (j + 1) * K, l * K : (l + 1) * K] = block
+                if l != j:
+                    matrix[l * K : (l + 1) * K, j * K : (j + 1) * K] = block.T
+    return CovarianceBlocks(matrix=matrix, order=K, site_ids=tuple(scheme.site_ids))
+
+
+@dataclass(frozen=True)
+class _ShapeSystem:
+    """Per-site PWMs, shape estimates and gradients with their covariances."""
+
+    pwms: list
+    grads: list
+    xi_hats: np.ndarray
+    sigma: np.ndarray
+    blocks: CovarianceBlocks
+
+
+def _shape_system(
+    scheme: ObservationScheme, method: str, pwm_estimator: str
+) -> _ShapeSystem:
+    K = _require_method(method)
+    pwm_from = _pwm_fn(pwm_estimator)
+    shape_fn = shape_from_lmoments if method == "L" else shape_from_tlmoments
+    grad_fn = (
+        shape_gradient_lmoments if method == "L" else shape_gradient_tlmoments
     )
+    d = scheme.d
+    xi_hats = np.empty(d)
+    pwms, grads = [], []
+    for j, site in enumerate(scheme.sites):
+        try:
+            pwm = pwm_from(site.values, K - 1)
+            xi_hats[j] = shape_fn(pwm)
+            grads.append(grad_fn(pwm))
+        except Exception as exc:
+            raise NumericError(
+                f"shape estimation failed at site {site.site_id!r}: {exc}"
+            ) from exc
+        pwms.append(pwm)
+    blocks = sigma_r_hat(scheme, K)
+    sigma = np.empty((d, d))
+    for j in range(d):
+        for l in range(d):
+            sigma[j, l] = grads[j] @ blocks.block(j, l) @ grads[l]
+    sigma = 0.5 * (sigma + sigma.T)
+    return _ShapeSystem(pwms, grads, xi_hats, sigma, blocks)
 
 
 def sigma_tail_hat(
@@ -278,31 +330,17 @@ def sigma_tail_hat(
         Length-d vector of shape estimates and the d x d covariance of
         ``sqrt(n) * (xi_hat - xi)``.
     """
-    K = _require_method(method)
-    pwm_from = _pwm_fn(pwm_estimator)
-    shape_fn = shape_from_lmoments if method == "L" else shape_from_tlmoments
-    grad_fn = (
-        shape_gradient_lmoments if method == "L" else shape_gradient_tlmoments
-    )
-    d = scheme.d
-    xi_hats = np.empty(d)
-    grads = []
-    for j, site in enumerate(scheme.sites):
-        try:
-            pwm = pwm_from(site.values, K - 1)
-            xi_hats[j] = shape_fn(pwm)
-            grads.append(grad_fn(pwm))
-        except Exception as exc:
-            raise NumericError(
-                f"shape estimation failed at site {site.site_id!r}: {exc}"
-            ) from exc
-    blocks = sigma_r_hat(scheme, K)
-    sigma = np.empty((d, d))
-    for j in range(d):
-        for l in range(d):
-            sigma[j, l] = grads[j] @ blocks.block(j, l) @ grads[l]
-    sigma = 0.5 * (sigma + sigma.T)
-    return xi_hats, sigma
+    system = _shape_system(scheme, method, pwm_estimator)
+    return system.xi_hats, system.sigma
+
+
+def _eigenvalues_valid(eigs: np.ndarray) -> bool:
+    return bool(eigs.min() > 0 and eigs.max() / eigs.min() < MAX_CONDITION)
+
+
+def _lagrange_weights(sigma: np.ndarray) -> np.ndarray:
+    raw = np.linalg.solve(sigma, np.ones(sigma.shape[0]))
+    return raw / raw.sum()
 
 
 def covariance_is_valid(sigma: np.ndarray) -> bool:
@@ -316,10 +354,7 @@ def covariance_is_valid(sigma: np.ndarray) -> bool:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         return False
-    eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
-    if eigs.min() <= 0:
-        return False
-    return eigs.max() / eigs.min() < MAX_CONDITION
+    return _eigenvalues_valid(np.linalg.eigvalsh(0.5 * (sigma + sigma.T)))
 
 
 def optimal_weights(sigma: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
@@ -340,9 +375,7 @@ def optimal_weights(sigma: np.ndarray, fallback: np.ndarray | None = None) -> np
             w = np.asarray(fallback, dtype=float)
             return w / w.sum()
         return np.full(d, 1.0 / d)
-    ones = np.ones(d)
-    raw = np.linalg.solve(sigma, ones)
-    return raw / raw.sum()
+    return _lagrange_weights(sigma)
 
 
 def fallback_weights(scheme: ObservationScheme) -> np.ndarray:
@@ -370,22 +403,26 @@ def regional_shape(
     lengths (the remedy for finite-sample covariance estimates with
     negative eigenvalues).
     """
-    xi_hats, sigma = sigma_tail_hat(scheme, method, pwm_estimator)
-    valid = covariance_is_valid(sigma)
-    if valid:
-        weights = optimal_weights(sigma, fallback=fallback_weights(scheme))
+    return _combine_shapes(scheme, _shape_system(scheme, method, pwm_estimator), method)
+
+
+def _combine_shapes(
+    scheme: ObservationScheme, system: _ShapeSystem, method: str
+) -> RegionalShapeResult:
+    sigma = system.sigma
+    eigs = np.linalg.eigvalsh(sigma)
+    if _eigenvalues_valid(eigs):
+        weights = _lagrange_weights(sigma)
         source = "optimal"
     else:
         weights = fallback_weights(scheme)
         source = "length-proportional"
-    xi = float(weights @ xi_hats)
-    eigs = np.linalg.eigvalsh(sigma)
     return RegionalShapeResult(
-        xi=xi,
+        xi=float(weights @ system.xi_hats),
         weights=weights,
         diagnostics={
             "weights_source": source,
-            "xi_by_site": xi_hats,
+            "xi_by_site": system.xi_hats,
             "sigma_tail": sigma,
             "sigma_tail_min_eigenvalue": float(eigs.min()),
             "method": method,
@@ -459,15 +496,13 @@ def fit_gev_regional(
     with the regional weights (treated as fixed, their limit value).
     """
     K = _require_method(method)
-    pwm_from = _pwm_fn(pwm_estimator)
     recover = gev_from_lmoments if method == "L" else gev_from_tlmoments
     t = scheme.site_index(target_site)
-    shape = regional_shape(scheme, method, pwm_estimator)
-    weights = shape.weights
+    system = _shape_system(scheme, method, pwm_estimator)
+    shape = _combine_shapes(scheme, system, method)
 
-    pwms = [pwm_from(s.values, K - 1) for s in scheme.sites]
     try:
-        local = recover(pwms[t])
+        local = recover(system.pwms[t])
     except Exception as exc:
         raise NumericError(
             f"moment fit failed at target site {target_site!r}: {exc}"
@@ -476,16 +511,12 @@ def fit_gev_regional(
 
     d = scheme.d
     grad = np.zeros((3, d * K))
-    fit_grad_t = gev_fit_gradient(pwms[t], method)
+    fit_grad_t = gev_fit_gradient(system.pwms[t], method)
     grad[0, t * K : (t + 1) * K] = fit_grad_t[0]
     grad[1, t * K : (t + 1) * K] = fit_grad_t[1]
-    shape_grad_fn = (
-        shape_gradient_lmoments if method == "L" else shape_gradient_tlmoments
-    )
     for j in range(d):
-        grad[2, j * K : (j + 1) * K] = weights[j] * shape_grad_fn(pwms[j])
-    blocks = sigma_r_hat(scheme, K)
-    cov = grad @ blocks.matrix @ grad.T
+        grad[2, j * K : (j + 1) * K] = shape.weights[j] * system.grads[j]
+    cov = grad @ system.blocks.matrix @ grad.T
     cov = 0.5 * (cov + cov.T)
     return RegionalGevFit(
         theta=theta,

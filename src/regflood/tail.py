@@ -10,6 +10,7 @@ through a dependence-function representation).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ __all__ = [
     "TailConfig",
     "TailDependence",
     "semi_sigma",
-    "regional_gamma",
     "regional_tail_fit",
     "RegionalTailFit",
     "weissman_ci",
@@ -167,6 +167,17 @@ def tail_dependence_empirical(pairs, k: int, x: float, y: float) -> float:
     return float(joint / k)
 
 
+def _joint_top_share(r: np.ndarray, s: np.ndarray, k: int, x: float, y: float) -> float:
+    """:func:`tail_dependence_empirical` from precomputed within-pair ranks."""
+    if x < 0 or y < 0:
+        raise DomainError("tail copula arguments must be non-negative")
+    if x == 0 or y == 0:
+        return 0.0
+    m = len(r)
+    joint = np.sum((r > m - k * x) & (s > m - k * y))
+    return float(joint / k)
+
+
 def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
     """Rank-based dependence-function estimate on a grid of [0, 1].
 
@@ -238,27 +249,46 @@ class TailDependence:
         method: str = "empirical",
         t_grid=PICKANDS_T_GRID,
     ) -> "TailDependence":
-        """Estimate all pairwise dependencies from the overlap years."""
+        """Estimate all pairwise dependencies from the overlap years.
+
+        The empirical method ranks each site once per distinct overlap
+        start (once in all when the records have equal lengths) and
+        counts joint top ranks from those cached ranks; its values equal
+        :func:`tail_dependence_empirical` on each pair's overlap rows.
+        The ``pickands_cfg`` method estimates a dependence-function table
+        for each pair.
+        """
         if method not in ("empirical", "pickands_cfg"):
             raise ParameterError(
                 f"unknown dependence method {method!r}; use 'empirical' or 'pickands_cfg'"
             )
         d = scheme.d
         ks = _as_k_vector(scheme, k)
+
+        @functools.cache
+        def site_ranks(j: int, start: int) -> np.ndarray:
+            return _ordinal_ranks(_overlap_rows(scheme, j, start))
+
         fns = {}
         for l in range(d):
             for m in range(l + 1, d):
-                pairs = _overlap_pairs(scheme, l, m)
-                k_pair = int(min(ks[l], ks[m], pairs.shape[0] - 1))
+                start = _overlap_start(scheme, l, m)
+                k_pair = int(min(ks[l], ks[m], scheme.n - start - 1))
                 if method == "empirical":
-                    fns[(l, m)] = _empirical_lambda_fn(pairs, k_pair)
+                    fns[(l, m)] = functools.partial(
+                        _joint_top_share, site_ranks(l, start), site_ranks(m, start), k_pair
+                    )
                 else:
+                    pairs = np.column_stack(
+                        [_overlap_rows(scheme, l, start), _overlap_rows(scheme, m, start)]
+                    )
                     a_vals = pickands_cfg(pairs, t_grid)
                     fns[(l, m)] = _pickands_lambda_fn(np.asarray(t_grid, float), a_vals)
         return cls(d, fns)
 
 
-def _overlap_pairs(scheme: ObservationScheme, l: int, m: int) -> np.ndarray:
+def _overlap_start(scheme: ObservationScheme, l: int, m: int) -> int:
+    """First row (of the common period) observed at both sites."""
     start = max(scheme.sites[l].offset, scheme.sites[m].offset)
     rows = scheme.n - start
     if rows < 2:
@@ -266,16 +296,12 @@ def _overlap_pairs(scheme: ObservationScheme, l: int, m: int) -> np.ndarray:
             f"sites {scheme.site_ids[l]!r} and {scheme.site_ids[m]!r} share "
             f"only {rows} years"
         )
-    a = scheme.sites[l].values[start - scheme.sites[l].offset :]
-    b = scheme.sites[m].values[start - scheme.sites[m].offset :]
-    return np.column_stack([a, b])
+    return start
 
 
-def _empirical_lambda_fn(pairs: np.ndarray, k_pair: int):
-    def fn(x: float, y: float) -> float:
-        return tail_dependence_empirical(pairs, k_pair, x, y)
-
-    return fn
+def _overlap_rows(scheme: ObservationScheme, j: int, start: int) -> np.ndarray:
+    site = scheme.sites[j]
+    return site.values[start - site.offset :]
 
 
 def _pickands_lambda_fn(t_grid: np.ndarray, a_vals: np.ndarray):
@@ -363,15 +389,6 @@ def semi_sigma(config: TailConfig, r, dependence: TailDependence) -> np.ndarray:
             sigma[l, m] = val
             sigma[m, l] = val
     return sigma
-
-
-def regional_gamma(scheme: ObservationScheme, config: TailConfig) -> float:
-    """Weighted mean of the local tail-index estimates."""
-    if config.weights is None:
-        raise ParameterError("config must carry weights; see regional_tail_fit")
-    ks = _as_k_vector(scheme, config.k)
-    gammas = np.array([hill(s.values, int(kj)) for s, kj in zip(scheme.sites, ks)])
-    return float(config.weights @ gammas)
 
 
 @dataclass(frozen=True)

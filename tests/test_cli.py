@@ -1,5 +1,6 @@
 """End-to-end command line tests on synthetic monthly data."""
 
+import csv
 import json
 
 import numpy as np
@@ -161,3 +162,39 @@ def test_config_file_supplies_defaults(monthly_csv, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "L quantile estimate" in out
+
+
+@pytest.fixture()
+def single_site_csv(tmp_path):
+    rng = np.random.default_rng(11)
+    model = GevParams(20, 6, 0.2)
+    lines = ["site_id,year,month,flow"]
+    for hydro_year in range(1950, 2010):
+        for cal_year, month in [(hydro_year - 1, 11), (hydro_year - 1, 12)] + [
+            (hydro_year, m) for m in range(1, 11)
+        ]:
+            flow = gev_quantile(model, rng.uniform())
+            lines.append(f"solo,{cal_year},{month},{max(flow, 0.1):.4f}")
+    path = tmp_path / "single.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, out_file",
+    [
+        ("fit-gev", "estimate.csv"),
+        ("fit-two-component", "estimate.csv"),
+        ("weissman", "estimate.csv"),
+        ("regional-tail", "regional_tail.csv"),
+    ],
+)
+def test_single_site_skips_homogeneity(single_site_csv, tmp_path, capsys, command, out_file):
+    out_dir = tmp_path / "out"
+    code = main([command, "--data", str(single_site_csv), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "not tested: single site" in err
+    with open(out_dir / out_file, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["homogeneity_p"] == "" for row in rows)

@@ -6,6 +6,7 @@ from scipy.stats import chi2, kstest
 
 from regflood.errors import DataError, NumericError, ParameterError
 from regflood.gev import GevParams, gev_quantile
+from regflood import regional as regional_module
 from regflood.moments import sample_pwm, sample_pwm_unbiased, shape_from_lmoments
 from regflood.regional import (
     ObservationScheme,
@@ -130,6 +131,35 @@ class TestSigmaR:
         blocks = sigma_r_hat(scheme, 3)
         np.testing.assert_allclose(blocks.matrix, blocks.matrix.T, atol=1e-12)
         assert blocks.matrix.shape == (12, 12)
+
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_matches_per_pair_loop_on_staggered_scheme(self, K):
+        # four distinct offsets: rows centred once per (site, overlap start)
+        # must give exactly the blocks of centring afresh for every pair
+        scheme = make_scheme(seed=3, d=6, n=75, offsets=[0, 0, 12, 25, 25, 40])
+        np.testing.assert_array_equal(
+            sigma_r_hat(scheme, K).matrix, _sigma_r_per_pair(scheme, K)
+        )
+
+
+def _sigma_r_per_pair(scheme, K):
+    """Reference loop: each pair centres both sites' rows over its overlap."""
+    d, n, r = scheme.d, scheme.n, scheme.ratios
+    offsets = [s.offset for s in scheme.sites]
+    zhats = [zhat_vectors(s.values, K) for s in scheme.sites]
+    matrix = np.empty((d * K, d * K))
+    for j in range(d):
+        for l in range(j, d):
+            start = max(offsets[j], offsets[l])
+            zj = zhats[j][start - offsets[j] :]
+            zl = zhats[l][start - offsets[l] :]
+            zj = zj - zj.mean(axis=0)
+            zl = zl - zl.mean(axis=0)
+            cov = zj.T @ zl / (n - start - 1)
+            pref = min(r[j], r[l]) / (r[j] * r[l])
+            matrix[j * K : (j + 1) * K, l * K : (l + 1) * K] = pref * cov
+            matrix[l * K : (l + 1) * K, j * K : (j + 1) * K] = pref * cov.T
+    return matrix
 
 
 class TestSigmaTail:
@@ -318,3 +348,16 @@ class TestFitGevRegional:
     def test_missing_site(self):
         with pytest.raises(DataError):
             fit_gev_regional(make_scheme(d=2), "ghost", "L")
+
+    def test_one_pwm_covariance_per_fit(self, monkeypatch):
+        calls = []
+        original = regional_module.sigma_r_hat
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(regional_module, "sigma_r_hat", counting)
+        scheme = make_scheme(d=4, n=60, offsets=[0, 5, 10, 20])
+        fit_gev_regional(scheme, "s2", "TL")
+        assert len(calls) == 1

@@ -15,7 +15,6 @@ from regflood.tail import (
     default_k,
     hill,
     pickands_cfg,
-    regional_gamma,
     regional_tail_fit,
     seasonal_weissman_quantile,
     semi_sigma,
@@ -152,6 +151,31 @@ class TestTailDependence:
         with pytest.raises(DataError):
             tail_dependence_empirical(np.ones((1, 2)), 1, 1.0, 1.0)
 
+    def test_from_scheme_matches_pairwise_reference(self):
+        # staggered scheme with ties: ranks cached per (site, overlap
+        # start) must reproduce the reference on every pair's overlap
+        rng = np.random.default_rng(21)
+        offsets = [0, 0, 25, 40, 70]
+        n, d = 120, len(offsets)
+        data = gumbel_copula_sample(2.0, d, rng, size=n) ** -0.4
+        data[50:90:4, 2] = data[50, 2]
+        scheme = ObservationScheme(
+            tuple(SiteSeries(f"s{j}", a, data[a:, j]) for j, a in enumerate(offsets))
+        )
+        ks = np.array([12, 9, 15, 10, 7])
+        dep = TailDependence.from_scheme(scheme, ks, "empirical")
+        for l in range(d):
+            for m in range(d):
+                if l == m:
+                    continue
+                start = max(offsets[l], offsets[m])
+                pairs = np.column_stack([data[start:, l], data[start:, m]])
+                k_pair = int(min(ks[l], ks[m], n - start - 1))
+                for x, y in [(1.0, 1.0), (0.4, 1.7), (2.5, 0.3), (0.0, 1.0)]:
+                    assert dep.lambda_value(l, m, x, y) == tail_dependence_empirical(
+                        pairs, k_pair, x, y
+                    )
+
 
 class TestPickands:
     def test_endpoints_and_bounds(self):
@@ -213,13 +237,6 @@ class TestRegionalGamma:
         scheme = make_tail_scheme(d=1, n=300)
         fit = regional_tail_fit(scheme)
         assert fit.gamma == pytest.approx(hill(scheme.sites[0].values, int(fit.k[0])))
-
-    def test_equal_locals_any_weights(self):
-        scheme = make_tail_scheme(d=3, n=300)
-        config = TailConfig(k=np.array([30, 30, 30]), weights=np.array([0.5, 0.3, 0.2]))
-        gammas = [hill(s.values, 30) for s in scheme.sites]
-        expected = 0.5 * gammas[0] + 0.3 * gammas[1] + 0.2 * gammas[2]
-        assert regional_gamma(scheme, config) == pytest.approx(expected)
 
     def test_optimal_weights_grid_check(self):
         # the closed-form weights minimize w' Sigma w over the simplex line
