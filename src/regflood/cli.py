@@ -233,8 +233,7 @@ def _cmd_weissman(args) -> int:
         dependence_method=_merge(args, config, "dependence", "empirical"),
     )
     tail_config = TailConfig(
-        k=fit.k, weights=fit.weights,
-        dependence_method=_merge(args, config, "dependence", "empirical"),
+        k=fit.k, weights=fit.weights, dependence_method=fit.dependence_method
     )
     interval = weissman_ci(schemes.annual, tail_config, target, p, alpha)
     _report_interval("W", target, p, interval, hom_p,

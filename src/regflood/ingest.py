@@ -11,6 +11,7 @@ the common final year.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -133,7 +134,7 @@ def ingest_monthly(path) -> list[MonthlyRecord]:
             if not 1 <= month <= 12:
                 problems.append(f"line {lineno}: month {month} outside 1..12")
                 continue
-            if not (np.isfinite(flow) and flow > 0):
+            if not (math.isfinite(flow) and flow > 0):
                 problems.append(f"line {lineno}: flow must be a positive number, got {row[3]}")
                 continue
             key = (sid, year, month)
@@ -182,9 +183,8 @@ def seasonal_maxima(
     by_site: dict[str, dict[int, dict[int, float]]] = {}
     for rec in records:
         hy = sdef.hydro_year(rec.year, rec.month)
-        by_site.setdefault(rec.site_id, {}).setdefault(hy, {})[rec.month] = max(
-            rec.flow, by_site.get(rec.site_id, {}).get(hy, {}).get(rec.month, 0.0)
-        )
+        months = by_site.setdefault(rec.site_id, {}).setdefault(hy, {})
+        months[rec.month] = max(rec.flow, months.get(rec.month, 0.0))
     if not by_site:
         raise DataError("no records to aggregate")
 

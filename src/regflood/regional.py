@@ -454,8 +454,7 @@ def homogeneity_test(
     contrast[idx, idx + 1] = -1.0
     diffs = contrast @ xi_hats
     inner = contrast @ sigma @ contrast.T
-    eigs = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    if eigs.min() <= 0 or eigs.max() / max(eigs.min(), 1e-300) > MAX_CONDITION:
+    if not covariance_is_valid(inner):
         raise NumericError(
             "contrast covariance is singular; drop duplicated or perfectly "
             "dependent sites before testing homogeneity"

@@ -42,12 +42,8 @@ __all__ = [
 PICKANDS_T_GRID = np.linspace(0.0, 1.0, 201)
 
 
-def hill(data, k: int) -> float:
-    """Tail-index estimate from the k largest observations.
-
-    Mean of log(X_(n-i+1) / X_(n-k)) over i = 1..k, the maximum
-    pseudo-likelihood estimate under an exact power tail.
-    """
+def _excess_threshold(data, k: int) -> tuple[np.ndarray, float]:
+    """Sorted sample and its excess threshold X_(n-k), checked positive."""
     x = np.sort(np.asarray(data, dtype=float))
     n = len(x)
     if not 2 <= k < n:
@@ -58,7 +54,17 @@ def hill(data, k: int) -> float:
             f"threshold order statistic {threshold:.6g} is not positive; "
             "log excesses are undefined"
         )
-    return float(np.mean(np.log(x[n - k :] / threshold)))
+    return x, threshold
+
+
+def hill(data, k: int) -> float:
+    """Tail-index estimate from the k largest observations.
+
+    Mean of log(X_(n-i+1) / X_(n-k)) over i = 1..k, the maximum
+    pseudo-likelihood estimate under an exact power tail.
+    """
+    x, threshold = _excess_threshold(data, k)
+    return float(np.mean(np.log(x[len(x) - k :] / threshold)))
 
 
 def default_k(n: int, d: int) -> int:
@@ -89,19 +95,14 @@ def weissman_quantile(data, k: int, p: float, gamma: float) -> float:
     empirical threshold coverage 1 - k/n trigger a warning: the formula
     is meant for extrapolation beyond the data range.
     """
-    x = np.sort(np.asarray(data, dtype=float))
+    x, threshold = _excess_threshold(data, k)
     n = len(x)
-    if not 2 <= k < n:
-        raise ParameterError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
     if p >= 1.0:
         raise DomainError("p = 1 corresponds to an infinite quantile")
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie strictly between 0 and 1")
     if gamma < 0:
         raise ParameterError("tail index must be non-negative")
-    threshold = x[n - k - 1]
-    if threshold <= 0:
-        raise DomainError(f"threshold {threshold:.6g} is not positive")
     if p <= 1.0 - k / n:
         warnings.warn(
             f"p={p} is within the empirical range (<= 1 - k/n = {1 - k / n:.4f}); "
@@ -116,21 +117,15 @@ def tail_prob(x: float, data, k: int, gamma: float) -> float:
 
     Exact algebraic inverse of :func:`weissman_quantile`.
     """
-    xs = np.sort(np.asarray(data, dtype=float))
-    n = len(xs)
-    if not 2 <= k < n:
-        raise ParameterError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
     if gamma <= 0:
         raise ParameterError("tail index must be positive")
-    threshold = xs[n - k - 1]
-    if threshold <= 0:
-        raise DomainError(f"threshold {threshold:.6g} is not positive")
+    xs, threshold = _excess_threshold(data, k)
     if x < threshold:
         raise DomainError(
             f"x={x:.6g} lies below the threshold {threshold:.6g}; the tail "
             "formula extrapolates upward only"
         )
-    return float(1.0 - (k / n) * (x / threshold) ** (-1.0 / gamma))
+    return float(1.0 - (k / len(xs)) * (x / threshold) ** (-1.0 / gamma))
 
 
 # --------------------------------------------------------------------------
@@ -156,15 +151,7 @@ def tail_dependence_empirical(pairs, k: int, x: float, y: float) -> float:
         raise DataError("need an (m x 2) array of paired observations, m >= 2")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    if x < 0 or y < 0:
-        raise DomainError("tail copula arguments must be non-negative")
-    if x == 0 or y == 0:
-        return 0.0
-    m = arr.shape[0]
-    r = _ordinal_ranks(arr[:, 0])
-    s = _ordinal_ranks(arr[:, 1])
-    joint = np.sum((r > m - k * x) & (s > m - k * y))
-    return float(joint / k)
+    return _joint_top_share(_ordinal_ranks(arr[:, 0]), _ordinal_ranks(arr[:, 1]), k, x, y)
 
 
 def _joint_top_share(r: np.ndarray, s: np.ndarray, k: int, x: float, y: float) -> float:
@@ -182,7 +169,9 @@ def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
     """Rank-based dependence-function estimate on a grid of [0, 1].
 
     Log-scale estimator corrected to equal 1 at both endpoints and
-    clipped into the admissible band max(t, 1-t) <= A(t) <= 1.
+    clipped into the admissible band max(t, 1-t) <= A(t) <= 1.  The
+    endpoint corrections are the raw estimates at t = 0 and t = 1,
+    whether or not the grid contains them.
     Pseudo-observations are built internally as rank/(m+1), which keeps
     all logarithms finite.
     """
@@ -197,19 +186,12 @@ def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
         raise DomainError("t grid must lie in [0, 1]")
     u = _ordinal_ranks(arr[:, 0]) / (m + 1)
     v = _ordinal_ranks(arr[:, 1]) / (m + 1)
-    lu = -np.log(u)
-    lv = -np.log(v)
-
-    def log_a_raw(ti: float) -> float:
-        with np.errstate(divide="ignore"):
-            left = lu / (1.0 - ti) if ti < 1.0 else np.full(m, np.inf)
-            right = lv / ti if ti > 0.0 else np.full(m, np.inf)
-        return -np.euler_gamma - float(np.mean(np.log(np.minimum(left, right))))
-
-    raw = np.array([log_a_raw(ti) for ti in t])
-    a0 = log_a_raw(0.0)
-    a1 = log_a_raw(1.0)
-    corrected = raw - (1.0 - t) * a0 - t * a1
+    # one row per grid point, then the endpoints t = 0 and t = 1
+    ts = np.concatenate([t, [0.0, 1.0]])[:, None]
+    with np.errstate(divide="ignore"):
+        ratios = np.minimum(-np.log(u) / (1.0 - ts), -np.log(v) / ts)
+    log_a = -np.euler_gamma - np.mean(np.log(ratios), axis=1)
+    corrected = log_a[:-2] - (1.0 - t) * log_a[-2] - t * log_a[-1]
     a_vals = np.exp(corrected)
     return np.clip(a_vals, np.maximum(t, 1.0 - t), 1.0)
 
@@ -427,6 +409,10 @@ def regional_tail_fit(
         source = "optimal"
     else:
         w = np.asarray(weights, dtype=float)
+        if w.shape != (scheme.d,) or not np.all(np.isfinite(w)) or w.sum() == 0:
+            raise ParameterError(
+                f"need {scheme.d} finite weights with a non-zero sum, got {w.tolist()}"
+            )
         w = w / w.sum()
         source = "user"
     return RegionalTailFit(
@@ -449,28 +435,23 @@ def weissman_ci(
 ) -> QuantileInterval:
     """Extrapolated quantile at a site with its asymptotic interval.
 
-    The relative half-width is ``z * sqrt(gamma^2/k_1 * w' Sigma w) *
-    log(k_j / (n_j (1-p)))`` with site 1 (the scheme's first site) as
-    the normalization reference.
+    The regional tail index, weights and covariance come from
+    :func:`regional_tail_fit` with the configuration's sample lengths,
+    dependence method and weights (user weights are renormalized to sum
+    to one).  The relative half-width is ``z * sqrt(gamma^2/k_1 * w'
+    Sigma w) * log(k_j / (n_j (1-p)))`` with site 1 (the scheme's first
+    site) as the normalization reference.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly between 0 and 1")
-    ks = _as_k_vector(scheme, config.k)
     j = scheme.site_index(target_site)
-    dependence = TailDependence.from_scheme(scheme, ks, config.dependence_method)
-    sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
-    if config.weights is not None:
-        w = config.weights
-    else:
-        w = optimal_weights(sigma, fallback=fallback_weights(scheme))
-    gammas = np.array([hill(s.values, int(kj)) for s, kj in zip(scheme.sites, ks)])
-    gamma_reg = float(w @ gammas)
+    fit = regional_tail_fit(scheme, config.k, config.dependence_method, config.weights)
     site = scheme.sites[j]
-    q_hat = weissman_quantile(site.values, int(ks[j]), p, gamma_reg)
-    log_width = math.log(ks[j] / (site.length * (1.0 - p)))
+    q_hat = weissman_quantile(site.values, int(fit.k[j]), p, fit.gamma)
+    log_width = math.log(fit.k[j] / (site.length * (1.0 - p)))
     rel_half = (
         norm.ppf(1.0 - alpha / 2.0)
-        * math.sqrt(gamma_reg**2 / ks[0] * float(w @ sigma @ w))
+        * math.sqrt(fit.gamma**2 / fit.k[0] * float(fit.weights @ fit.sigma @ fit.weights))
         * log_width
     )
     return QuantileInterval(q_hat, q_hat * (1.0 - rel_half), q_hat * (1.0 + rel_half), alpha)
@@ -503,12 +484,7 @@ def seasonal_weissman_quantile(
         fit = regional_tail_fit(scheme, k=k)
         j = scheme.site_index(target_site)
         site = scheme.sites[j]
-        xs = np.sort(site.values)
-        threshold = xs[site.length - int(fit.k[j]) - 1]
-        if threshold <= 0:
-            raise DomainError(
-                f"threshold {threshold:.6g} at site {target_site!r} is not positive"
-            )
+        _, threshold = _excess_threshold(site.values, int(fit.k[j]))
         season_parts.append((threshold, int(fit.k[j]), site.length, fit.gamma))
 
     def season_cdf(part, x: float) -> float:

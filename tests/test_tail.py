@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from regflood.errors import DataError, DomainError, ParameterError
 from regflood.regional import ObservationScheme, SiteSeries
@@ -12,6 +13,7 @@ from regflood.simlab import gumbel_copula_sample
 from regflood.tail import (
     TailConfig,
     TailDependence,
+    _ordinal_ranks,
     default_k,
     hill,
     pickands_cfg,
@@ -25,6 +27,14 @@ from regflood.tail import (
 )
 
 HAND_DATA = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+
+
+# every function that takes an excess threshold from (data, k)
+THRESHOLD_FNS = (
+    hill,
+    lambda data, k: weissman_quantile(data, k, 0.99, 0.5),
+    lambda data, k: tail_prob(20.0, data, k, 0.5),
+)
 
 
 def pareto_sample(gamma, n, rng):
@@ -55,14 +65,23 @@ class TestHill:
         assert hill(7.5 * data, 20) == pytest.approx(hill(data, 20), rel=1e-12)
 
     def test_range_validation(self):
-        with pytest.raises(ParameterError):
-            hill(HAND_DATA, 1)
-        with pytest.raises(ParameterError):
-            hill(HAND_DATA, 5)
+        for fn in THRESHOLD_FNS:
+            with pytest.raises(ParameterError):
+                fn(HAND_DATA, 1)
+            with pytest.raises(ParameterError):
+                fn(HAND_DATA, 5)
 
     def test_nonpositive_threshold(self):
-        with pytest.raises(DomainError):
-            hill(np.array([-3.0, -1.0, 0.5, 2.0]), 3)
+        data = np.array([-3.0, -1.0, 0.5, 2.0])
+        for fn in THRESHOLD_FNS:
+            with pytest.raises(DomainError):
+                fn(data, 3)
+        # the target site of a seasonal pair has the same non-positive threshold
+        scheme = ObservationScheme.from_matrix(np.column_stack([data, [1.0, 2.0, 3.0, 4.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DomainError):
+                seasonal_weissman_quantile(scheme, scheme, "site1", 0.999, k=3)
 
     def test_pareto_mean_and_variance(self):
         # on exact power-law samples the log excesses are exponential:
@@ -177,7 +196,47 @@ class TestTailDependence:
                     )
 
 
+def pickands_cfg_loop(pairs, t_grid):
+    """Per-t loop form of the dependence-function estimate (reference)."""
+    arr = np.asarray(pairs, dtype=float)
+    m = arr.shape[0]
+    t = np.asarray(t_grid, dtype=float)
+    u = _ordinal_ranks(arr[:, 0]) / (m + 1)
+    v = _ordinal_ranks(arr[:, 1]) / (m + 1)
+    lu = -np.log(u)
+    lv = -np.log(v)
+
+    def log_a_raw(ti: float) -> float:
+        with np.errstate(divide="ignore"):
+            left = lu / (1.0 - ti) if ti < 1.0 else np.full(m, np.inf)
+            right = lv / ti if ti > 0.0 else np.full(m, np.inf)
+        return -np.euler_gamma - float(np.mean(np.log(np.minimum(left, right))))
+
+    raw = np.array([log_a_raw(ti) for ti in t])
+    a0 = log_a_raw(0.0)
+    a1 = log_a_raw(1.0)
+    corrected = raw - (1.0 - t) * a0 - t * a1
+    a_vals = np.exp(corrected)
+    return np.clip(a_vals, np.maximum(t, 1.0 - t), 1.0)
+
+
 class TestPickands:
+    @pytest.mark.parametrize("m", [10, 57, 400])
+    @pytest.mark.parametrize("grid", ["default", "interior"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_per_t_loop(self, m, grid, ties):
+        rng = np.random.default_rng(m)
+        pairs = gumbel_copula_sample(2.0, 2, rng, size=m)
+        if ties:
+            pairs = np.round(pairs, 1)
+        if grid == "default":
+            t = np.linspace(0.0, 1.0, 201)
+            a = pickands_cfg(pairs)
+        else:
+            t = np.sort(rng.uniform(0.01, 0.99, size=37))
+            a = pickands_cfg(pairs, t)
+        np.testing.assert_array_equal(a, pickands_cfg_loop(pairs, t))
+
     def test_endpoints_and_bounds(self):
         rng = np.random.default_rng(3)
         pairs = rng.uniform(size=(500, 2))
@@ -248,6 +307,16 @@ class TestRegionalGamma:
                 w = np.array([w1, w2, 1 - w1 - w2])
                 assert best <= w @ fit.sigma @ w + 1e-10
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 1.0], [1.0, np.inf, 0.0], [1.0, -1.0, 0.0]],
+        ids=["wrong-length", "non-finite", "zero-sum"],
+    )
+    def test_invalid_user_weights_rejected(self, weights):
+        scheme = make_tail_scheme(seed=9, d=3, n=200)
+        with pytest.raises(ParameterError):
+            regional_tail_fit(scheme, weights=weights)
+
     def test_optimal_beats_uniform_on_dependent_region(self):
         # staggered records make site informativeness unequal; optimal
         # weighting beats uniform weights over replications
@@ -272,6 +341,28 @@ class TestRegionalGamma:
 
 
 class TestWeissmanCi:
+    @pytest.mark.parametrize("user_weights", [False, True])
+    @pytest.mark.parametrize("method", ["empirical", "pickands_cfg"])
+    def test_matches_regional_tail_fit(self, user_weights, method):
+        scheme = make_tail_scheme(seed=20, d=4, n=200)
+        k = np.array([25, 20, 30, 25])
+        weights = np.array([0.1, 0.2, 0.3, 0.4]) if user_weights else None
+        p, alpha = 0.995, 0.1
+        ci = weissman_ci(scheme, TailConfig(k, weights, method), "site2", p, alpha)
+        fit = regional_tail_fit(scheme, k, method, weights)
+        q = weissman_quantile(scheme.sites[1].values, 20, p, fit.gamma)
+        var = fit.gamma**2 / k[0] * (fit.weights @ fit.sigma @ fit.weights)
+        half = norm.ppf(1 - alpha / 2) * math.sqrt(var) * math.log(20 / (200 * (1 - p)))
+        assert ci.estimate == q
+        assert ci.lower == pytest.approx(q * (1 - half), rel=1e-12)
+        assert ci.upper == pytest.approx(q * (1 + half), rel=1e-12)
+
+    def test_weights_of_wrong_length_rejected(self):
+        scheme = make_tail_scheme(seed=11, d=3, n=200)
+        config = TailConfig(k=np.array([10] * 3), weights=np.array([0.5, 0.5]))
+        with pytest.raises(ParameterError):
+            weissman_ci(scheme, config, "site1", 0.995, 0.05)
+
     def test_interval_brackets_estimate(self):
         scheme = make_tail_scheme(seed=11, d=4, n=200)
         config = TailConfig(k=np.array([25] * 4))
