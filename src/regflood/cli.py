@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .gev import gev_quantile, twocomp_quantile
 from .ingest import SeasonDefinition, ingest_monthly, return_level_curve, seasonal_maxima
-from .regional import fit_gev_regional, homogeneity_test
+from .regional import RegionalShapeResult, fit_gev_regional, regional_shape
 from .simlab import load_scenario, run_scenario
 from .tail import TailConfig, regional_tail_fit, weissman_ci, weissman_quantile
 from .twocomp import fit_seasonal_regional, gev_quantile_ci, twocomp_quantile_ci
@@ -97,12 +98,12 @@ def _target_site(args, scheme) -> str:
     return args.target_site or scheme.site_ids[0]
 
 
-def _check_homogeneity(args, scheme, method: str, label: str) -> float | None:
-    """Homogeneity p-value, or None for a single site (nothing to test)."""
-    if scheme.d == 1:
+def _check_homogeneity(args, shape: RegionalShapeResult | None, label: str) -> float | None:
+    """Homogeneity p-value read off a regional shape fit, or None for a single site."""
+    if shape is None or len(shape.weights) == 1:
         print(f"note: homogeneity ({label}) not tested: single site", file=sys.stderr)
         return None
-    stat, p_value = homogeneity_test(scheme, method)
+    stat, p_value = shape.homogeneity()
     print(f"homogeneity ({label}): statistic={stat:.3f}, p-value={p_value:.3f}")
     threshold = getattr(args, "homogeneity_alpha", 0.05) or 0.05
     if p_value < threshold:
@@ -115,6 +116,13 @@ def _check_homogeneity(args, scheme, method: str, label: str) -> float | None:
         print(f"warning: {message}; proceeding (regional methods tolerate "
               "moderate heterogeneity)", file=sys.stderr)
     return p_value
+
+
+def _tail_homogeneity(args, config, scheme) -> float | None:
+    """Moment-lane homogeneity check of the tail commands, which fit no GEV."""
+    method = _merge(args, config, "method", "TL")
+    shape = regional_shape(scheme, method) if scheme.d > 1 else None
+    return _check_homogeneity(args, shape, "annual")
 
 
 def _write_estimate_csv(path, rows):
@@ -153,8 +161,8 @@ def _cmd_fit_gev(args) -> int:
     p = float(_merge(args, config, "p", 0.99))
     alpha = float(_merge(args, config, "alpha", 0.05))
     target = _target_site(args, schemes.annual)
-    hom_p = _check_homogeneity(args, schemes.annual, method, "annual")
     fit = fit_gev_regional(schemes.annual, target, method)
+    hom_p = _check_homogeneity(args, fit.shape, "annual")
     interval = gev_quantile_ci(fit, p, alpha)
     print(
         f"fitted GEV at {target}: mu={fit.theta.mu:.3f}, sigma={fit.theta.sigma:.3f}, "
@@ -172,9 +180,9 @@ def _cmd_fit_two_component(args) -> int:
     p = float(_merge(args, config, "p", 0.99))
     alpha = float(_merge(args, config, "alpha", 0.05))
     target = _target_site(args, schemes.annual)
-    hom_w = _check_homogeneity(args, schemes.winter, method, "winter")
-    hom_s = _check_homogeneity(args, schemes.summer, method, "summer")
     fit = fit_seasonal_regional(schemes.winter, schemes.summer, target, method)
+    hom_w = _check_homogeneity(args, fit.diagnostics["winter"].shape, "winter")
+    hom_s = _check_homogeneity(args, fit.diagnostics["summer"].shape, "summer")
     corr = fit.diagnostics.get("season_correlation")
     if corr is not None:
         print(f"winter/summer correlation at {target}: {corr:+.3f} (diagnostic only)")
@@ -191,8 +199,7 @@ def _cmd_fit_two_component(args) -> int:
 def _cmd_regional_tail(args) -> int:
     config = _load_config(args.config)
     schemes = _load_schemes(args, config)
-    method = _merge(args, config, "method", "TL")
-    hom_p = _check_homogeneity(args, schemes.annual, method, "annual")
+    hom_p = _tail_homogeneity(args, config, schemes.annual)
     fit = regional_tail_fit(
         schemes.annual,
         k=_merge(args, config, "k", None),
@@ -222,9 +229,7 @@ def _cmd_weissman(args) -> int:
     config = _load_config(args.config)
     schemes = _load_schemes(args, config)
     target = _target_site(args, schemes.annual)
-    hom_p = _check_homogeneity(
-        args, schemes.annual, _merge(args, config, "method", "TL"), "annual"
-    )
+    hom_p = _tail_homogeneity(args, config, schemes.annual)
     p = float(_merge(args, config, "p", 0.99))
     alpha = float(_merge(args, config, "alpha", 0.05))
     fit = regional_tail_fit(
@@ -242,11 +247,16 @@ def _cmd_weissman(args) -> int:
 
 
 def _cmd_return_levels(args) -> int:
+    try:
+        t_grid = np.array([float(t) for t in args.t_grid.split(",")])
+    except ValueError as exc:
+        raise DataError(
+            f"bad --t-grid {args.t_grid!r} (expected e.g. '2,10,100'): {exc}"
+        ) from exc
     config = _load_config(args.config)
     schemes = _load_schemes(args, config)
     target = _target_site(args, schemes.annual)
     method = args.method
-    t_grid = np.array([float(t) for t in args.t_grid.split(",")])
     if method in ("L", "TL"):
         fit = fit_gev_regional(schemes.annual, target, method)
         quantile_fn = lambda p: gev_quantile(fit.theta, p)  # noqa: E731
@@ -279,12 +289,7 @@ def _cmd_return_levels(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
-        config = type(config)(
-            d=config.d, n=config.n, p=config.p, margins=config.margins,
-            copula=config.copula, estimators=config.estimators,
-            replications=config.replications, seed=args.seed,
-            method_options=config.method_options,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     report = run_scenario(config)
     print(report.to_text())
     if args.out:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import gamma as gamma_fn
 
 from .errors import DataError, NumericError, ParameterError
@@ -82,6 +83,10 @@ def pwm_of_gev(params: GevParams, k: int) -> float:
         raise ParameterError(
             f"PWMs diverge for shape >= 1 (got xi={params.xi}); the mean is infinite"
         )
+    # only this validation oracle needs quadrature; importing it here keeps
+    # scipy.integrate out of the command line's start-up
+    from scipy import integrate
+
     # strong endpoint singularities (shape near 1) make quad report
     # roundoff in its extrapolation table; the explicit error-estimate
     # check below is the contract, so the warning itself is noise
@@ -325,6 +330,32 @@ def gev_from_tlmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
     return GevParams(float(mu), float(sigma), float(xi))
 
 
+@dataclass(frozen=True)
+class _MomentMethod:
+    """PWM order K and the shape, shape-gradient and recovery maps of a method."""
+
+    order: int
+    shape: Callable[[PwmVector], float]
+    shape_gradient: Callable[[PwmVector], np.ndarray]
+    recover: Callable[[PwmVector], GevParams]
+
+
+_MOMENT_METHODS = {
+    "L": _MomentMethod(3, shape_from_lmoments, shape_gradient_lmoments, gev_from_lmoments),
+    "TL": _MomentMethod(4, shape_from_tlmoments, shape_gradient_tlmoments, gev_from_tlmoments),
+}
+
+
+def _moment_method(method: str) -> _MomentMethod:
+    """The table entry of an L/TL method name."""
+    try:
+        return _MOMENT_METHODS[method]
+    except KeyError:
+        raise ParameterError(
+            f"unknown moment method {method!r}; use 'L' or 'TL'"
+        ) from None
+
+
 def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
     """Gradient of the (mu, sigma, xi) recovery map in the PWMs.
 
@@ -337,28 +368,20 @@ def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
     numpy.ndarray
         3 x K matrix, K = 3 for ``method='L'`` and 4 for ``method='TL'``.
     """
-    if method == "L":
-        recover, k_needed, shape_grad = gev_from_lmoments, 3, shape_gradient_lmoments
-    elif method == "TL":
-        recover, k_needed, shape_grad = (
-            gev_from_tlmoments,
-            4,
-            shape_gradient_tlmoments,
-        )
-    else:
-        raise ParameterError(f"unknown moment method {method!r}; use 'L' or 'TL'")
+    spec = _moment_method(method)
+    k_needed = spec.order
     if pwm.order < k_needed:
         raise ParameterError(f"method {method!r} needs PWMs up to order {k_needed - 1}")
     base = pwm.values[:k_needed].copy()
     out = np.empty((3, k_needed))
-    out[2] = shape_grad(PwmVector(base))
+    out[2] = spec.shape_gradient(PwmVector(base))
     for k in range(k_needed):
         h = 1e-6 * max(1.0, abs(base[k]))
         up, dn = base.copy(), base.copy()
         up[k] += h
         dn[k] -= h
-        theta_up = recover(PwmVector(up)).as_array()
-        theta_dn = recover(PwmVector(dn)).as_array()
+        theta_up = spec.recover(PwmVector(up)).as_array()
+        theta_dn = spec.recover(PwmVector(dn)).as_array()
         out[0, k] = (theta_up[0] - theta_dn[0]) / (2 * h)
         out[1, k] = (theta_up[1] - theta_dn[1]) / (2 * h)
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import (
     DataError,
@@ -24,17 +24,7 @@ from .errors import (
     ParameterError,
 )
 from .gev import GevParams
-from .moments import (
-    gev_fit_gradient,
-    gev_from_lmoments,
-    gev_from_tlmoments,
-    sample_pwm,
-    sample_pwm_unbiased,
-    shape_from_lmoments,
-    shape_from_tlmoments,
-    shape_gradient_lmoments,
-    shape_gradient_tlmoments,
-)
+from .moments import _moment_method, gev_fit_gradient, sample_pwm, sample_pwm_unbiased
 
 __all__ = [
     "SiteSeries",
@@ -55,8 +45,6 @@ __all__ = [
 
 # Shape covariances with a condition number above this trigger the fallback.
 MAX_CONDITION = 1e12
-
-_METHOD_ORDERS = {"L": 3, "TL": 4}
 
 # PWM estimator used for the parameter fits.  The influence-row
 # covariance machinery below always follows the plug-in construction it
@@ -287,20 +275,17 @@ class _ShapeSystem:
 def _shape_system(
     scheme: ObservationScheme, method: str, pwm_estimator: str
 ) -> _ShapeSystem:
-    K = _require_method(method)
+    spec = _moment_method(method)
+    K = spec.order
     pwm_from = _pwm_fn(pwm_estimator)
-    shape_fn = shape_from_lmoments if method == "L" else shape_from_tlmoments
-    grad_fn = (
-        shape_gradient_lmoments if method == "L" else shape_gradient_tlmoments
-    )
     d = scheme.d
     xi_hats = np.empty(d)
     pwms, grads = [], []
     for j, site in enumerate(scheme.sites):
         try:
             pwm = pwm_from(site.values, K - 1)
-            xi_hats[j] = shape_fn(pwm)
-            grads.append(grad_fn(pwm))
+            xi_hats[j] = spec.shape(pwm)
+            grads.append(spec.shape_gradient(pwm))
         except Exception as exc:
             raise NumericError(
                 f"shape estimation failed at site {site.site_id!r}: {exc}"
@@ -338,9 +323,17 @@ def _eigenvalues_valid(eigs: np.ndarray) -> bool:
     return bool(eigs.min() > 0 and eigs.max() / eigs.min() < MAX_CONDITION)
 
 
-def _lagrange_weights(sigma: np.ndarray) -> np.ndarray:
+def _pool_weights(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, str, float]:
+    """Pooling weights under a symmetric covariance, their source and its least eigenvalue.
+
+    The weights are the Lagrange solution ``sigma^{-1} 1 / (1' sigma^{-1} 1)``
+    when the covariance is valid, otherwise ``fallback`` as given.
+    """
+    eigs = np.linalg.eigvalsh(sigma)
+    if not _eigenvalues_valid(eigs):
+        return fallback, "length-proportional", float(eigs.min())
     raw = np.linalg.solve(sigma, np.ones(sigma.shape[0]))
-    return raw / raw.sum()
+    return raw / raw.sum(), "optimal", float(eigs.min())
 
 
 def covariance_is_valid(sigma: np.ndarray) -> bool:
@@ -361,21 +354,17 @@ def optimal_weights(sigma: np.ndarray, fallback: np.ndarray | None = None) -> np
     """Variance-minimizing weights summing to one.
 
     For a positive definite ``sigma`` this is the Lagrange solution
-    ``sigma^{-1} 1 / (1' sigma^{-1} 1)``.  Degenerate inputs fall back to
-    the supplied weight vector (uniform weights when none is given).
+    ``sigma^{-1} 1 / (1' sigma^{-1} 1)`` of its symmetric part.
+    Degenerate inputs fall back to the supplied weight vector, rescaled
+    to sum to one (uniform weights when none is given).
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ParameterError("covariance must be a square matrix")
     if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
         raise ParameterError("covariance must be symmetric")
-    d = sigma.shape[0]
-    if not covariance_is_valid(sigma):
-        if fallback is not None:
-            w = np.asarray(fallback, dtype=float)
-            return w / w.sum()
-        return np.full(d, 1.0 / d)
-    return _lagrange_weights(sigma)
+    w = np.ones(sigma.shape[0]) if fallback is None else np.asarray(fallback, dtype=float)
+    return _pool_weights(0.5 * (sigma + sigma.T), w / w.sum())[0]
 
 
 def fallback_weights(scheme: ObservationScheme) -> np.ndarray:
@@ -386,11 +375,43 @@ def fallback_weights(scheme: ObservationScheme) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionalShapeResult:
-    """Weighted regional shape estimate with its provenance."""
+    """Weighted regional shape estimate with its provenance.
+
+    ``n`` is the scheme's common period length, to which the shape
+    covariance in ``diagnostics["sigma_tail"]`` is normalized.
+    """
 
     xi: float
     weights: np.ndarray
     diagnostics: dict
+    n: int
+
+    def homogeneity(self) -> tuple[float, float]:
+        """Wald test of equal shape parameters across the fitted sites.
+
+        Uses the successive-difference contrasts of the per-site shape
+        estimates and their estimated covariance; the statistic is
+        referred to a chi-square distribution with d-1 degrees of freedom.
+
+        Returns
+        -------
+        (float, float)
+            Test statistic and p-value.
+        """
+        xi_hats = self.diagnostics["xi_by_site"]
+        d = len(xi_hats)
+        if d < 2:
+            raise ParameterError("homogeneity test needs at least two sites")
+        contrast = np.eye(d - 1, d) - np.eye(d - 1, d, k=1)
+        diffs = contrast @ xi_hats
+        inner = contrast @ self.diagnostics["sigma_tail"] @ contrast.T
+        if not covariance_is_valid(inner):
+            raise NumericError(
+                "contrast covariance is singular; drop duplicated or perfectly "
+                "dependent sites before testing homogeneity"
+            )
+        stat = float(self.n * diffs @ np.linalg.solve(inner, diffs))
+        return stat, float(chdtrc(d - 1, stat))
 
 
 def regional_shape(
@@ -409,58 +430,29 @@ def regional_shape(
 def _combine_shapes(
     scheme: ObservationScheme, system: _ShapeSystem, method: str
 ) -> RegionalShapeResult:
-    sigma = system.sigma
-    eigs = np.linalg.eigvalsh(sigma)
-    if _eigenvalues_valid(eigs):
-        weights = _lagrange_weights(sigma)
-        source = "optimal"
-    else:
-        weights = fallback_weights(scheme)
-        source = "length-proportional"
+    weights, source, min_eig = _pool_weights(system.sigma, fallback_weights(scheme))
     return RegionalShapeResult(
         xi=float(weights @ system.xi_hats),
         weights=weights,
         diagnostics={
             "weights_source": source,
             "xi_by_site": system.xi_hats,
-            "sigma_tail": sigma,
-            "sigma_tail_min_eigenvalue": float(eigs.min()),
+            "sigma_tail": system.sigma,
+            "sigma_tail_min_eigenvalue": min_eig,
             "method": method,
         },
+        n=scheme.n,
     )
 
 
 def homogeneity_test(
     scheme: ObservationScheme, method: str = "TL", pwm_estimator: str = "unbiased"
 ) -> tuple[float, float]:
-    """Wald test of equal shape parameters across sites.
+    """Wald test of equal shape parameters across sites: statistic and p-value.
 
-    Uses the successive-difference contrasts of the per-site shape
-    estimates and their estimated covariance; the statistic is referred
-    to a chi-square distribution with d-1 degrees of freedom.
-
-    Returns
-    -------
-    (float, float)
-        Test statistic and p-value.
+    Read off the regional shape fit by :meth:`RegionalShapeResult.homogeneity`.
     """
-    d = scheme.d
-    if d < 2:
-        raise ParameterError("homogeneity test needs at least two sites")
-    xi_hats, sigma = sigma_tail_hat(scheme, method, pwm_estimator)
-    contrast = np.zeros((d - 1, d))
-    idx = np.arange(d - 1)
-    contrast[idx, idx] = 1.0
-    contrast[idx, idx + 1] = -1.0
-    diffs = contrast @ xi_hats
-    inner = contrast @ sigma @ contrast.T
-    if not covariance_is_valid(inner):
-        raise NumericError(
-            "contrast covariance is singular; drop duplicated or perfectly "
-            "dependent sites before testing homogeneity"
-        )
-    stat = float(scheme.n * diffs @ np.linalg.solve(inner, diffs))
-    return stat, float(chi2.sf(stat, df=d - 1))
+    return regional_shape(scheme, method, pwm_estimator).homogeneity()
 
 
 @dataclass(frozen=True)
@@ -494,14 +486,14 @@ def fit_gev_regional(
     the target site's PWM block only, the shape row combines all sites
     with the regional weights (treated as fixed, their limit value).
     """
-    K = _require_method(method)
-    recover = gev_from_lmoments if method == "L" else gev_from_tlmoments
+    spec = _moment_method(method)
+    K = spec.order
     t = scheme.site_index(target_site)
     system = _shape_system(scheme, method, pwm_estimator)
     shape = _combine_shapes(scheme, system, method)
 
     try:
-        local = recover(system.pwms[t])
+        local = spec.recover(system.pwms[t])
     except Exception as exc:
         raise NumericError(
             f"moment fit failed at target site {target_site!r}: {exc}"
@@ -511,8 +503,7 @@ def fit_gev_regional(
     d = scheme.d
     grad = np.zeros((3, d * K))
     fit_grad_t = gev_fit_gradient(system.pwms[t], method)
-    grad[0, t * K : (t + 1) * K] = fit_grad_t[0]
-    grad[1, t * K : (t + 1) * K] = fit_grad_t[1]
+    grad[:2, t * K : (t + 1) * K] = fit_grad_t[:2]
     for j in range(d):
         grad[2, j * K : (j + 1) * K] = shape.weights[j] * system.grads[j]
     cov = grad @ system.blocks.matrix @ grad.T
@@ -524,9 +515,3 @@ def fit_gev_regional(
         shape=shape,
         local_theta=local,
     )
-
-
-def _require_method(method: str) -> int:
-    if method not in _METHOD_ORDERS:
-        raise ParameterError(f"unknown moment method {method!r}; use 'L' or 'TL'")
-    return _METHOD_ORDERS[method]

@@ -13,10 +13,10 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr, stdtrit
 
 from .errors import DataError, DomainError, ParameterError, RegfloodError
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
@@ -167,7 +167,7 @@ class BlockMaxMargin:
 
     @property
     def a_b(self) -> float:
-        return float(t_dist.ppf(1.0 - 1.0 / (2.0 * self.b), self.dof))
+        return float(stdtrit(self.dof, 1.0 - 1.0 / (2.0 * self.b)))
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def blockmax_cdf(margin: BlockMaxMargin, x):
     """cdf (2 T_dof(a_b (1 + xi (x-mu)/sigma)) - 1)**b, zero below support."""
     x = np.asarray(x, dtype=float)
     z = 1.0 + margin.xi * (x - margin.mu) / margin.sigma
-    inner = 2.0 * t_dist.cdf(margin.a_b * z, margin.dof) - 1.0
+    inner = 2.0 * stdtr(margin.dof, margin.a_b * z) - 1.0
     out = np.where(z > 0, np.maximum(inner, 0.0) ** margin.b, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -196,7 +196,7 @@ def blockmax_quantile(margin: BlockMaxMargin, p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise DomainError("quantile level must lie strictly between 0 and 1")
-    inner = t_dist.ppf((p ** (1.0 / margin.b) + 1.0) / 2.0, margin.dof)
+    inner = stdtrit(margin.dof, (p ** (1.0 / margin.b) + 1.0) / 2.0)
     out = margin.mu + margin.sigma / margin.xi * (inner / margin.a_b - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -357,12 +357,11 @@ def _estimate(name: str, region: SimulatedRegion, p: float, options: dict) -> fl
             warnings.simplefilter("ignore")
             return weissman_quantile(site.values, int(fit.k[j]), p, fit.gamma)
     if name in ("sL", "sTL"):
-        method = "L" if name == "sL" else "TL"
         fit = fit_seasonal_regional(
             region.winter,
             region.summer,
             region.target_site,
-            method,
+            name[1:],
             pwm_estimator=pwm_estimator,
         )
         return twocomp_quantile(fit.model, p)
@@ -418,43 +417,16 @@ class ScenarioReport:
         return "\n".join(lines)
 
     def write_csv(self, path) -> None:
+        """One row per estimator: its :class:`EstimatorStats` fields and ``q_true``.
+
+        The ``name`` field is written under the column ``estimator``.
+        """
+        stat_names = [f.name for f in fields(EstimatorStats)][1:]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "estimator",
-                    "n_ok",
-                    "n_failed",
-                    "bias",
-                    "variance",
-                    "mse_scaled",
-                    "se_bias",
-                    "se_mse_scaled",
-                    "q25",
-                    "median",
-                    "q75",
-                    "outliers",
-                    "q_true",
-                ]
-            )
+            writer.writerow(["estimator", *stat_names, "q_true"])
             for st in self.stats:
-                writer.writerow(
-                    [
-                        st.name,
-                        st.n_ok,
-                        st.n_failed,
-                        st.bias,
-                        st.variance,
-                        st.mse_scaled,
-                        st.se_bias,
-                        st.se_mse_scaled,
-                        st.q25,
-                        st.median,
-                        st.q75,
-                        st.outliers,
-                        self.q_true,
-                    ]
-                )
+                writer.writerow([*astuple(st), self.q_true])
 
     def stat(self, name: str) -> EstimatorStats:
         for st in self.stats:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DataError, DomainError, NumericError, ParameterError
-from .regional import ObservationScheme, fallback_weights, optimal_weights
+from .regional import ObservationScheme, _pool_weights, fallback_weights
 from .twocomp import QuantileInterval
 
 __all__ = [
@@ -317,8 +317,8 @@ class TailConfig:
         object.__setattr__(self, "k", k)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ParameterError("weights must sum to 1")
+            if not np.all(np.isfinite(w)) or abs(w.sum() - 1.0) > 1e-12:
+                raise ParameterError("weights must be finite and sum to 1")
             object.__setattr__(self, "weights", w)
         if self.dependence_method not in ("empirical", "pickands_cfg"):
             raise ParameterError(
@@ -375,7 +375,12 @@ def semi_sigma(config: TailConfig, r, dependence: TailDependence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionalTailFit:
-    """Local tail indices and their variance-optimal combination."""
+    """Local tail indices and their variance-optimal combination.
+
+    ``weights_source`` is ``"optimal"`` (variance-minimizing for ``sigma``),
+    ``"length-proportional"`` (``sigma`` is not a usable covariance) or
+    ``"user"`` (given by the caller, rescaled to sum to one).
+    """
 
     gamma: float
     gammas: np.ndarray
@@ -405,8 +410,9 @@ def regional_tail_fit(
     dependence = TailDependence.from_scheme(scheme, ks, dependence_method)
     sigma = semi_sigma(config, scheme.ratios, dependence)
     if weights is None:
-        w = optimal_weights(sigma, fallback=fallback_weights(scheme))
-        source = "optimal"
+        # a fallback is rescaled to sum to one like user weights
+        fallback = fallback_weights(scheme)
+        w, source, _ = _pool_weights(sigma, fallback / fallback.sum())
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != (scheme.d,) or not np.all(np.isfinite(w)) or w.sum() == 0:
@@ -450,7 +456,7 @@ def weissman_ci(
     q_hat = weissman_quantile(site.values, int(fit.k[j]), p, fit.gamma)
     log_width = math.log(fit.k[j] / (site.length * (1.0 - p)))
     rel_half = (
-        norm.ppf(1.0 - alpha / 2.0)
+        ndtri(1.0 - alpha / 2.0)
         * math.sqrt(fit.gamma**2 / fit.k[0] * float(fit.weights @ fit.sigma @ fit.weights))
         * log_width
     )

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, pearsonr
+from scipy.special import ndtri
 
-from .errors import DomainError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .gev import (
     GevParams,
     TwoComponentGev,
@@ -120,10 +120,9 @@ def _season_correlation(
     m = min(len(w), len(s))
     if m < 3:
         return None
-    try:
-        return float(pearsonr(w[-m:], s[-m:]).statistic)
-    except Exception:
-        return None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = float(np.corrcoef(w[-m:], s[-m:])[0, 1])
+    return corr if math.isfinite(corr) else None
 
 
 def _jacobian_total(theta: GevParams, x: float) -> np.ndarray:
@@ -150,9 +149,11 @@ def twocomp_quantile_variance(fit: SeasonalFit, p: float) -> float:
     with J the parameter Jacobian of the cdf and g the density; this is
     the delta-method variance of sqrt(n) * (q_hat - q).
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile level must lie strictly between 0 and 1")
-    qp = twocomp_quantile(fit.model, p)
+    return _twocomp_variance_at(fit, p, twocomp_quantile(fit.model, p))
+
+
+def _twocomp_variance_at(fit: SeasonalFit, p: float, qp: float) -> float:
+    """:func:`twocomp_quantile_variance` at its already inverted quantile ``qp``."""
     cdf_w = gev_cdf(fit.theta_w, qp)
     cdf_s = gev_cdf(fit.theta_s, qp)
     dens_w = gev_pdf(fit.theta_w, qp)
@@ -176,9 +177,15 @@ def twocomp_quantile_ci(fit: SeasonalFit, p: float, alpha: float) -> QuantileInt
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly between 0 and 1")
     qp = twocomp_quantile(fit.model, p)
-    sd = math.sqrt(twocomp_quantile_variance(fit, p))
-    half = norm.ppf(1.0 - alpha / 2.0) * sd / math.sqrt(fit.n)
-    return QuantileInterval(qp, qp - half, qp + half, alpha)
+    return _normal_interval(qp, _twocomp_variance_at(fit, p, qp), fit.n, alpha)
+
+
+def _normal_interval(
+    estimate: float, variance: float, n: int, alpha: float
+) -> QuantileInterval:
+    """``estimate -/+ z_(1-alpha/2) sqrt(variance / n)``."""
+    half = ndtri(1.0 - alpha / 2.0) * math.sqrt(variance) / math.sqrt(n)
+    return QuantileInterval(estimate, estimate - half, estimate + half, alpha)
 
 
 def gev_quantile_variance(theta: GevParams, sigma: np.ndarray, p: float) -> float:
@@ -187,8 +194,6 @@ def gev_quantile_variance(theta: GevParams, sigma: np.ndarray, p: float) -> floa
     Degenerate case of the product-model formula with one component
     removed; used for the annual one-component fits.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile level must lie strictly between 0 and 1")
     grad = gev_quantile_gradient(theta, p)
     return max(float(grad @ np.asarray(sigma, dtype=float) @ grad), 0.0)
 
@@ -200,6 +205,5 @@ def gev_quantile_ci(
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly between 0 and 1")
     qp = float(gev_quantile(fit.theta, p))
-    sd = math.sqrt(gev_quantile_variance(fit.theta, fit.covariance, p))
-    half = norm.ppf(1.0 - alpha / 2.0) * sd / math.sqrt(fit.n_effective)
-    return QuantileInterval(qp, qp - half, qp + half, alpha)
+    variance = gev_quantile_variance(fit.theta, fit.covariance, p)
+    return _normal_interval(qp, variance, fit.n_effective, alpha)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,3 +201,41 @@ def test_single_site_skips_homogeneity(single_site_csv, tmp_path, capsys, comman
     with open(out_dir / out_file, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(row["homogeneity_p"] == "" for row in rows)
+
+
+def test_bad_t_grid_is_an_input_error(monthly_csv, capsys):
+    code = main(["return-levels", "--data", str(monthly_csv), "--t-grid", "2,ten"])
+    assert code == EXIT_INPUT
+    assert "--t-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, schemes", [("fit-gev", 1), ("fit-two-component", 2)]
+)
+def test_one_shape_system_per_scheme(monthly_csv, monkeypatch, capsys, command, schemes):
+    # the homogeneity test is read off the fit, not estimated again
+    from regflood import regional
+
+    calls = []
+    original = regional.sigma_r_hat
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(regional, "sigma_r_hat", counting)
+    assert main([command, "--data", str(monthly_csv)]) == 0
+    assert "homogeneity" in capsys.readouterr().out
+    assert len(calls) == schemes
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    code = (
+        "import sys, regflood.cli; "
+        "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -342,6 +342,10 @@ class TestGradients:
             fd = (tu - td) / (2 * h)
             np.testing.assert_allclose(grad[:, i], fd, rtol=1e-4, atol=1e-8)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ParameterError, match="unknown moment method"):
+            gev_fit_gradient(exact_pwms(GevParams(1.5, 1, 0.4)), "X")
+
 
 @given(
     xi=st.floats(-0.4, 0.55),

@@ -333,6 +333,13 @@ class TestHomogeneity:
         with pytest.raises(NumericError, match="duplicated"):
             homogeneity_test(scheme, "L")
 
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    def test_equals_statistic_read_off_the_fit(self, method):
+        scheme = make_scheme(d=5, n=60, offsets=[0, 0, 8, 15, 30])
+        fit = fit_gev_regional(scheme, "s3", method)
+        assert homogeneity_test(scheme, method) == fit.shape.homogeneity()
+        assert fit.shape.n == scheme.n
+
 
 class TestFitGevRegional:
     def test_shape_is_regional_location_is_local(self):

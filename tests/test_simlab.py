@@ -216,7 +216,10 @@ class TestScenario:
         path = tmp_path / "report.csv"
         report.write_csv(path)
         rows = path.read_text().strip().splitlines()
-        assert rows[0].startswith("estimator,")
+        assert rows[0] == (
+            "estimator,n_ok,n_failed,bias,variance,mse_scaled,se_bias,"
+            "se_mse_scaled,q25,median,q75,outliers,q_true"
+        )
         assert len(rows) == 3  # header + two estimators
 
     def test_site_relabeling_invariance(self):

@@ -307,6 +307,17 @@ class TestRegionalGamma:
                 w = np.array([w1, w2, 1 - w1 - w2])
                 assert best <= w @ fit.sigma @ w + 1e-10
 
+    def test_identical_sites_fall_back_to_length_proportional(self):
+        # two copies of one site: the tail covariance is singular
+        scheme = make_tail_scheme(seed=9, d=2, n=200)
+        values = scheme.sites[0].values
+        twins = ObservationScheme(
+            (SiteSeries("a", 0, values), SiteSeries("b", 0, values.copy()))
+        )
+        fit = regional_tail_fit(twins)
+        assert fit.weights_source == "length-proportional"
+        np.testing.assert_array_equal(fit.weights, [0.5, 0.5])
+
     @pytest.mark.parametrize(
         "weights",
         [[1.0, 1.0], [1.0, np.inf, 0.0], [1.0, -1.0, 0.0]],
@@ -356,6 +367,13 @@ class TestWeissmanCi:
         assert ci.estimate == q
         assert ci.lower == pytest.approx(q * (1 - half), rel=1e-12)
         assert ci.upper == pytest.approx(q * (1 + half), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0], [0.5, 0.4, 0.0]]
+    )
+    def test_config_rejects_invalid_weights(self, weights):
+        with pytest.raises(ParameterError):
+            TailConfig(k=np.array([10] * 3), weights=weights)
 
     def test_weights_of_wrong_length_rejected(self):
         scheme = make_tail_scheme(seed=11, d=3, n=200)

@@ -134,6 +134,20 @@ class TestInterval:
             2.0 * (w400.upper - w400.lower), rel=1e-10
         )
 
+    def test_one_quantile_inversion(self, monkeypatch):
+        from regflood import twocomp as twocomp_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return twocomp_quantile(*args, **kwargs)
+
+        monkeypatch.setattr(twocomp_module, "twocomp_quantile", counting)
+        ci = twocomp_quantile_ci(make_fit(), 0.99, 0.05)
+        assert len(calls) == 1
+        assert ci.estimate == twocomp_quantile(make_fit().model, 0.99)
+
     def test_alpha_validation(self):
         with pytest.raises(ParameterError):
             twocomp_quantile_ci(make_fit(), 0.99, 0.0)
