@@ -67,6 +67,9 @@ def _merge(args: argparse.Namespace, config: dict, key: str, default):
 
 
 def _load_schemes(args, config):
+    alpha = args.homogeneity_alpha
+    if not 0.0 < alpha < 1.0:
+        raise DataError(f"--homogeneity-alpha must lie strictly between 0 and 1, got {alpha}")
     records = ingest_monthly(args.data)
     schemes = seasonal_maxima(
         records,
@@ -105,11 +108,10 @@ def _check_homogeneity(args, shape: RegionalShapeResult | None, label: str) -> f
         return None
     stat, p_value = shape.homogeneity()
     print(f"homogeneity ({label}): statistic={stat:.3f}, p-value={p_value:.3f}")
-    threshold = getattr(args, "homogeneity_alpha", 0.05) or 0.05
-    if p_value < threshold:
+    if p_value < args.homogeneity_alpha:
         message = (
             f"homogeneity test rejects equal shapes for {label} data "
-            f"(p={p_value:.3f} < {threshold})"
+            f"(p={p_value:.3f} < {args.homogeneity_alpha})"
         )
         if getattr(args, "enforce_homogeneity", False):
             raise HomogeneityError(message)

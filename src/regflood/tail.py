@@ -10,7 +10,6 @@ through a dependence-function representation).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -134,9 +133,8 @@ def tail_prob(x: float, data, k: int, gamma: float) -> float:
 
 
 def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
-    ranks = np.empty(len(values), dtype=float)
-    ranks[np.argsort(values, kind="stable")] = np.arange(1, len(values) + 1)
-    return ranks
+    """Ranks 1..m along axis 0 (per column), ties broken by position."""
+    return np.argsort(np.argsort(values, axis=0, kind="stable"), axis=0) + 1.0
 
 
 def tail_dependence_empirical(pairs, k: int, x: float, y: float) -> float:
@@ -151,12 +149,12 @@ def tail_dependence_empirical(pairs, k: int, x: float, y: float) -> float:
         raise DataError("need an (m x 2) array of paired observations, m >= 2")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    return _joint_top_share(_ordinal_ranks(arr[:, 0]), _ordinal_ranks(arr[:, 1]), k, x, y)
+    return _joint_top_share(*_ordinal_ranks(arr).T, k, x, y)
 
 
 def _joint_top_share(r: np.ndarray, s: np.ndarray, k: int, x: float, y: float) -> float:
     """:func:`tail_dependence_empirical` from precomputed within-pair ranks."""
-    if x < 0 or y < 0:
+    if not (x >= 0 and y >= 0):  # also rejects NaN
         raise DomainError("tail copula arguments must be non-negative")
     if x == 0 or y == 0:
         return 0.0
@@ -184,8 +182,7 @@ def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if np.any((t < 0) | (t > 1)):
         raise DomainError("t grid must lie in [0, 1]")
-    u = _ordinal_ranks(arr[:, 0]) / (m + 1)
-    v = _ordinal_ranks(arr[:, 1]) / (m + 1)
+    u, v = (_ordinal_ranks(arr) / (m + 1)).T
     # one row per grid point, then the endpoints t = 0 and t = 1
     ts = np.concatenate([t, [0.0, 1.0]])[:, None]
     with np.errstate(divide="ignore"):
@@ -197,31 +194,34 @@ def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
 
 
 class TailDependence:
-    """Pairwise extremal dependence of a region.
+    """Extremal dependence of a region, evaluated as one d x d matrix.
 
-    Holds one tail-copula evaluator per site pair; built either from
-    joint top ranks over the pairwise overlap years or from a
-    dependence-function table via Lambda(x, y) = (x+y) * (1 - A(y/(x+y))).
+    ``matrix(x)`` gives the tail copula Lambda_lm(x_l, x_m) of all site
+    pairs for one argument per site, with Lambda_ll(x, x) = x.  Off the
+    diagonal, by ``method``:
+
+    - ``"independent"``: 0; ``"comonotone"``: min(x_l, x_m);
+    - ``"empirical"``: joint top ranks over the pair's overlap years;
+      ``tables`` holds per overlap start the sites observed from it, the
+      positions among them of those starting there, their ranks and the
+      pairs' tail sample lengths;
+    - ``"pickands_cfg"``: (x_l + x_m)(1 - A_lm(x_m/(x_l + x_m))); ``tables``
+      is the t grid and one table A_lm per pair l < m (``np.triu_indices``
+      order).
     """
 
-    def __init__(self, d: int, lambda_fns: dict):
+    def __init__(self, d: int, method: str, tables=()):
         self.d = d
-        self._fns = lambda_fns
-
-    def lambda_value(self, l: int, m: int, x: float, y: float) -> float:
-        if l == m:
-            return min(x, y)
-        if (l, m) in self._fns:
-            return float(self._fns[(l, m)](x, y))
-        return float(self._fns[(m, l)](y, x))
+        self.method = method
+        self._tables = tables
 
     @classmethod
     def independent(cls, d: int) -> "TailDependence":
-        return cls(d, {(l, m): (lambda x, y: 0.0) for l in range(d) for m in range(l + 1, d)})
+        return cls(d, "independent")
 
     @classmethod
     def comonotone(cls, d: int) -> "TailDependence":
-        return cls(d, {(l, m): min for l in range(d) for m in range(l + 1, d)})
+        return cls(d, "comonotone")
 
     @classmethod
     def from_scheme(
@@ -231,14 +231,14 @@ class TailDependence:
         method: str = "empirical",
         t_grid=PICKANDS_T_GRID,
     ) -> "TailDependence":
-        """Estimate all pairwise dependencies from the overlap years.
+        """Estimate the region's dependence from each pair's overlap years.
 
         The empirical method ranks each site once per distinct overlap
-        start (once in all when the records have equal lengths) and
-        counts joint top ranks from those cached ranks; its values equal
-        :func:`tail_dependence_empirical` on each pair's overlap rows.
+        start; ``matrix`` then equals :func:`tail_dependence_empirical`
+        on each pair's overlap rows with k = min(k_l, k_m) (below the
+        overlap length, since each k_j is below its site's length).
         The ``pickands_cfg`` method estimates a dependence-function table
-        for each pair.
+        on ``t_grid`` for each pair.
         """
         if method not in ("empirical", "pickands_cfg"):
             raise ParameterError(
@@ -246,55 +246,62 @@ class TailDependence:
             )
         d = scheme.d
         ks = _as_k_vector(scheme, k)
+        offsets = np.array([s.offset for s in scheme.sites])
+        if method == "pickands_cfg":
+            a_rows = [
+                pickands_cfg(_overlap_rows(scheme, (l, m), max(offsets[[l, m]])), t_grid)
+                for l, m in zip(*np.triu_indices(d, 1))
+            ]
+            return cls(d, method, (np.asarray(t_grid, dtype=float), a_rows))
+        tables = []
+        for start in np.unique(offsets):
+            group = np.flatnonzero(offsets <= start)
+            late = np.flatnonzero(offsets[group] == start)
+            ranks = _ordinal_ranks(_overlap_rows(scheme, group, start))
+            k_pair = np.minimum.outer(ks[group[late]], ks[group])
+            tables.append((group, late, ranks, k_pair))
+        return cls(d, method, tables)
 
-        @functools.cache
-        def site_ranks(j: int, start: int) -> np.ndarray:
-            return _ordinal_ranks(_overlap_rows(scheme, j, start))
-
-        fns = {}
-        for l in range(d):
-            for m in range(l + 1, d):
-                start = _overlap_start(scheme, l, m)
-                k_pair = int(min(ks[l], ks[m], scheme.n - start - 1))
-                if method == "empirical":
-                    fns[(l, m)] = functools.partial(
-                        _joint_top_share, site_ranks(l, start), site_ranks(m, start), k_pair
-                    )
-                else:
-                    pairs = np.column_stack(
-                        [_overlap_rows(scheme, l, start), _overlap_rows(scheme, m, start)]
-                    )
-                    a_vals = pickands_cfg(pairs, t_grid)
-                    fns[(l, m)] = _pickands_lambda_fn(np.asarray(t_grid, float), a_vals)
-        return cls(d, fns)
-
-
-def _overlap_start(scheme: ObservationScheme, l: int, m: int) -> int:
-    """First row (of the common period) observed at both sites."""
-    start = max(scheme.sites[l].offset, scheme.sites[m].offset)
-    rows = scheme.n - start
-    if rows < 2:
-        raise DataError(
-            f"sites {scheme.site_ids[l]!r} and {scheme.site_ids[m]!r} share "
-            f"only {rows} years"
-        )
-    return start
-
-
-def _overlap_rows(scheme: ObservationScheme, j: int, start: int) -> np.ndarray:
-    site = scheme.sites[j]
-    return site.values[start - site.offset :]
+    def matrix(self, x) -> np.ndarray:
+        """Tail-copula matrix Lambda_lm(x_l, x_m) for one argument per site."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            raise ParameterError(
+                f"dependence covers {self.d} sites, got arguments of shape {x.shape}"
+            )
+        if not np.all(np.isfinite(x) & (x >= 0)):
+            raise DomainError("tail copula arguments must be finite and non-negative")
+        if self.method == "comonotone":
+            return np.minimum.outer(x, x)
+        lam = np.zeros((self.d, self.d))
+        if self.method == "empirical":
+            for group, late, ranks, k_pair in self._tables:
+                # joint top ranks of the late x group pairs, one count per pair
+                rows, starts_here = len(ranks), group[late]
+                joint = (ranks[:, late, None] > rows - k_pair * x[starts_here, None]) & (
+                    ranks[:, None, :] > rows - k_pair * x[group]
+                )
+                block = joint.sum(axis=0) / k_pair
+                lam[np.ix_(starts_here, group)] = block
+                lam[np.ix_(group, starts_here)] = block.T
+        elif self.method == "pickands_cfg":
+            t_grid, a_rows = self._tables
+            l, m = np.triu_indices(self.d, 1)
+            with np.errstate(invalid="ignore"):
+                t = x[m] / (x[l] + x[m])
+            a = np.array([np.interp(tp, t_grid, row) for tp, row in zip(t, a_rows)])
+            lam[l, m] = lam[m, l] = np.where(
+                (x[l] > 0) & (x[m] > 0), (x[l] + x[m]) * (1.0 - a), 0.0
+            )
+        np.fill_diagonal(lam, x)
+        return lam
 
 
-def _pickands_lambda_fn(t_grid: np.ndarray, a_vals: np.ndarray):
-    def fn(x: float, y: float) -> float:
-        if x <= 0 or y <= 0:
-            return 0.0
-        t = y / (x + y)
-        a = float(np.interp(t, t_grid, a_vals))
-        return (x + y) * (1.0 - a)
-
-    return fn
+def _overlap_rows(scheme: ObservationScheme, sites, start: int) -> np.ndarray:
+    """Common-period rows from ``start`` on, one column per listed site."""
+    return np.column_stack(
+        [scheme.sites[j].values[start - scheme.sites[j].offset :] for j in sites]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -350,26 +357,17 @@ def semi_sigma(config: TailConfig, r, dependence: TailDependence) -> np.ndarray:
     Entry (l, m) is ``c_l c_m min(r_l, r_m) Lambda((r_l c_l)^-1,
     (r_m c_m)^-1)`` with ``c_l = k_1/k_l``; the diagonal is exactly
     ``c_l`` and is set directly rather than through the estimated
-    dependence.
+    dependence, which must cover the same sites as ``config.k``.
     """
     r = np.asarray(r, dtype=float)
     ks = config.k
-    d = len(ks)
-    if r.size != d:
+    if r.size != len(ks):
         raise ParameterError("need one length ratio per site")
-    if np.any((r <= 0) | (r > 1)):
+    if not np.all((r > 0) & (r <= 1)):
         raise ParameterError("length ratios must lie in (0, 1]")
     c = ks[0] / ks.astype(float)
-    sigma = np.empty((d, d))
-    for l in range(d):
-        sigma[l, l] = c[l]
-        for m in range(l + 1, d):
-            lam = dependence.lambda_value(
-                l, m, 1.0 / (r[l] * c[l]), 1.0 / (r[m] * c[m])
-            )
-            val = c[l] * c[m] * min(r[l], r[m]) * lam
-            sigma[l, m] = val
-            sigma[m, l] = val
+    sigma = np.outer(c, c) * np.minimum.outer(r, r) * dependence.matrix(1.0 / (r * c))
+    np.fill_diagonal(sigma, c)
     return sigma
 
 

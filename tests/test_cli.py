@@ -156,6 +156,16 @@ def test_enforced_homogeneity_can_fail(tmp_path, capsys):
     assert "homogeneity" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "1"])
+def test_homogeneity_alpha_out_of_range(monthly_csv, capsys, alpha):
+    code = main(
+        ["fit-gev", "--data", str(monthly_csv), "--enforce-homogeneity",
+         f"--homogeneity-alpha={alpha}"]
+    )
+    assert code == EXIT_INPUT
+    assert "--homogeneity-alpha" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(monthly_csv, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"method": "L"}))

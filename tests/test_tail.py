@@ -11,6 +11,7 @@ from regflood.errors import DataError, DomainError, ParameterError
 from regflood.regional import ObservationScheme, SiteSeries
 from regflood.simlab import gumbel_copula_sample
 from regflood.tail import (
+    PICKANDS_T_GRID,
     TailConfig,
     TailDependence,
     _ordinal_ranks,
@@ -46,6 +47,28 @@ def make_tail_scheme(seed=0, d=4, n=200, gamma=0.4, theta=2.0):
     u = gumbel_copula_sample(theta, d, rng, size=n)
     data = u ** (-gamma)
     return ObservationScheme.from_matrix(data)
+
+
+def staggered_tail_scheme():
+    """Five staggered sites (overlaps 50-120 years) with ties at site 2."""
+    rng = np.random.default_rng(21)
+    offsets = [0, 0, 25, 40, 70]
+    data = gumbel_copula_sample(2.0, len(offsets), rng, size=120) ** -0.4
+    data[50:90:4, 2] = data[50, 2]
+    scheme = ObservationScheme(
+        tuple(SiteSeries(f"s{j}", a, data[a:, j]) for j, a in enumerate(offsets))
+    )
+    return scheme, data, offsets
+
+
+# tail-copula arguments: unit, around 1 on both sides, with zero entries
+ARGUMENT_VECTORS = [
+    np.ones(5),
+    np.array([0.4, 1.7, 2.5, 0.3, 1.0]),
+    np.array([1.3, 0.0, 0.8, 1.0, 3.1]),
+    np.array([0.9, 1.1, 0.05, 1.6, 0.6]),
+    np.array([0.0, 1.2, 0.7, 0.0, 2.0]),
+]
 
 
 class TestHill:
@@ -152,6 +175,12 @@ class TestTailDependence:
         pairs = np.random.default_rng(0).uniform(size=(50, 2))
         assert tail_dependence_empirical(pairs, 10, 0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("xy", [(-0.5, 1.0), (1.0, np.nan)])
+    def test_invalid_arguments(self, xy):
+        pairs = np.random.default_rng(0).uniform(size=(50, 2))
+        with pytest.raises(DomainError):
+            tail_dependence_empirical(pairs, 10, *xy)
+
     def test_comonotone_limit(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(size=10_000)
@@ -171,29 +200,60 @@ class TestTailDependence:
             tail_dependence_empirical(np.ones((1, 2)), 1, 1.0, 1.0)
 
     def test_from_scheme_matches_pairwise_reference(self):
-        # staggered scheme with ties: ranks cached per (site, overlap
-        # start) must reproduce the reference on every pair's overlap
-        rng = np.random.default_rng(21)
-        offsets = [0, 0, 25, 40, 70]
-        n, d = 120, len(offsets)
-        data = gumbel_copula_sample(2.0, d, rng, size=n) ** -0.4
-        data[50:90:4, 2] = data[50, 2]
-        scheme = ObservationScheme(
-            tuple(SiteSeries(f"s{j}", a, data[a:, j]) for j, a in enumerate(offsets))
-        )
+        # staggered scheme with ties: the matrix, built from ranks cached
+        # per overlap start, must reproduce the reference on every pair's
+        # overlap rows, including a zero argument and arguments around 1
+        scheme, data, offsets = staggered_tail_scheme()
+        n, d = data.shape
         ks = np.array([12, 9, 15, 10, 7])
         dep = TailDependence.from_scheme(scheme, ks, "empirical")
-        for l in range(d):
-            for m in range(d):
-                if l == m:
-                    continue
-                start = max(offsets[l], offsets[m])
-                pairs = np.column_stack([data[start:, l], data[start:, m]])
-                k_pair = int(min(ks[l], ks[m], n - start - 1))
-                for x, y in [(1.0, 1.0), (0.4, 1.7), (2.5, 0.3), (0.0, 1.0)]:
-                    assert dep.lambda_value(l, m, x, y) == tail_dependence_empirical(
-                        pairs, k_pair, x, y
-                    )
+        for x in ARGUMENT_VECTORS:
+            lam = dep.matrix(x)
+            np.testing.assert_array_equal(np.diag(lam), x)
+            for l in range(d):
+                for m in range(d):
+                    if l == m:
+                        continue
+                    start = max(offsets[l], offsets[m])
+                    pairs = np.column_stack([data[start:, l], data[start:, m]])
+                    k_pair = int(min(ks[l], ks[m], n - start - 1))
+                    assert lam[l, m] == tail_dependence_empirical(pairs, k_pair, x[l], x[m])
+
+    @pytest.mark.parametrize(
+        "t_grid", [PICKANDS_T_GRID, np.linspace(0.02, 0.97, 40)], ids=["default", "interior"]
+    )
+    def test_pickands_matrix_matches_pairwise_reference(self, t_grid):
+        # per-pair table and interpolation loop, with t = x_m / (x_l + x_m)
+        scheme, data, offsets = staggered_tail_scheme()
+        n, d = data.shape
+        dep = TailDependence.from_scheme(scheme, 10, "pickands_cfg", t_grid)
+        for x in ARGUMENT_VECTORS:
+            lam = dep.matrix(x)
+            np.testing.assert_array_equal(np.diag(lam), x)
+            for l in range(d):
+                for m in range(l + 1, d):
+                    start = max(offsets[l], offsets[m])
+                    pairs = np.column_stack([data[start:, l], data[start:, m]])
+                    a_vals = pickands_cfg(pairs, t_grid)
+                    if x[l] == 0 or x[m] == 0:
+                        ref = 0.0
+                    else:
+                        t = x[m] / (x[l] + x[m])
+                        ref = (x[l] + x[m]) * (1.0 - np.interp(t, t_grid, a_vals))
+                    assert lam[l, m] == ref
+                    assert lam[m, l] == ref
+
+    def test_constant_matrices(self):
+        x = np.array([0.5, 2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(TailDependence.independent(4).matrix(x), np.diag(x))
+        np.testing.assert_array_equal(
+            TailDependence.comonotone(4).matrix(x), np.minimum.outer(x, x)
+        )
+
+    @pytest.mark.parametrize("x", [[1.0, -0.5, 1.0], [1.0, np.nan, 1.0], [np.inf, 1.0, 1.0]])
+    def test_matrix_rejects_invalid_arguments(self, x):
+        with pytest.raises(DomainError):
+            TailDependence.comonotone(3).matrix(x)
 
 
 def pickands_cfg_loop(pairs, t_grid):
@@ -282,6 +342,32 @@ class TestSemiSigma:
         sigma = semi_sigma(config, np.ones(3), TailDependence.comonotone(3))
         np.testing.assert_allclose(sigma, np.ones((3, 3)))
 
+    @pytest.mark.parametrize("method", ["empirical", "pickands_cfg"])
+    def test_matches_per_pair_loop(self, method):
+        # c_l c_m min(r_l, r_m) Lambda_lm, multiplied in this order
+        scheme, _, _ = staggered_tail_scheme()
+        ks = np.array([12, 9, 15, 10, 7])
+        dep = TailDependence.from_scheme(scheme, ks, method)
+        r = scheme.ratios
+        sigma = semi_sigma(TailConfig(k=ks), r, dep)
+        c = ks[0] / ks.astype(float)
+        lam = dep.matrix(1.0 / (r * c))
+        for l in range(5):
+            assert sigma[l, l] == c[l]
+            for m in range(5):
+                if l != m:
+                    assert sigma[l, m] == c[l] * c[m] * min(r[l], r[m]) * lam[l, m]
+
+    @pytest.mark.parametrize("r", [[1.0, np.nan], [1.0, 0.0], [1.0, 1.5], [np.inf, 1.0]])
+    def test_invalid_ratios_rejected(self, r):
+        with pytest.raises(ParameterError):
+            semi_sigma(TailConfig(k=[10, 10]), r, TailDependence.comonotone(2))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_dependence_of_other_size_rejected(self, d):
+        with pytest.raises(ParameterError):
+            semi_sigma(TailConfig(k=[10, 10]), np.ones(2), TailDependence.comonotone(d))
+
     def test_symmetry_and_psd_on_simulated_tables(self):
         scheme = make_tail_scheme(seed=8, d=3, n=5000)
         ks = np.array([default_k(5000, 3)] * 3)
@@ -292,6 +378,17 @@ class TestSemiSigma:
 
 
 class TestRegionalGamma:
+    def test_pickands_needs_ten_overlap_years(self):
+        rng = np.random.default_rng(9)
+        data = gumbel_copula_sample(2.0, 3, rng, size=60) ** -0.4
+        offsets = [0, 0, 52]  # the last site has 8 years
+        scheme = ObservationScheme(
+            tuple(SiteSeries(f"s{j}", a, data[a:, j]) for j, a in enumerate(offsets))
+        )
+        regional_tail_fit(scheme, dependence_method="empirical")
+        with pytest.raises(DataError, match=">= 10 pairs"):
+            regional_tail_fit(scheme, dependence_method="pickands_cfg")
+
     def test_single_site_is_local(self):
         scheme = make_tail_scheme(d=1, n=300)
         fit = regional_tail_fit(scheme)
