@@ -33,6 +33,7 @@ from .gev import (
 )
 from .ingest import (
     MonthlyRecord,
+    MonthlyTable,
     ReturnLevelCurve,
     SeasonDefinition,
     SeasonalSchemes,

@@ -70,21 +70,19 @@ def _load_schemes(args, config):
     alpha = args.homogeneity_alpha
     if not 0.0 < alpha < 1.0:
         raise DataError(f"--homogeneity-alpha must lie strictly between 0 and 1, got {alpha}")
-    records = ingest_monthly(args.data)
     schemes = seasonal_maxima(
-        records,
+        ingest_monthly(args.data),
         _season_def(_merge(args, config, "season-def", None)),
         end_policy=_merge(args, config, "end-policy", "truncate"),
     )
     sites = _merge(args, config, "sites", None)
     if sites:
         wanted = [s.strip() for s in sites.split(",")] if isinstance(sites, str) else sites
-        schemes = type(schemes)(
+        schemes = dataclasses.replace(
+            schemes,
             winter=schemes.winter.subset(wanted),
             summer=schemes.summer.subset(wanted),
             annual=schemes.annual.subset(wanted),
-            dropped_years=schemes.dropped_years,
-            dropped_sites=schemes.dropped_sites,
         )
     for sid, years in schemes.dropped_years.items():
         print(

@@ -1,8 +1,9 @@
 """Monthly-maxima ingestion and aggregation to seasonal/annual schemes.
 
-Input is a CSV of monthly maximal flows.  Hydrological years are split
-into two configurable seasons (German convention by default: the year
-runs November through October, winter is November-April, summer is
+Input is a CSV of monthly maximal flows, read into a columnar
+:class:`MonthlyTable`.  Hydrological years are split into two
+configurable seasons (German convention by default: the year runs
+November through October, winter is November-April, summer is
 May-October).  Site-years with any missing month are dropped; the
 schemes keep, per site, the contiguous run of complete years ending at
 the common final year.
@@ -13,7 +14,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .regional import ObservationScheme, SiteSeries
 
 __all__ = [
     "MonthlyRecord",
+    "MonthlyTable",
     "SeasonDefinition",
     "SeasonalSchemes",
     "ingest_monthly",
@@ -31,6 +36,9 @@ __all__ = [
 ]
 
 _HEADER = ["site_id", "year", "month", "flow"]
+# years are held as int64; the margin keeps year + 1 from overflowing
+_YEAR_LIMIT = 2**62
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,72 @@ class MonthlyRecord:
     year: int
     month: int
     flow: float
+
+
+@dataclass(frozen=True, eq=False)
+class MonthlyTable(Sequence):
+    """Monthly records as columns, one entry per record in input order.
+
+    Row ``i`` is site ``site_ids[site[i]]``, calendar ``year[i]`` and
+    ``month[i]`` and flow ``flow[i]``.  ``site_ids`` lists the sites in
+    order of first appearance; aggregation reports sites in that order.
+    As a sequence the table yields one :class:`MonthlyRecord` per row.
+    """
+
+    site_ids: tuple[str, ...]
+    site: np.ndarray
+    year: np.ndarray
+    month: np.ndarray
+    flow: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("site", np.intp), ("year", np.int64), ("month", np.int64),
+                            ("flow", float)):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            except OverflowError as exc:
+                raise DataError(f"monthly table {name} column out of range: {exc}") from exc
+        columns = (self.site, self.year, self.month, self.flow)
+        if {c.shape for c in columns} != {(self.flow.size,)}:
+            raise DataError("monthly table columns must be 1-D and of equal length")
+        if np.any((self.site < 0) | (self.site >= len(self.site_ids))):
+            raise DataError("monthly table site codes must index site_ids")
+        bad = (self.month < 1) | (self.month > 12)
+        if bad.any():
+            raise DataError(f"month {self.month[bad][0]} outside 1..12")
+
+    @classmethod
+    def from_records(cls, records) -> "MonthlyTable":
+        """Table of any iterable of :class:`MonthlyRecord`; a table is returned as is."""
+        if isinstance(records, MonthlyTable):
+            return records
+        records = list(records)
+        codes: dict[str, int] = {}
+        site = [codes.setdefault(r.site_id, len(codes)) for r in records]
+        return cls(
+            tuple(codes),
+            site,
+            [r.year for r in records],
+            [r.month for r in records],
+            [r.flow for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.flow)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return MonthlyRecord(
+            self.site_ids[self.site[i]], int(self.year[i]), int(self.month[i]),
+            float(self.flow[i]),
+        )
+
+    def __iter__(self):
+        sids = map(self.site_ids.__getitem__, self.site.tolist())
+        columns = (self.year.tolist(), self.month.tolist(), self.flow.tolist())
+        return map(MonthlyRecord, sids, *columns)
 
 
 @dataclass(frozen=True)
@@ -92,62 +166,112 @@ class SeasonDefinition:
         return year + 1 if month >= self.winter_start else year
 
 
-def ingest_monthly(path) -> list[MonthlyRecord]:
-    """Read and validate a monthly-maxima CSV.
+def ingest_monthly(path) -> MonthlyTable:
+    """Read and validate a monthly-maxima CSV into a :class:`MonthlyTable`.
 
-    Expects the exact header ``site_id,year,month,flow``.  Malformed
-    rows, non-positive flows and duplicate (site, year, month) keys are
-    collected and reported together with their line numbers.
+    The file is UTF-8 text in the ``csv`` module's default dialect:
+    fields may be quoted and lines may end in LF, CRLF or CR.  Expects
+    the exact header ``site_id,year,month,flow``.  Blank rows are
+    skipped and site ids are stripped of surrounding whitespace.
+    Malformed rows, non-positive flows and duplicate (site, year, month)
+    keys are collected and reported together with their line numbers.
     """
-    records: list[MonthlyRecord] = []
+    table = _read_rows(path, _parse_rows)
+    if table is None:
+        # an invalid file is read again, row by row, for the per-line report
+        problems = _read_rows(path, _row_problems)
+        raise DataError(f"{path}: invalid input rows:\n  " + "\n  ".join(problems))
+    if not len(table):
+        warnings.warn(f"{path}: no data rows found", stacklevel=2)
+    return table
+
+
+def _read_rows(path, parse):
+    """``parse`` applied to the CSV rows after the header, which it checks first.
+
+    An empty file counts as a header with no rows after it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is not None and [h.strip() for h in header] != _HEADER:
+                raise DataError(
+                    f"{path}: expected header {','.join(_HEADER)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            return parse(rows)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_rows(rows) -> MonthlyTable | None:
+    """Table of the non-blank rows, or None when any of them is invalid.
+
+    Applies the rules of :func:`_row_problems` column by column, converting
+    ``_CHUNK_ROWS`` rows at a time so that the parsed strings of only one
+    chunk are held at once.
+    """
+    codes: dict[str, int] = {}
+    site, year, month, flow = array("q"), array("q"), array("q"), array("d")
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
+        if not chunk:
+            continue
+        if set(map(len, chunk)) != {4}:
+            return None
+        sids, years, months, flows = zip(*chunk)
+        try:
+            year.extend(map(int, years))
+            month.extend(map(int, months))
+            flow.extend(map(float, flows))
+        except (ValueError, OverflowError):
+            return None
+        site.extend(codes.setdefault(s, len(codes)) for s in map(str.strip, sids))
+    year, month, flow = np.array(year), np.array(month), np.array(flow)
+    bad = (year < -_YEAR_LIMIT) | (year > _YEAR_LIMIT) | (month < 1) | (month > 12)
+    if np.any(bad | ~(np.isfinite(flow) & (flow > 0))):
+        return None
+    keys = np.stack([np.array(site), year, month])
+    keys = keys[:, np.lexsort(keys)]
+    if np.any(np.all(keys[:, 1:] == keys[:, :-1], axis=0)):
+        return None
+    return MonthlyTable(tuple(codes), site, year, month, flow)
+
+
+def _row_problems(rows) -> list[str]:
+    """One message per invalid data row, numbered from line 2 (after the header)."""
     problems: list[str] = []
     seen: set[tuple[str, int, int]] = set()
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            problems.append(f"line {lineno}: expected 4 fields, got {len(row)}")
+            continue
+        sid = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            warnings.warn(f"{path}: empty input file", stacklevel=2)
-            return []
-        if [h.strip() for h in header] != _HEADER:
-            raise DataError(
-                f"{path}: expected header {','.join(_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                problems.append(f"line {lineno}: expected 4 fields, got {len(row)}")
-                continue
-            sid = row[0].strip()
-            try:
-                year = int(row[1])
-                month = int(row[2])
-                flow = float(row[3])
-            except ValueError:
-                problems.append(f"line {lineno}: unparseable year/month/flow {row[1:]!r}")
-                continue
-            if not 1 <= month <= 12:
-                problems.append(f"line {lineno}: month {month} outside 1..12")
-                continue
-            if not (math.isfinite(flow) and flow > 0):
-                problems.append(f"line {lineno}: flow must be a positive number, got {row[3]}")
-                continue
-            key = (sid, year, month)
-            if key in seen:
-                problems.append(f"line {lineno}: duplicate record for {key}")
-                continue
-            seen.add(key)
-            records.append(MonthlyRecord(sid, year, month, flow))
-    if problems:
-        raise DataError(f"{path}: invalid input rows:\n  " + "\n  ".join(problems))
-    if not records:
-        warnings.warn(f"{path}: no data rows found", stacklevel=2)
-    return records
+            year = int(row[1])
+            month = int(row[2])
+            flow = float(row[3])
+        except ValueError:
+            problems.append(f"line {lineno}: unparseable year/month/flow {row[1:]!r}")
+            continue
+        if not -_YEAR_LIMIT <= year <= _YEAR_LIMIT:
+            problems.append(f"line {lineno}: year {year} out of range")
+            continue
+        if not 1 <= month <= 12:
+            problems.append(f"line {lineno}: month {month} outside 1..12")
+            continue
+        if not (math.isfinite(flow) and flow > 0):
+            problems.append(f"line {lineno}: flow must be a positive number, got {row[3]}")
+            continue
+        key = (sid, year, month)
+        if key in seen:
+            problems.append(f"line {lineno}: duplicate record for {key}")
+            continue
+        seen.add(key)
+    return problems
 
 
 @dataclass(frozen=True)
@@ -168,82 +292,81 @@ def seasonal_maxima(
 ) -> SeasonalSchemes:
     """Aggregate monthly records to seasonal and annual maxima schemes.
 
-    Per complete site-hydro-year the winter maximum W, summer maximum S
-    and annual maximum max(W, S) are formed.  All sites are aligned on a
-    common final year: ``end_policy='truncate'`` cuts every site at the
-    earliest final year, ``'reject'`` instead drops sites ending before
-    the latest one.  Within a site only the contiguous run of complete
-    years ending at the common final year is kept.
+    ``records`` is a :class:`MonthlyTable` or any iterable of
+    :class:`MonthlyRecord`.  Per complete site-hydro-year the winter
+    maximum W, summer maximum S and annual maximum max(W, S) are formed;
+    repeated (site, year, month) records count with their largest flow.
+    All sites are aligned on a common final year: ``end_policy='truncate'``
+    cuts every site at the earliest final year, ``'reject'`` instead
+    drops sites ending before the latest one.  Within a site only the
+    contiguous run of complete years ending at the common final year is
+    kept.
     """
     if end_policy not in ("truncate", "reject"):
         raise ParameterError(f"unknown end policy {end_policy!r}")
     sdef = season_def or SeasonDefinition()
-    winter_set = set(sdef.winter_months)
-
-    by_site: dict[str, dict[int, dict[int, float]]] = {}
-    for rec in records:
-        hy = sdef.hydro_year(rec.year, rec.month)
-        months = by_site.setdefault(rec.site_id, {}).setdefault(hy, {})
-        months[rec.month] = max(rec.flow, months.get(rec.month, 0.0))
-    if not by_site:
+    winter = np.isin(np.arange(1, 13), sdef.winter_months)
+    summer = np.isin(np.arange(1, 13), sdef.summer_months)
+    table = MonthlyTable.from_records(records)
+    if not len(table):
         raise DataError("no records to aggregate")
 
-    complete: dict[str, dict[int, tuple[float, float]]] = {}
-    dropped_years: dict[str, list[int]] = {}
-    for sid, years in by_site.items():
-        complete[sid] = {}
-        for hy, months in years.items():
-            if len(months) < 12:
-                dropped_years.setdefault(sid, []).append(hy)
-                continue
-            w = max(v for m, v in months.items() if m in winter_set)
-            s = max(v for m, v in months.items() if m not in winter_set)
-            complete[sid][hy] = (w, s)
-    complete = {sid: ys for sid, ys in complete.items() if ys}
-    if not complete:
-        raise DataError("no site has a single complete hydrological year")
+    # one row per (site, hydro-year) present, sorted by site code then year
+    hydro_year = table.year + (table.month >= sdef.winter_start)
+    order = np.lexsort((hydro_year, table.site))
+    site, hydro_year = table.site[order], hydro_year[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (site[1:] != site[:-1]) | (hydro_year[1:] != hydro_year[:-1])
+    row = np.cumsum(first) - 1
+    month = table.month[order] - 1
+    flows = np.zeros((first.sum(), 12))
+    np.maximum.at(flows, (row, month), table.flow[order])
+    present = np.zeros(flows.shape, dtype=bool)
+    present[row, month] = True
+    complete = present.all(axis=1)
+    site, hydro_year = site[first], hydro_year[first]
 
-    last_years = {sid: max(ys) for sid, ys in complete.items()}
+    dropped_years: dict[str, list[int]] = {}
+    for code, year in zip(site[~complete].tolist(), hydro_year[~complete].tolist()):
+        dropped_years.setdefault(table.site_ids[code], []).append(year)
+    if not complete.any():
+        raise DataError("no site has a single complete hydrological year")
+    w_max = np.where(winter, flows, -np.inf)[complete].max(axis=1)
+    s_max = np.where(summer, flows, -np.inf)[complete].max(axis=1)
+    site, hydro_year = site[complete], hydro_year[complete]
+
+    last = np.append(site[1:] != site[:-1], True)
+    sites, last_years = site[last], hydro_year[last]
     dropped_sites: list[str] = []
     if end_policy == "truncate":
-        end_year = min(last_years.values())
+        end_year = last_years.min()
     else:
-        end_year = max(last_years.values())
-        for sid, ly in last_years.items():
-            if ly < end_year:
-                dropped_sites.append(sid)
-        complete = {sid: ys for sid, ys in complete.items() if sid not in dropped_sites}
-        if not complete:
-            raise DataError("end policy 'reject' removed every site")
+        end_year = last_years.max()
+        dropped_sites += [table.site_ids[c] for c in sites[last_years < end_year]]
+        sites = sites[last_years == end_year]
 
     # contiguous run of complete years ending at the common final year
-    runs: dict[str, list[int]] = {}
-    for sid, ys in list(complete.items()):
-        if end_year not in ys:
-            dropped_sites.append(sid)
-            del complete[sid]
-            continue
-        year = end_year
-        run = []
-        while year in ys:
-            run.append(year)
-            year -= 1
-        run.reverse()
-        if len(run) < 2:
-            dropped_sites.append(sid)
-            del complete[sid]
-            continue
-        runs[sid] = run
-    if not complete:
+    step = np.ones(len(site), dtype=bool)
+    step[1:] = (site[1:] != site[:-1]) | (hydro_year[1:] != hydro_year[:-1] + 1)
+    run_start = np.maximum.accumulate(np.where(step, np.arange(len(site)), 0)).tolist()
+    at_end = np.flatnonzero(hydro_year == end_year)
+    end_row = dict(zip(site[at_end].tolist(), at_end.tolist()))
+    runs: dict[str, slice] = {}
+    for code in sites.tolist():
+        i = end_row.get(code)
+        if i is None or i == run_start[i]:
+            dropped_sites.append(table.site_ids[code])
+        else:
+            runs[table.site_ids[code]] = slice(run_start[i], i + 1)
+    if not runs:
         raise DataError("no site retains two complete years ending at the common year")
 
-    n = max(len(run) for run in runs.values())
+    length = {sid: run.stop - run.start for sid, run in runs.items()}
+    n = max(length.values())
     sites_w, sites_s, sites_a = [], [], []
-    for sid in sorted(runs, key=lambda s: (-len(runs[s]), s)):
-        run = runs[sid]
-        w_vals = np.array([complete[sid][y][0] for y in run])
-        s_vals = np.array([complete[sid][y][1] for y in run])
-        offset = n - len(run)
+    for sid in sorted(runs, key=lambda s: (-length[s], s)):
+        w_vals, s_vals = w_max[runs[sid]], s_max[runs[sid]]
+        offset = n - length[sid]
         sites_w.append(SiteSeries(sid, offset, w_vals))
         sites_s.append(SiteSeries(sid, offset, s_vals))
         sites_a.append(SiteSeries(sid, offset, np.maximum(w_vals, s_vals)))
@@ -251,8 +374,8 @@ def seasonal_maxima(
         winter=ObservationScheme(tuple(sites_w)),
         summer=ObservationScheme(tuple(sites_s)),
         annual=ObservationScheme(tuple(sites_a)),
-        dropped_years={sid: sorted(ys) for sid, ys in dropped_years.items()},
-        dropped_sites=tuple(dict.fromkeys(dropped_sites)),
+        dropped_years=dropped_years,
+        dropped_sites=tuple(dropped_sites),
     )
 
 

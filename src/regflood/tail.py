@@ -238,7 +238,8 @@ class TailDependence:
         on each pair's overlap rows with k = min(k_l, k_m) (below the
         overlap length, since each k_j is below its site's length).
         The ``pickands_cfg`` method estimates a dependence-function table
-        on ``t_grid`` for each pair.
+        on ``t_grid`` for each pair; ``matrix`` interpolates in it, so the
+        grid must be non-decreasing.
         """
         if method not in ("empirical", "pickands_cfg"):
             raise ParameterError(
@@ -248,6 +249,8 @@ class TailDependence:
         ks = _as_k_vector(scheme, k)
         offsets = np.array([s.offset for s in scheme.sites])
         if method == "pickands_cfg":
+            if np.any(np.diff(t_grid) < 0):
+                raise DomainError("t grid must be non-decreasing")
             a_rows = [
                 pickands_cfg(_overlap_rows(scheme, (l, m), max(offsets[[l, m]])), t_grid)
                 for l, m in zip(*np.triu_indices(d, 1))

@@ -129,6 +129,21 @@ def test_missing_file_exit_code(capsys):
     assert code == EXIT_INPUT or code == 3  # OSError surfaces as input problem
 
 
+def test_non_utf8_file_is_an_input_error(monthly_csv, capsys):
+    monthly_csv.write_bytes(monthly_csv.read_bytes() + b"site1,2010,5,\xff\n")
+    code = main(["fit-gev", "--data", str(monthly_csv)])
+    assert code == EXIT_INPUT
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_sites_option_selects_a_subset(monthly_csv, capsys):
+    code = main(["regional-tail", "--data", str(monthly_csv), "--sites", "site3, site1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    listed = [line.split(":")[0].strip() for line in out.splitlines() if "gamma=" in line]
+    assert listed == ["site3", "site1"]
+
+
 def test_bad_site_exit_code(monthly_csv, capsys):
     code = main(["fit-gev", "--data", str(monthly_csv), "--target-site", "ghost"])
     assert code == EXIT_INPUT

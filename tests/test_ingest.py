@@ -5,8 +5,10 @@ import pytest
 
 from regflood.errors import DataError, ParameterError
 from regflood.gev import GevParams, gev_quantile
+from regflood.regional import ObservationScheme, SiteSeries
 from regflood.ingest import (
     MonthlyRecord,
+    MonthlyTable,
     SeasonDefinition,
     ingest_monthly,
     return_level_curve,
@@ -42,7 +44,7 @@ class TestIngest:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.warns(UserWarning):
-            assert ingest_monthly(path) == []
+            assert len(ingest_monthly(path)) == 0
 
     def test_duplicate_rejected_with_line(self, tmp_path):
         rows = ["A,2000,5,10.0", "A,2000,5,11.0"]
@@ -67,6 +69,127 @@ class TestIngest:
         with pytest.raises(DataError) as err:
             ingest_monthly(path)
         assert "line 3" in str(err.value) and "line 4" in str(err.value)
+
+
+# (rows after the header, expected problem lines)
+INVALID_FILES = {
+    "field_count": (["A,2000,5"], ["line 2: expected 4 fields, got 3"]),
+    "unparseable_year": (
+        ["A,xx,5,1.0"], ["line 2: unparseable year/month/flow ['xx', '5', '1.0']"]
+    ),
+    "month_13": (["A,2000,13,1.0"], ["line 2: month 13 outside 1..12"]),
+    "flow_zero": (["A,2000,5,0"], ["line 2: flow must be a positive number, got 0"]),
+    "flow_nan": (["A,2000,5,nan"], ["line 2: flow must be a positive number, got nan"]),
+    "flow_inf": (["A,2000,5,inf"], ["line 2: flow must be a positive number, got inf"]),
+    "duplicate": (
+        ["A,2000,5,10.0", "A,2000,6,3.0", " A ,2000,05,11.0"],
+        ["line 4: duplicate record for ('A', 2000, 5)"],
+    ),
+    "several": (
+        ["A,2000,5,1.0", "", "A,2000", "B,2000,5.5,1.0", "B,2000,13,1.0", "B,2000,6,-inf",
+         "A,2000,5,2.0", "  ,  ,  ,  ", "C,1e3,1,1.0"],
+        [
+            "line 4: expected 4 fields, got 2",
+            "line 5: unparseable year/month/flow ['2000', '5.5', '1.0']",
+            "line 6: month 13 outside 1..12",
+            "line 7: flow must be a positive number, got -inf",
+            "line 8: duplicate record for ('A', 2000, 5)",
+            "line 10: unparseable year/month/flow ['1e3', '1', '1.0']",
+        ],
+    ),
+}
+
+
+class TestIngestMessages:
+    @pytest.mark.parametrize("case", sorted(INVALID_FILES))
+    def test_invalid_rows_reported_by_line(self, tmp_path, case):
+        rows, expected = INVALID_FILES[case]
+        path = write_csv(tmp_path / f"{case}.csv", rows)
+        with pytest.raises(DataError) as err:
+            ingest_monthly(path)
+        assert str(err.value) == f"{path}: invalid input rows:\n  " + "\n  ".join(expected)
+
+    def test_year_beyond_int64_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "year.csv", ["A,2000,5,1.0", f"A,{10**23},5,1.0"])
+        with pytest.raises(DataError, match=f"line 3: year {10**23} out of range"):
+            ingest_monthly(path)
+
+    @pytest.mark.parametrize(
+        "row", [b"M\xfcnster,2000,5,1.0", b"A" * 200_000 + b",2000,5,1.0"],
+        ids=["latin1", "oversized-field"],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"site_id,year,month,flow\n" + row + b"\n")
+        with pytest.raises(DataError, match="cannot read"):
+            ingest_monthly(path)
+
+
+class TestIngestAccepts:
+    def test_quoted_fields(self, tmp_path):
+        rows = ['"A",2000,"5","1.5"', '"B,C",2000,5,2.0', 'D,"2001",6,"3"']
+        assert list(ingest_monthly(write_csv(tmp_path / "q.csv", rows))) == [
+            MonthlyRecord("A", 2000, 5, 1.5),
+            MonthlyRecord("B,C", 2000, 5, 2.0),
+            MonthlyRecord("D", 2001, 6, 3.0),
+        ]
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_endings(self, tmp_path, newline):
+        path = tmp_path / "eol.csv"
+        lines = [b"site_id,year,month,flow", b"A,2000,5,1.5", b"", b"A,2000,6,2.5"]
+        path.write_bytes(newline.join(lines) + newline)
+        assert list(ingest_monthly(path)) == [
+            MonthlyRecord("A", 2000, 5, 1.5), MonthlyRecord("A", 2000, 6, 2.5)
+        ]
+
+    def test_blank_rows_and_padded_fields(self, tmp_path):
+        rows = ["  A  ,2000,5,1.5", "   ", " , , , ", "", "B\t,2000, 6 ,2.0 ", "C,2_000,7,1_0.5"]
+        assert list(ingest_monthly(write_csv(tmp_path / "ws.csv", rows))) == [
+            MonthlyRecord("A", 2000, 5, 1.5),
+            MonthlyRecord("B", 2000, 6, 2.0),
+            MonthlyRecord("C", 2000, 7, 10.5),
+        ]
+
+    def test_only_blank_rows_warn(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv", ["", " , , , "])
+        with pytest.warns(UserWarning, match="no data rows"):
+            assert len(ingest_monthly(path)) == 0
+
+
+class TestMonthlyTable:
+    RECORDS = [
+        MonthlyRecord("B", 2000, 5, 1.5),
+        MonthlyRecord("A", 2000, 5, 2.5),
+        MonthlyRecord("B", 2001, 6, 3.5),
+    ]
+
+    def test_sequence_of_records(self):
+        table = MonthlyTable.from_records(self.RECORDS)
+        assert table.site_ids == ("B", "A")
+        np.testing.assert_array_equal(table.site, [0, 1, 0])
+        assert len(table) == 3
+        assert list(table) == self.RECORDS
+        assert table[1] == self.RECORDS[1] and table[-1] == self.RECORDS[-1]
+        assert table[1:] == self.RECORDS[1:]
+        assert MonthlyRecord("A", 2000, 5, 2.5) in table
+        assert type(table[0].year) is int and type(table[0].flow) is float
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_from_records_keeps_a_table(self):
+        table = MonthlyTable.from_records(self.RECORDS)
+        assert MonthlyTable.from_records(table) is table
+
+    def test_rejects_bad_columns(self):
+        with pytest.raises(DataError, match="month 13"):
+            MonthlyTable.from_records([MonthlyRecord("A", 2000, 13, 1.0)])
+        with pytest.raises(DataError, match="equal length"):
+            MonthlyTable(("A",), [0, 0], [2000], [5], [1.0])
+        with pytest.raises(DataError, match="site codes"):
+            MonthlyTable(("A",), [1], [2000], [5], [1.0])
+        with pytest.raises(DataError, match="year column out of range"):
+            MonthlyTable.from_records([MonthlyRecord("A", 10**30, 5, 1.0)])
 
 
 class TestSeasonDefinition:
@@ -149,6 +272,11 @@ class TestSeasonalMaxima:
         assert rejected.annual.site_ids == ["A"]
         assert "B" in rejected.dropped_sites
 
+    def test_winter_without_summer_rejected(self):
+        records = [MonthlyRecord("A", 2000, m, 1.0) for m in range(1, 13)]
+        with pytest.raises(ParameterError, match="no summer months"):
+            seasonal_maxima(records, SeasonDefinition(1, 12))
+
     def test_interior_gap_keeps_trailing_run(self, tmp_path):
         rows = full_year_rows("A", 2000)
         rows += full_year_rows("A", 2002) + full_year_rows("A", 2003)
@@ -192,3 +320,141 @@ class TestReturnLevels:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "kind,return_period,level,method"
         assert len(lines) == 1 + 2 + 3
+
+
+def dict_seasonal_maxima(records, season_def=None, end_policy="truncate"):
+    """Record-by-record dict aggregation (reference for ``seasonal_maxima``)."""
+    sdef = season_def or SeasonDefinition()
+    winter_set = set(sdef.winter_months)
+
+    by_site = {}
+    for rec in records:
+        hy = sdef.hydro_year(rec.year, rec.month)
+        months = by_site.setdefault(rec.site_id, {}).setdefault(hy, {})
+        months[rec.month] = max(rec.flow, months.get(rec.month, 0.0))
+    if not by_site:
+        raise DataError("no records to aggregate")
+
+    complete, dropped_years = {}, {}
+    for sid, years in by_site.items():
+        complete[sid] = {}
+        for hy, months in years.items():
+            if len(months) < 12:
+                dropped_years.setdefault(sid, []).append(hy)
+                continue
+            w = max(v for m, v in months.items() if m in winter_set)
+            s = max(v for m, v in months.items() if m not in winter_set)
+            complete[sid][hy] = (w, s)
+    complete = {sid: ys for sid, ys in complete.items() if ys}
+    if not complete:
+        raise DataError("no site has a single complete hydrological year")
+
+    last_years = {sid: max(ys) for sid, ys in complete.items()}
+    dropped_sites = []
+    if end_policy == "truncate":
+        end_year = min(last_years.values())
+    else:
+        end_year = max(last_years.values())
+        for sid, ly in last_years.items():
+            if ly < end_year:
+                dropped_sites.append(sid)
+        complete = {sid: ys for sid, ys in complete.items() if sid not in dropped_sites}
+
+    runs = {}
+    for sid, ys in list(complete.items()):
+        if end_year not in ys:
+            dropped_sites.append(sid)
+            del complete[sid]
+            continue
+        year = end_year
+        run = []
+        while year in ys:
+            run.append(year)
+            year -= 1
+        run.reverse()
+        if len(run) < 2:
+            dropped_sites.append(sid)
+            del complete[sid]
+            continue
+        runs[sid] = run
+    if not complete:
+        raise DataError("no site retains two complete years ending at the common year")
+
+    n = max(len(run) for run in runs.values())
+    sites_w, sites_s, sites_a = [], [], []
+    for sid in sorted(runs, key=lambda s: (-len(runs[s]), s)):
+        run = runs[sid]
+        w_vals = np.array([complete[sid][y][0] for y in run])
+        s_vals = np.array([complete[sid][y][1] for y in run])
+        offset = n - len(run)
+        sites_w.append(SiteSeries(sid, offset, w_vals))
+        sites_s.append(SiteSeries(sid, offset, s_vals))
+        sites_a.append(SiteSeries(sid, offset, np.maximum(w_vals, s_vals)))
+    return (
+        ObservationScheme(tuple(sites_w)),
+        ObservationScheme(tuple(sites_s)),
+        ObservationScheme(tuple(sites_a)),
+        {sid: sorted(ys) for sid, ys in dropped_years.items()},
+        tuple(dict.fromkeys(dropped_sites)),
+    )
+
+
+def random_records(rng):
+    """Monthly records with staggered spans, gaps, incomplete years and repeats."""
+    records = []
+    for sid in rng.permutation(["S1", "S2", "S3", "S4", "S5"])[: rng.integers(1, 6)]:
+        first = int(rng.integers(1950, 1960))
+        last = int(rng.integers(1962, 1970))
+        gaps = set(rng.choice(np.arange(first, last + 1), rng.integers(0, 3)).tolist())
+        for year in range(first, last + 1):
+            if year in gaps:
+                continue
+            for month in range(1, 13):
+                if rng.uniform() < 0.01:  # leaves its hydro-year incomplete
+                    continue
+                flow = float(rng.gamma(3.0) * 10.0 + 0.5)
+                records.append(MonthlyRecord(str(sid), year, month, flow))
+                if rng.uniform() < 0.02:  # a repeated key with another flow
+                    records.append(
+                        MonthlyRecord(str(sid), year, month, float(rng.gamma(3.0) * 10.0))
+                    )
+    order = rng.permutation(len(records)) if rng.uniform() < 0.5 else range(len(records))
+    return [records[i] for i in order]
+
+
+def aggregate(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("season", [(11, 4), (10, 3)], ids=["nov-apr", "oct-mar"])
+@pytest.mark.parametrize("end_policy", ["truncate", "reject"])
+def test_aggregation_matches_dict_reference(season, end_policy):
+    rng = np.random.default_rng([season[0], len(end_policy)])
+    sdef = SeasonDefinition(*season)
+    outcomes = set()
+    for _ in range(100):
+        records = random_records(rng)
+        expected = aggregate(dict_seasonal_maxima, records, sdef, end_policy)
+        for given in (records, MonthlyTable.from_records(records)):
+            got = aggregate(seasonal_maxima, given, sdef, end_policy)
+            if isinstance(expected, str):
+                assert got == expected
+                continue
+            *schemes, dropped_years, dropped_sites = expected
+            for scheme, new in zip(schemes, (got.winter, got.summer, got.annual)):
+                assert new.site_ids == scheme.site_ids
+                for site, new_site in zip(scheme.sites, new.sites):
+                    assert new_site.offset == site.offset
+                    np.testing.assert_array_equal(new_site.values, site.values)
+            assert list(got.dropped_years.items()) == list(dropped_years.items())
+            assert got.dropped_sites == dropped_sites
+        if isinstance(expected, str):
+            outcomes.add("error")
+        else:
+            outcomes.add("single site" if len(schemes[0].sites) == 1 else "several sites")
+            outcomes.add("dropped sites" if dropped_sites else "no dropped site")
+    assert outcomes == {"error", "single site", "several sites", "dropped sites",
+                        "no dropped site"}

@@ -243,6 +243,15 @@ class TestTailDependence:
                     assert lam[l, m] == ref
                     assert lam[m, l] == ref
 
+    def test_pickands_rejects_decreasing_grid(self):
+        # np.interp would silently misread a table on a reversed grid
+        scheme, _, _ = staggered_tail_scheme()
+        with pytest.raises(DomainError, match="non-decreasing"):
+            TailDependence.from_scheme(scheme, 10, "pickands_cfg", PICKANDS_T_GRID[::-1])
+        grid = np.array([0.1, 0.3, 0.3, 0.2, 0.9])
+        with pytest.raises(DomainError, match="non-decreasing"):
+            TailDependence.from_scheme(scheme, 10, "pickands_cfg", grid)
+
     def test_constant_matrices(self):
         x = np.array([0.5, 2.0, 0.0, 1.0])
         np.testing.assert_array_equal(TailDependence.independent(4).matrix(x), np.diag(x))
