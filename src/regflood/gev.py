@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, NumericError, ParameterError
 
@@ -88,15 +87,17 @@ class TwoComponentGev:
 
 
 def _gev_cdf_scalar(params: GevParams, x: float) -> float:
+    # inner loop of twocomp_quantile: reads xi once instead of via is_gumbel
+    xi = params.xi
     z = (x - params.mu) / params.sigma
-    if params.is_gumbel:
+    if abs(xi) < GUMBEL_SHAPE_EPS:
         if -z > 700.0:
             return 0.0
         return math.exp(-math.exp(-z))
-    w = params.xi * z
+    w = xi * z
     if w <= -1.0:
-        return 0.0 if params.xi > 0 else 1.0
-    expo = -math.log1p(w) / params.xi
+        return 0.0 if xi > 0 else 1.0
+    expo = -math.log1p(w) / xi
     if expo > 700.0:
         return 0.0
     return math.exp(-math.exp(expo))
@@ -110,7 +111,8 @@ def gev_cdf(params: GevParams, x):
     root finders can evaluate anywhere.  Scalar in, scalar out; arrays
     are mapped elementwise.
     """
-    if np.ndim(x) == 0:
+    # a float (np.float64 included) skips np.ndim, which costs more than the kernel
+    if isinstance(x, float) or np.ndim(x) == 0:
         return _gev_cdf_scalar(params, float(x))
     x = np.asarray(x, dtype=float)
     z = (x - params.mu) / params.sigma
@@ -149,7 +151,7 @@ def _gev_pdf_scalar(params: GevParams, x: float) -> float:
 
 def gev_pdf(params: GevParams, x):
     """GEV density; zero outside the support."""
-    if np.ndim(x) == 0:
+    if isinstance(x, float) or np.ndim(x) == 0:
         return _gev_pdf_scalar(params, float(x))
     x = np.asarray(x, dtype=float)
     z = (x - params.mu) / params.sigma
@@ -167,7 +169,7 @@ def gev_pdf(params: GevParams, x):
 
 def gev_quantile(params: GevParams, p):
     """Inverse of :func:`gev_cdf` on (0, 1)."""
-    if np.ndim(p) == 0:
+    if isinstance(p, float) or np.ndim(p) == 0:
         p = float(p)
         if not 0.0 < p < 1.0:
             raise DomainError("quantile level must lie strictly between 0 and 1")
@@ -243,6 +245,88 @@ def gev_quantile_gradient(params: GevParams, p: float) -> np.ndarray:
     return -gev_cdf_jacobian(params, q) / dens
 
 
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> float:
+    """Root of ``f`` on the bracket [a, b] by Brent's (1973) method.
+
+    A line-for-line port of SciPy's ``brentq.c`` with its relative
+    tolerance 4*eps: the same float operations in the same order, so it
+    takes the same iterates and returns the same root as
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, maxiter=maxiter)``, and
+    raises the same exceptions, without importing ``scipy.optimize``.
+    Package-internal; not part of the public API.
+
+    Raises
+    ------
+    ValueError
+        If f(a) and f(b) have the same sign or ``f`` returns NaN.
+    RuntimeError
+        If ``maxiter`` iterations do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # for nonzero, non-NaN values (x < 0) is C's signbit(x)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; where C divides by zero it gets an inf or
+                # NaN step, which the test below turns into bisection
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    stry = math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def twocomp_cdf(model: TwoComponentGev, x):
     """Distribution function of the seasonal product model."""
     return gev_cdf(model.winter, x) * gev_cdf(model.summer, x)
@@ -263,7 +347,9 @@ def twocomp_quantile(
     The root is bracketed without heuristics: the larger of the two
     component p-quantiles is a lower bound (there the product is at most
     p) and the larger of the component sqrt(p)-quantiles is an upper
-    bound (both factors are at least sqrt(p) there).
+    bound (both factors are at least sqrt(p) there).  The root is found
+    by the in-package Brent solver :func:`brentq`, which takes the same
+    iterates as SciPy's ``brentq``.
 
     Parameters
     ----------
@@ -308,7 +394,7 @@ def twocomp_quantile(
             f"upper bracket invalidated by rounding: F({hi:.6g}) - p = {res_hi:.3e}"
         )
     try:
-        root = optimize.brentq(residual, lo, hi, xtol=1e-13, maxiter=max_iter)
+        root = brentq(residual, lo, hi, xtol=1e-13, maxiter=max_iter)
     except (ValueError, RuntimeError) as exc:
         raise NumericError(
             f"product-quantile inversion failed for p={p} on bracket "
@@ -475,6 +561,8 @@ def kl_project_gev(
                 )
         val = -float(np.sum(wf[active] * log_g[active]))
         return val if np.isfinite(val) else 1e10
+
+    from scipy import optimize  # Nelder-Mead; kept off the package's import path
 
     result = optimize.minimize(
         objective,

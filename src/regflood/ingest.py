@@ -169,12 +169,13 @@ class SeasonDefinition:
 def ingest_monthly(path) -> MonthlyTable:
     """Read and validate a monthly-maxima CSV into a :class:`MonthlyTable`.
 
-    The file is UTF-8 text in the ``csv`` module's default dialect:
-    fields may be quoted and lines may end in LF, CRLF or CR.  Expects
-    the exact header ``site_id,year,month,flow``.  Blank rows are
-    skipped and site ids are stripped of surrounding whitespace.
-    Malformed rows, non-positive flows and duplicate (site, year, month)
-    keys are collected and reported together with their line numbers.
+    The file is UTF-8 text, with or without a leading byte-order mark,
+    in the ``csv`` module's default dialect: fields may be quoted and
+    lines may end in LF, CRLF or CR.  Expects the exact header
+    ``site_id,year,month,flow``.  Blank rows are skipped and site ids
+    are stripped of surrounding whitespace.  Malformed rows, non-positive
+    flows and duplicate (site, year, month) keys are collected and
+    reported together with their line numbers.
     """
     table = _read_rows(path, _parse_rows)
     if table is None:
@@ -192,7 +193,8 @@ def _read_rows(path, parse):
     An empty file counts as a header with no rows after it.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write it
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = csv.reader(fh)
             header = next(rows, None)
             if header is not None and [h.strip() for h in header] != _HEADER:
@@ -300,7 +302,8 @@ def seasonal_maxima(
     cuts every site at the earliest final year, ``'reject'`` instead
     drops sites ending before the latest one.  Within a site only the
     contiguous run of complete years ending at the common final year is
-    kept.
+    kept.  Every site that keeps no years is listed in ``dropped_sites``;
+    sites without a single complete year come last.
     """
     if end_policy not in ("truncate", "reject"):
         raise ParameterError(f"unknown end policy {end_policy!r}")
@@ -358,6 +361,9 @@ def seasonal_maxima(
             dropped_sites.append(table.site_ids[code])
         else:
             runs[table.site_ids[code]] = slice(run_start[i], i + 1)
+    # site codes are in first-seen order
+    no_complete_year = np.setdiff1d(np.arange(len(table.site_ids)), site)
+    dropped_sites += [table.site_ids[c] for c in no_complete_year]
     if not runs:
         raise DataError("no site retains two complete years ending at the common year")
 

@@ -17,11 +17,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gamma as gamma_fn
 
 from .errors import DataError, NumericError, ParameterError
-from .gev import GevParams, gev_quantile
+from .gev import GevParams, brentq, gev_quantile
 
 __all__ = [
     "PwmVector",
@@ -236,7 +235,7 @@ def _solve_shape_l(b0: float, b1: float, b2: float) -> float:
     lo, hi = -10.0, 1.0 - 1e-10
     if (lhs(lo) - rhs) * (lhs(hi) - rhs) > 0:
         raise NumericError(f"moment ratio {rhs:.6g} has no shape solution in ({lo}, 1)")
-    return float(optimize.brentq(lambda s: lhs(s) - rhs, lo, hi, xtol=1e-13))
+    return float(brentq(lambda s: lhs(s) - rhs, lo, hi, xtol=1e-13))
 
 
 def _solve_shape_tl(b0: float, b1: float, b2: float, b3: float) -> float:
@@ -257,7 +256,7 @@ def _solve_shape_tl(b0: float, b1: float, b2: float, b3: float) -> float:
         raise NumericError(
             f"trimmed moment ratio {rhs:.6g} has no shape solution in ({lo}, 1)"
         )
-    return float(optimize.brentq(lambda s: lhs(s) - rhs, lo, hi, xtol=1e-13))
+    return float(brentq(lambda s: lhs(s) - rhs, lo, hi, xtol=1e-13))
 
 
 # --------------------------------------------------------------------------

@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtri
 
 from .errors import DataError, DomainError, NumericError, ParameterError
+from .gev import brentq
 from .regional import ObservationScheme, _pool_weights, fallback_weights
 from .twocomp import QuantileInterval
 
@@ -515,7 +515,7 @@ def seasonal_weissman_quantile(
     else:
         raise NumericError("failed to bracket the seasonal-product quantile")
     try:
-        root = optimize.brentq(lambda x: product(x) - p, x0, x1, xtol=1e-12)
+        root = brentq(lambda x: product(x) - p, x0, x1, xtol=1e-12)
     except (ValueError, RuntimeError) as exc:
         raise NumericError(f"seasonal-product inversion failed: {exc}") from exc
     return float(root)

@@ -257,7 +257,7 @@ def test_one_shape_system_per_scheme(monthly_csv, monkeypatch, capsys, command, 
 def test_import_leaves_out_scipy_stats_and_integrate():
     code = (
         "import sys, regflood.cli; "
-        "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))"
+        "print(sorted({'scipy.stats', 'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run(

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
-from regflood.errors import DomainError, ParameterError
+from regflood import gev
+from regflood.errors import DomainError, NumericError, ParameterError
 from regflood.gev import (
     GevParams,
     TwoComponentGev,
+    brentq,
     gev_cdf,
     gev_cdf_jacobian,
     gev_pdf,
@@ -218,6 +221,119 @@ class TestTwoComponent:
     def test_quantile_round_trip_property(self, p, w, s):
         q = twocomp_quantile(TwoComponentGev(w, s), p)
         assert twocomp_cdf(TwoComponentGev(w, s), q) == pytest.approx(p, abs=1e-9)
+
+
+def _solve(solver, f, a, b, **kwargs):
+    """The points ``solver`` evaluates and its root (hex) or exception."""
+    xs = []
+
+    def traced(x):
+        xs.append(x.hex())
+        return f(x)
+
+    try:
+        return xs, solver(traced, a, b, **kwargs).hex()
+    except (ValueError, RuntimeError) as exc:
+        return xs, (type(exc), str(exc))
+
+
+def _random_params(rng) -> GevParams:
+    return GevParams(rng.uniform(-5, 5), rng.uniform(0.1, 10), rng.uniform(-0.45, 0.9))
+
+
+class TestBrentq:
+    """The in-package solver takes SciPy's iterates, bit for bit."""
+
+    def test_matches_scipy_on_product_quantile_brackets(self):
+        rng = np.random.default_rng(20250810)
+        for _ in range(3000):
+            model = TwoComponentGev(_random_params(rng), _random_params(rng))
+            p = float(rng.choice([0.05, 0.5, 0.9, 0.99, 0.999, 0.9999]))
+            sq = math.sqrt(p)
+            lo = max(gev_quantile(model.winter, p), gev_quantile(model.summer, p))
+            hi = max(gev_quantile(model.winter, sq), gev_quantile(model.summer, sq))
+
+            def residual(x):
+                return twocomp_cdf(model, x) - p
+
+            expected = _solve(optimize.brentq, residual, lo, hi, xtol=1e-13, maxiter=200)
+            assert _solve(brentq, residual, lo, hi, xtol=1e-13, maxiter=200) == expected
+
+    def test_matches_scipy_on_random_smooth_functions(self):
+        rng = np.random.default_rng(1973)
+        shapes = [
+            lambda x, c, r: c[0] * (x - r) + c[1] * (x - r) ** 3 + 0.1 * c[2] * math.sin(3 * x),
+            lambda x, c, r: abs(c[0]) * math.tanh(5 * (x - r)) + 1e-3 * c[1] * (x - r) ** 2,
+            lambda x, c, r: math.expm1(c[0] * (x - r)),
+            lambda x, c, r: 1e3 * abs(c[0]) * (x - r) ** 5 + 1e-9 * c[1],
+            # subnormal values and flat steps drive the extrapolation into
+            # divisions by zero, which must fall back to bisection as in C
+            lambda x, c, r: 1e-310 * (x - r) * (1.0 + c[0] * (x - r) ** 2),
+            lambda x, c, r: round((x - r) ** 3 + c[1] * (x - r), 4),
+        ]
+        for i in range(12000):
+            c, r = rng.normal(size=3), rng.uniform(-2, 2)
+            shape = shapes[i % len(shapes)]
+
+            def f(x):
+                return shape(x, c, r)
+
+            a, b = r - rng.uniform(0.01, 3), r + rng.uniform(0.01, 3)
+            kwargs = {
+                "xtol": float(rng.choice([1e-300, 1e-13, 2e-12, 1e-6, 1e-3])),
+                "maxiter": int(rng.choice([5, 10, 100])),
+            }
+            assert _solve(brentq, f, a, b, **kwargs) == _solve(optimize.brentq, f, a, b, **kwargs)
+
+    @pytest.mark.parametrize(
+        "f, kwargs, exc_type, text",
+        [
+            (lambda x: 1e-200, {}, ValueError, "f(a) and f(b) must have different signs"),
+            (
+                lambda x: math.nan if x > 0.5 else x - 0.7,
+                {},
+                ValueError,
+                "The function value at x=1.0 is NaN; solver cannot continue.",
+            ),
+            (
+                lambda x: x**3 - 0.3,
+                {"maxiter": 2},
+                RuntimeError,
+                "Failed to converge after 2 iterations.",
+            ),
+        ],
+        ids=["sign", "nan", "max-iterations"],
+    )
+    def test_failures_raise_scipys_exceptions(self, f, kwargs, exc_type, text):
+        for solver in (optimize.brentq, brentq):
+            with pytest.raises(exc_type) as info:
+                solver(f, 0.0, 1.0, **kwargs)
+            assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "failure, cause",
+        [("sign", "different signs"), ("nan", "is NaN"), ("max-iterations", "converge")],
+    )
+    def test_twocomp_quantile_wraps_solver_failures(self, monkeypatch, failure, cause):
+        p = 0.99
+        exact = gev.twocomp_cdf
+        calls = []
+
+        def cdf(model, x):
+            # the first two calls are twocomp_quantile's own bracket checks
+            calls.append(x)
+            if failure == "sign" and len(calls) > 2:
+                return 1.0
+            if failure == "nan" and len(calls) > 4:
+                return math.nan
+            return exact(model, x)
+
+        monkeypatch.setattr(gev, "twocomp_cdf", cdf)
+        max_iter = 1 if failure == "max-iterations" else 200
+        with pytest.raises(NumericError, match="product-quantile inversion failed") as info:
+            twocomp_quantile(MODEL, p, max_iter=max_iter)
+        assert isinstance(info.value.__cause__, (ValueError, RuntimeError))
+        assert cause in str(info.value)
 
 
 class TestKlProjection:

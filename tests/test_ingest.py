@@ -57,6 +57,16 @@ class TestIngest:
         with pytest.raises(DataError, match="positive"):
             ingest_monthly(path)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        rows = full_year_rows("A", 2000) + full_year_rows("B", 2000)
+        plain = write_csv(tmp_path / "plain.csv", rows)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, got = ingest_monthly(plain), ingest_monthly(bom)
+        assert got.site_ids == expected.site_ids
+        for column in ("site", "year", "month", "flow"):
+            np.testing.assert_array_equal(getattr(got, column), getattr(expected, column))
+
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path / "hdr.csv", ["A,2000,5,1.0"], header="a,b,c,d")
         with pytest.raises(DataError, match="header"):
@@ -272,6 +282,29 @@ class TestSeasonalMaxima:
         assert rejected.annual.site_ids == ["A"]
         assert "B" in rejected.dropped_sites
 
+    def test_site_without_complete_year_dropped(self, tmp_path):
+        rows = []
+        for sid in ("A", "B"):
+            for year in (2001, 2002, 2003):
+                rows += full_year_rows(sid, year)
+        rows += full_year_rows("C", 2001)[:5]
+        path = write_csv(tmp_path / "d.csv", rows)
+        schemes = seasonal_maxima(ingest_monthly(path))
+        assert schemes.annual.site_ids == ["A", "B"]
+        assert schemes.dropped_years == {"C": [2001]}
+        assert schemes.dropped_sites == ("C",)
+
+    def test_sites_without_complete_year_listed_last(self, tmp_path):
+        rows = full_year_rows("D", 2001)[:3]
+        for year in (2000, 2001):
+            rows += full_year_rows("A", year)
+        rows += full_year_rows("B", 2000)  # ends a year early
+        rows += full_year_rows("C", 2001)[:5]
+        path = write_csv(tmp_path / "d.csv", rows)
+        schemes = seasonal_maxima(ingest_monthly(path), end_policy="reject")
+        assert schemes.annual.site_ids == ["A"]
+        assert schemes.dropped_sites == ("B", "D", "C")
+
     def test_winter_without_summer_rejected(self):
         records = [MonthlyRecord("A", 2000, m, 1.0) for m in range(1, 13)]
         with pytest.raises(ParameterError, match="no summer months"):
@@ -345,6 +378,7 @@ def dict_seasonal_maxima(records, season_def=None, end_policy="truncate"):
             w = max(v for m, v in months.items() if m in winter_set)
             s = max(v for m, v in months.items() if m not in winter_set)
             complete[sid][hy] = (w, s)
+    no_complete_year = [sid for sid, ys in complete.items() if not ys]
     complete = {sid: ys for sid, ys in complete.items() if ys}
     if not complete:
         raise DataError("no site has a single complete hydrological year")
@@ -377,6 +411,7 @@ def dict_seasonal_maxima(records, season_def=None, end_policy="truncate"):
             del complete[sid]
             continue
         runs[sid] = run
+    dropped_sites += no_complete_year
     if not complete:
         raise DataError("no site retains two complete years ending at the common year")
 
