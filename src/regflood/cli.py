@@ -28,7 +28,7 @@ from .gev import gev_quantile, twocomp_quantile
 from .ingest import SeasonDefinition, ingest_monthly, return_level_curve, seasonal_maxima
 from .regional import RegionalShapeResult, fit_gev_regional, regional_shape
 from .simlab import load_scenario, run_scenario
-from .tail import TailConfig, regional_tail_fit, weissman_ci, weissman_quantile
+from .tail import regional_tail_fit
 from .twocomp import fit_seasonal_regional, gev_quantile_ci, twocomp_quantile_ci
 
 EXIT_OK = 0
@@ -125,6 +125,13 @@ def _tail_homogeneity(args, config, scheme) -> float | None:
     return _check_homogeneity(args, shape, "annual")
 
 
+def _tail_fit(args, config, scheme):
+    """Regional tail fit with the tail commands' k and dependence settings."""
+    return regional_tail_fit(
+        scheme, _merge(args, config, "k", None), _merge(args, config, "dependence", "empirical")
+    )
+
+
 def _write_estimate_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -200,15 +207,10 @@ def _cmd_regional_tail(args) -> int:
     config = _load_config(args.config)
     schemes = _load_schemes(args, config)
     hom_p = _tail_homogeneity(args, config, schemes.annual)
-    fit = regional_tail_fit(
-        schemes.annual,
-        k=_merge(args, config, "k", None),
-        dependence_method=_merge(args, config, "dependence", "empirical"),
-    )
+    fit = _tail_fit(args, config, schemes.annual)
     print(f"regional tail index: {fit.gamma:.4f} ({fit.weights_source} weights)")
-    for sid, g, kj, w in zip(
-        schemes.annual.site_ids, fit.gammas, fit.k, fit.weights
-    ):
+    rows = list(zip(fit.scheme.site_ids, fit.gammas, fit.k, fit.weights))
+    for sid, g, kj, w in rows:
         print(f"  {sid:>16}: gamma={g:.4f}  k={int(kj)}  weight={w:.4f}")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -217,9 +219,7 @@ def _cmd_regional_tail(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["site_id", "gamma", "k", "weight", "gamma_regional",
                              "homogeneity_p"])
-            for sid, g, kj, w in zip(
-                schemes.annual.site_ids, fit.gammas, fit.k, fit.weights
-            ):
+            for sid, g, kj, w in rows:
                 writer.writerow([sid, g, int(kj), w, fit.gamma, hom_p])
         print(f"wrote {path}")
     return EXIT_OK
@@ -232,16 +232,8 @@ def _cmd_weissman(args) -> int:
     hom_p = _tail_homogeneity(args, config, schemes.annual)
     p = float(_merge(args, config, "p", 0.99))
     alpha = float(_merge(args, config, "alpha", 0.05))
-    fit = regional_tail_fit(
-        schemes.annual,
-        k=_merge(args, config, "k", None),
-        dependence_method=_merge(args, config, "dependence", "empirical"),
-    )
-    tail_config = TailConfig(
-        k=fit.k, weights=fit.weights, dependence_method=fit.dependence_method
-    )
-    interval = weissman_ci(schemes.annual, tail_config, target, p, alpha)
-    _report_interval("W", target, p, interval, hom_p,
+    fit = _tail_fit(args, config, schemes.annual)
+    _report_interval("W", target, p, fit.interval(target, p, alpha), hom_p,
                      weights=fit.weights, k=fit.k, out=args.out)
     return EXIT_OK
 
@@ -267,11 +259,7 @@ def _cmd_return_levels(args) -> int:
         quantile_fn = lambda p: twocomp_quantile(fit.model, p)  # noqa: E731
     elif method == "W":
         fit = regional_tail_fit(schemes.annual)
-        j = schemes.annual.site_index(target)
-        site = schemes.annual.sites[j]
-        quantile_fn = lambda p: weissman_quantile(  # noqa: E731
-            site.values, int(fit.k[j]), p, fit.gamma
-        )
+        quantile_fn = lambda p: fit.quantile(target, p)  # noqa: E731
     else:
         raise DataError(f"unknown method {method!r}")
     site = schemes.annual.sites[schemes.annual.site_index(target)]

@@ -286,8 +286,8 @@ def gev_from_lmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
         raise ParameterError("L-moment recovery needs PWMs up to order 2")
     b0, b1, b2 = pwm[0], pwm[1], pwm[2]
     lam2 = 2 * b1 - b0
-    if lam2 <= 0:
-        raise DataError(f"degenerate sample: second L-moment {lam2:.6g} <= 0")
+    if not lam2 > 0:  # also rejects NaN
+        raise DataError(f"degenerate sample: second L-moment {lam2:.6g} is not positive")
     xi = _solve_shape_l(b0, b1, b2) if exact_shape else shape_from_lmoments(pwm)
     if xi >= 1:
         raise NumericError(f"recovered shape {xi:.4f} >= 1: mean is infinite")
@@ -311,9 +311,9 @@ def gev_from_tlmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
         raise ParameterError("trimmed recovery needs PWMs up to order 3")
     b0, b1, b2, b3 = pwm[0], pwm[1], pwm[2], pwm[3]
     lam2_t = 1.5 * (4 * b1 - b0 - 3 * b2)
-    if lam2_t <= 0:
+    if not lam2_t > 0:  # also rejects NaN
         raise DataError(
-            f"degenerate sample: second trimmed L-moment {lam2_t:.6g} <= 0"
+            f"degenerate sample: second trimmed L-moment {lam2_t:.6g} is not positive"
         )
     xi = _solve_shape_tl(b0, b1, b2, b3) if exact_shape else shape_from_tlmoments(pwm)
     if xi >= 1:

@@ -21,7 +21,7 @@ from scipy.special import stdtr, stdtrit
 from .errors import DataError, DomainError, ParameterError, RegfloodError
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
 from .regional import ObservationScheme, fit_gev_regional
-from .tail import regional_tail_fit, seasonal_weissman_quantile, weissman_quantile
+from .tail import regional_tail_fit, seasonal_weissman_quantile
 from .twocomp import fit_seasonal_regional
 
 __all__ = [
@@ -351,11 +351,9 @@ def _estimate(name: str, region: SimulatedRegion, p: float, options: dict) -> fl
             region.annual,
             dependence_method=options.get("dependence_method", "empirical"),
         )
-        j = region.annual.site_index(region.target_site)
-        site = region.annual.sites[j]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return weissman_quantile(site.values, int(fit.k[j]), p, fit.gamma)
+            return fit.quantile(region.target_site, p)
     if name in ("sL", "sTL"):
         fit = fit_seasonal_regional(
             region.winter,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -41,8 +41,23 @@ __all__ = [
 PICKANDS_T_GRID = np.linspace(0.0, 1.0, 201)
 
 
-def _excess_threshold(data, k: int) -> tuple[np.ndarray, float]:
-    """Sorted sample and its excess threshold X_(n-k), checked positive."""
+def _tail_lengths(k) -> np.ndarray:
+    """Tail sample lengths as ints of the same shape; NaN, infinite or
+    fractional values are rejected rather than truncated (10.0 passes)."""
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
+        try:
+            ks = ks.astype(float)
+        except (TypeError, ValueError):
+            raise ParameterError(f"tail sample lengths must be integers, got {k!r}") from None
+        if not np.all(np.isfinite(ks) & (ks == np.round(ks))):
+            raise ParameterError(f"tail sample lengths must be integers, got {ks.tolist()}")
+    return np.asarray(ks, dtype=int)
+
+
+def _excess_threshold(data, k) -> tuple[np.ndarray, int, float]:
+    """Sorted sample, k as an int and the excess threshold X_(n-k), checked positive."""
+    k = int(_tail_lengths(k))
     x = np.sort(np.asarray(data, dtype=float))
     n = len(x)
     if not 2 <= k < n:
@@ -53,7 +68,13 @@ def _excess_threshold(data, k: int) -> tuple[np.ndarray, float]:
             f"threshold order statistic {threshold:.6g} is not positive; "
             "log excesses are undefined"
         )
-    return x, threshold
+    return x, k, threshold
+
+
+def _hill_threshold(data, k) -> tuple[float, float]:
+    """Hill index and its excess threshold X_(n-k), both from one sort."""
+    x, k, threshold = _excess_threshold(data, k)
+    return float(np.mean(np.log(x[len(x) - k :] / threshold))), threshold
 
 
 def hill(data, k: int) -> float:
@@ -62,8 +83,7 @@ def hill(data, k: int) -> float:
     Mean of log(X_(n-i+1) / X_(n-k)) over i = 1..k, the maximum
     pseudo-likelihood estimate under an exact power tail.
     """
-    x, threshold = _excess_threshold(data, k)
-    return float(np.mean(np.log(x[len(x) - k :] / threshold)))
+    return _hill_threshold(data, k)[0]
 
 
 def default_k(n: int, d: int) -> int:
@@ -87,6 +107,30 @@ def default_k(n: int, d: int) -> int:
     return clamped
 
 
+def _power_tail_quantile(threshold, k: int, n: int, gamma: float, p: float) -> tuple:
+    """Quantile u * r**gamma above the threshold u = X_(n-k), and r = k / (n (1-p));
+    warns the caller's caller at p <= 1 - k/n, where nothing is extrapolated."""
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"p must lie strictly between 0 and 1 (1 is infinite), got {p}")
+    if not 0.0 <= gamma < math.inf:
+        raise ParameterError(f"tail index must be finite and non-negative, got {gamma}")
+    if p <= 1.0 - k / n:
+        warnings.warn(
+            f"p={p} is within the empirical range (<= 1 - k/n = {1 - k / n:.4f}); "
+            "no extrapolation is taking place",
+            stacklevel=3,
+        )
+    ratio = k / (n * (1.0 - p))
+    return float(threshold * ratio**gamma), ratio
+
+
+def _power_tail_cdf(threshold, k: int, n: int, gamma: float, x: float) -> float:
+    """Inverse of :func:`_power_tail_quantile`: 1 - (k/n) (x/u)**(-1/gamma)."""
+    if not 0.0 < gamma < math.inf:
+        raise ParameterError(f"tail index must be finite and positive, got {gamma}")
+    return 1.0 - (k / n) * (x / threshold) ** (-1.0 / gamma)
+
+
 def weissman_quantile(data, k: int, p: float, gamma: float) -> float:
     """Extrapolated high quantile u * (k / (n (1-p)))**gamma.
 
@@ -94,21 +138,8 @@ def weissman_quantile(data, k: int, p: float, gamma: float) -> float:
     empirical threshold coverage 1 - k/n trigger a warning: the formula
     is meant for extrapolation beyond the data range.
     """
-    x, threshold = _excess_threshold(data, k)
-    n = len(x)
-    if p >= 1.0:
-        raise DomainError("p = 1 corresponds to an infinite quantile")
-    if not 0.0 < p < 1.0:
-        raise DomainError("p must lie strictly between 0 and 1")
-    if gamma < 0:
-        raise ParameterError("tail index must be non-negative")
-    if p <= 1.0 - k / n:
-        warnings.warn(
-            f"p={p} is within the empirical range (<= 1 - k/n = {1 - k / n:.4f}); "
-            "no extrapolation is taking place",
-            stacklevel=2,
-        )
-    return float(threshold * (k / (n * (1.0 - p))) ** gamma)
+    x, k, threshold = _excess_threshold(data, k)
+    return _power_tail_quantile(threshold, k, len(x), gamma, p)[0]
 
 
 def tail_prob(x: float, data, k: int, gamma: float) -> float:
@@ -116,15 +147,13 @@ def tail_prob(x: float, data, k: int, gamma: float) -> float:
 
     Exact algebraic inverse of :func:`weissman_quantile`.
     """
-    if gamma <= 0:
-        raise ParameterError("tail index must be positive")
-    xs, threshold = _excess_threshold(data, k)
-    if x < threshold:
+    xs, k, threshold = _excess_threshold(data, k)
+    if not x >= threshold:  # also rejects NaN
         raise DomainError(
             f"x={x:.6g} lies below the threshold {threshold:.6g}; the tail "
             "formula extrapolates upward only"
         )
-    return float(1.0 - (k / len(xs)) * (x / threshold) ** (-1.0 / gamma))
+    return float(_power_tail_cdf(threshold, k, len(xs), gamma, x))
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +350,7 @@ class TailConfig:
     dependence_method: str = "empirical"
 
     def __post_init__(self):
-        k = np.atleast_1d(np.asarray(self.k, dtype=int))
+        k = np.atleast_1d(_tail_lengths(self.k))
         if np.any(k < 2):
             raise ParameterError("all tail sample lengths must be >= 2")
         object.__setattr__(self, "k", k)
@@ -341,7 +370,7 @@ def _as_k_vector(scheme: ObservationScheme, k) -> np.ndarray:
     if k is None:
         ks = np.array([default_k(int(nj), scheme.d) for nj in lengths])
     else:
-        ks = np.atleast_1d(np.asarray(k, dtype=int))
+        ks = np.atleast_1d(_tail_lengths(k))
         if ks.size == 1:
             ks = np.full(scheme.d, int(ks[0]))
     if ks.size != scheme.d:
@@ -376,11 +405,12 @@ def semi_sigma(config: TailConfig, r, dependence: TailDependence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionalTailFit:
-    """Local tail indices and their variance-optimal combination.
+    """Local tail indices, their variance-optimal combination and read-offs.
 
     ``weights_source`` is ``"optimal"`` (variance-minimizing for ``sigma``),
     ``"length-proportional"`` (``sigma`` is not a usable covariance) or
-    ``"user"`` (given by the caller, rescaled to sum to one).
+    ``"user"`` (given by the caller, rescaled to sum to one).  ``thresholds``
+    are the fitted ``scheme``'s excess thresholds X_(n_j-k_j).
     """
 
     gamma: float
@@ -390,6 +420,27 @@ class RegionalTailFit:
     sigma: np.ndarray
     weights_source: str
     dependence_method: str
+    scheme: ObservationScheme = field(repr=False)
+    thresholds: np.ndarray
+
+    def _site_tail(self, site_id: str) -> tuple:
+        """A site's power tail (u_j, k_j, n_j, gamma) as the tail helpers take it."""
+        j = self.scheme.site_index(site_id)
+        return self.thresholds[j], int(self.k[j]), self.scheme.sites[j].length, self.gamma
+
+    def quantile(self, site_id: str, p: float) -> float:
+        """Extrapolated quantile u_j * (k_j / (n_j (1-p)))**gamma at a site."""
+        return _power_tail_quantile(*self._site_tail(site_id), p)[0]
+
+    def interval(self, site_id: str, p: float, alpha: float) -> QuantileInterval:
+        """Quantile q at a site with its delta-method interval q (1 -+ z s |log r|),
+        r = k_j / (n_j (1-p)), s^2 = gamma^2/k_1 * w' Sigma w (site 1 the reference)."""
+        if not 0.0 < alpha < 1.0:
+            raise ParameterError("alpha must lie strictly between 0 and 1")
+        q_hat, ratio = _power_tail_quantile(*self._site_tail(site_id), p)
+        s = math.sqrt(self.gamma**2 / self.k[0] * float(self.weights @ self.sigma @ self.weights))
+        rel_half = ndtri(1.0 - alpha / 2.0) * s * abs(math.log(ratio))
+        return QuantileInterval(q_hat, q_hat * (1.0 - rel_half), q_hat * (1.0 + rel_half), alpha)
 
 
 def regional_tail_fit(
@@ -406,10 +457,10 @@ def regional_tail_fit(
     covariance is not usable).
     """
     ks = _as_k_vector(scheme, k)
-    gammas = np.array([hill(s.values, int(kj)) for s, kj in zip(scheme.sites, ks)])
-    config = TailConfig(k=ks, dependence_method=dependence_method)
+    hills = [_hill_threshold(s.values, kj) for s, kj in zip(scheme.sites, ks)]
+    gammas, thresholds = map(np.array, zip(*hills))
     dependence = TailDependence.from_scheme(scheme, ks, dependence_method)
-    sigma = semi_sigma(config, scheme.ratios, dependence)
+    sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
     if weights is None:
         # a fallback is rescaled to sum to one like user weights
         fallback = fallback_weights(scheme)
@@ -430,6 +481,8 @@ def regional_tail_fit(
         sigma=sigma,
         weights_source=source,
         dependence_method=dependence_method,
+        scheme=scheme,
+        thresholds=thresholds,
     )
 
 
@@ -440,28 +493,10 @@ def weissman_ci(
     p: float,
     alpha: float,
 ) -> QuantileInterval:
-    """Extrapolated quantile at a site with its asymptotic interval.
-
-    The regional tail index, weights and covariance come from
-    :func:`regional_tail_fit` with the configuration's sample lengths,
-    dependence method and weights (user weights are renormalized to sum
-    to one).  The relative half-width is ``z * sqrt(gamma^2/k_1 * w'
-    Sigma w) * log(k_j / (n_j (1-p)))`` with site 1 (the scheme's first
-    site) as the normalization reference.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie strictly between 0 and 1")
-    j = scheme.site_index(target_site)
+    """:func:`regional_tail_fit` with the configuration's k, dependence method and
+    weights (renormalized to sum to one), then :meth:`RegionalTailFit.interval`."""
     fit = regional_tail_fit(scheme, config.k, config.dependence_method, config.weights)
-    site = scheme.sites[j]
-    q_hat = weissman_quantile(site.values, int(fit.k[j]), p, fit.gamma)
-    log_width = math.log(fit.k[j] / (site.length * (1.0 - p)))
-    rel_half = (
-        ndtri(1.0 - alpha / 2.0)
-        * math.sqrt(fit.gamma**2 / fit.k[0] * float(fit.weights @ fit.sigma @ fit.weights))
-        * log_width
-    )
-    return QuantileInterval(q_hat, q_hat * (1.0 - rel_half), q_hat * (1.0 + rel_half), alpha)
+    return fit.interval(target_site, p, alpha)
 
 
 def seasonal_weissman_quantile(
@@ -489,17 +524,15 @@ def seasonal_weissman_quantile(
     season_parts = []
     for scheme in (winter_scheme, summer_scheme):
         fit = regional_tail_fit(scheme, k=k)
-        j = scheme.site_index(target_site)
-        site = scheme.sites[j]
-        _, threshold = _excess_threshold(site.values, int(fit.k[j]))
-        season_parts.append((threshold, int(fit.k[j]), site.length, fit.gamma))
-
-    def season_cdf(part, x: float) -> float:
-        u, kj, nj, gam = part
-        return 1.0 - (kj / nj) * (x / u) ** (-1.0 / gam)
+        if not fit.gamma > 0:
+            raise NumericError(
+                f"a season's pooled tail index {fit.gamma:.6g} is not positive; "
+                "its power-tail cdf is undefined"
+            )
+        season_parts.append(fit._site_tail(target_site))
 
     def product(x: float) -> float:
-        return season_cdf(season_parts[0], x) * season_cdf(season_parts[1], x)
+        return _power_tail_cdf(*season_parts[0], x) * _power_tail_cdf(*season_parts[1], x)
 
     x0 = max(season_parts[0][0], season_parts[1][0])
     if product(x0) >= p:

@@ -192,6 +192,15 @@ def test_config_file_supplies_defaults(monthly_csv, tmp_path, capsys):
     assert "L quantile estimate" in out
 
 
+@pytest.mark.parametrize("k", [10.5, "ten"])
+def test_config_tail_length_must_be_an_integer(monthly_csv, tmp_path, capsys, k):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": k}))
+    code = main(["weissman", "--data", str(monthly_csv), "--config", str(config)])
+    assert code == EXIT_INPUT
+    assert "must be integers" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def single_site_csv(tmp_path):
     rng = np.random.default_rng(11)
@@ -252,6 +261,25 @@ def test_one_shape_system_per_scheme(monthly_csv, monkeypatch, capsys, command, 
     assert main([command, "--data", str(monthly_csv)]) == 0
     assert "homogeneity" in capsys.readouterr().out
     assert len(calls) == schemes
+
+
+def test_weissman_fits_the_tail_once(monthly_csv, monkeypatch, capsys):
+    # the interval is read off the reported fit, not estimated again
+    from regflood import cli, tail
+
+    calls = []
+    original = tail.regional_tail_fit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # rebound in both namespaces, so a second fit inside the tail module counts too
+    monkeypatch.setattr(cli, "regional_tail_fit", counting)
+    monkeypatch.setattr(tail, "regional_tail_fit", counting)
+    assert main(["weissman", "--data", str(monthly_csv), "--p", "0.995"]) == 0
+    assert "W quantile estimate" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_import_leaves_out_scipy_stats_and_integrate():

@@ -347,6 +347,14 @@ class TestGradients:
             gev_fit_gradient(exact_pwms(GevParams(1.5, 1, 0.4)), "X")
 
 
+@pytest.mark.parametrize("recover", [gev_from_lmoments, gev_from_tlmoments])
+@pytest.mark.parametrize("exact_shape", [False, True])
+def test_infinite_pwms_rejected(recover, exact_shape):
+    # inf - inf leaves a NaN second (trimmed) L-moment, which must not reach the solver
+    with pytest.raises(DataError, match="not positive"):
+        recover(PwmVector(np.array([np.inf] * 4)), exact_shape=exact_shape)
+
+
 @given(
     xi=st.floats(-0.4, 0.55),
     mu=st.floats(-10, 10),

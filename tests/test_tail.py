@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from regflood.errors import DataError, DomainError, ParameterError
+from regflood.errors import DataError, DomainError, NumericError, ParameterError
 from regflood.regional import ObservationScheme, SiteSeries
 from regflood.simlab import gumbel_copula_sample
 from regflood.tail import (
     PICKANDS_T_GRID,
     TailConfig,
     TailDependence,
+    _hill_threshold,
     _ordinal_ranks,
     default_k,
     hill,
@@ -93,6 +94,11 @@ class TestHill:
                 fn(HAND_DATA, 1)
             with pytest.raises(ParameterError):
                 fn(HAND_DATA, 5)
+            # fractional or non-finite lengths are rejected, not truncated
+            for k in (2.5, 3.7, np.nan, np.inf):
+                with pytest.raises(ParameterError, match="integers"):
+                    fn(HAND_DATA, k)
+            assert fn(HAND_DATA, 2.0) == fn(HAND_DATA, 2)
 
     def test_nonpositive_threshold(self):
         data = np.array([-3.0, -1.0, 0.5, 2.0])
@@ -135,6 +141,9 @@ class TestWeissman:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert weissman_quantile(HAND_DATA, 2, 0.99, 0.0) == 4.0
+        # the inverse needs a positive index
+        with pytest.raises(ParameterError, match="positive"):
+            tail_prob(20.0, HAND_DATA, 2, 0.0)
 
     def test_boundary_level_returns_threshold(self):
         with warnings.catch_warnings():
@@ -152,6 +161,13 @@ class TestWeissman:
         with pytest.raises(DomainError):
             weissman_quantile(HAND_DATA, 2, 1.0, 0.4)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1])
+    def test_invalid_tail_index_rejected(self, gamma):
+        with pytest.raises(ParameterError, match="tail index"):
+            weissman_quantile(HAND_DATA, 2, 0.99, gamma)
+        with pytest.raises(ParameterError, match="tail index"):
+            tail_prob(20.0, HAND_DATA, 2, gamma)
+
     def test_warns_inside_data_range(self):
         with pytest.warns(UserWarning, match="extrapolation"):
             weissman_quantile(HAND_DATA, 2, 0.5, 0.4)
@@ -168,6 +184,8 @@ class TestWeissman:
     def test_tail_prob_below_threshold_rejected(self):
         with pytest.raises(DomainError):
             tail_prob(3.0, HAND_DATA, 2, 0.5)
+        with pytest.raises(DomainError):
+            tail_prob(np.nan, HAND_DATA, 2, 0.5)
 
 
 class TestTailDependence:
@@ -434,6 +452,33 @@ class TestRegionalGamma:
         with pytest.raises(ParameterError):
             regional_tail_fit(scheme, weights=weights)
 
+    def test_non_integral_k_rejected(self):
+        scheme = make_tail_scheme(seed=9, d=3, n=200)
+        for k in (10.7, [10, 10.5, 12], np.nan, "ten"):
+            with pytest.raises(ParameterError, match="integers"):
+                regional_tail_fit(scheme, k=k)
+        with pytest.raises(ParameterError, match="integers"):
+            TailConfig(k=[10.5, 10, 10])
+        assert regional_tail_fit(scheme, k=10.0).gamma == regional_tail_fit(scheme, k=10).gamma
+        np.testing.assert_array_equal(TailConfig(k=[10.0, 12.0]).k, [10, 12])
+
+    @pytest.mark.parametrize("method", ["empirical", "pickands_cfg"])
+    def test_read_offs_match_the_standalone_functions(self, method):
+        scheme, _, _ = staggered_tail_scheme()
+        fit = regional_tail_fit(scheme, dependence_method=method)
+        config = TailConfig(fit.k, fit.weights, fit.dependence_method)
+        for j, site in enumerate(scheme.sites):
+            _, threshold = _hill_threshold(site.values, fit.k[j])
+            assert fit.thresholds[j] == threshold
+            for p in (0.99, 0.999):
+                q = weissman_quantile(site.values, int(fit.k[j]), p, fit.gamma)
+                assert fit.quantile(site.site_id, p) == q
+                ci = fit.interval(site.site_id, p, 0.1)
+                ref = weissman_ci(scheme, config, site.site_id, p, 0.1)
+                assert ci.estimate == q
+                assert ci.lower == pytest.approx(ref.lower, rel=1e-12)
+                assert ci.upper == pytest.approx(ref.upper, rel=1e-12)
+
     def test_optimal_beats_uniform_on_dependent_region(self):
         # staggered records make site informativeness unequal; optimal
         # weighting beats uniform weights over replications
@@ -491,6 +536,16 @@ class TestWeissmanCi:
         scheme = make_tail_scheme(seed=11, d=4, n=200)
         config = TailConfig(k=np.array([25] * 4))
         ci = weissman_ci(scheme, config, "site1", 0.995, 0.05)
+        assert ci.lower < ci.estimate < ci.upper
+
+    def test_interval_ordered_inside_data_range(self):
+        # at p <= 1 - k/n the log extrapolation ratio is negative; the
+        # s.d. of log q it scales is not
+        rng = np.random.default_rng(5)
+        scheme = ObservationScheme.from_matrix(pareto_sample(0.4, (50, 3), rng))
+        fit = regional_tail_fit(scheme, k=10)
+        with pytest.warns(UserWarning, match="extrapolation"):
+            ci = fit.interval("site1", 0.5, 0.05)
         assert ci.lower < ci.estimate < ci.upper
 
     def test_alpha_one_degenerates(self):
@@ -553,6 +608,16 @@ class TestSeasonalWeissman:
                 scheme.sites[j].values, int(fit.k[j]), math.sqrt(p), fit.gamma
             )
         assert q == pytest.approx(expected, rel=1e-9)
+
+    def test_zero_pooled_index_rejected(self):
+        # a constant season pools to gamma = 0, where its tail cdf is undefined
+        const = ObservationScheme.from_matrix(np.full((50, 3), 2.0))
+        heavy = make_tail_scheme(seed=19, d=3, n=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for winter, summer in ((const, heavy), (heavy, const)):
+                with pytest.raises(NumericError, match="not positive"):
+                    seasonal_weissman_quantile(winter, summer, "site1", 0.99)
 
     def test_level_below_threshold_coverage_rejected(self):
         scheme_w = make_tail_scheme(seed=17, d=3, n=200)
