@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     HomogeneityError,
     NumericError,
-    OverlapError,
     ParameterError,
     RegfloodError,
 )

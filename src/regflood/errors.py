@@ -21,10 +21,6 @@ class DataError(RegfloodError, ValueError):
     """Input data are malformed, degenerate or insufficient."""
 
 
-class OverlapError(DataError):
-    """Two sites share too few observation years for a pairwise statistic."""
-
-
 class NumericError(RegfloodError, RuntimeError):
     """A numerical routine failed to converge or produced an invalid value."""
 

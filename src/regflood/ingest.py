@@ -132,38 +132,26 @@ class SeasonDefinition:
 
     def __post_init__(self):
         for m in (self.winter_start, self.winter_end):
+            if not isinstance(m, (int, np.integer)):
+                raise ParameterError(f"month {m!r} is not an integer")
             if not 1 <= m <= 12:
                 raise ParameterError(f"month {m} outside 1..12")
 
     @property
     def winter_months(self) -> tuple[int, ...]:
-        months = []
-        m = self.winter_start
-        while True:
-            months.append(m)
-            if m == self.winter_end:
-                break
-            m = m % 12 + 1
-            if len(months) > 12:
-                raise ParameterError("winter season does not close within 12 months")
-        return tuple(months)
+        length = (self.winter_end - self.winter_start) % 12 + 1
+        return tuple((self.winter_start + i - 1) % 12 + 1 for i in range(length))
 
     @property
     def summer_months(self) -> tuple[int, ...]:
-        winter = set(self.winter_months)
-        if len(winter) >= 12:
+        length = 12 - len(self.winter_months)
+        if not length:
             raise ParameterError("winter season leaves no summer months")
-        start = self.winter_end % 12 + 1
-        months = []
-        m = start
-        while m not in winter:
-            months.append(m)
-            m = m % 12 + 1
-        return tuple(months)
+        return tuple((self.winter_end + i) % 12 + 1 for i in range(length))
 
-    def hydro_year(self, year: int, month: int) -> int:
-        """Hydrological year a calendar (year, month) belongs to."""
-        return year + 1 if month >= self.winter_start else year
+    def hydro_year(self, year, month):
+        """Hydrological year a calendar (year, month) belongs to; works elementwise on arrays."""
+        return year + (month >= self.winter_start)
 
 
 def ingest_monthly(path) -> MonthlyTable:
@@ -315,7 +303,7 @@ def seasonal_maxima(
         raise DataError("no records to aggregate")
 
     # one row per (site, hydro-year) present, sorted by site code then year
-    hydro_year = table.year + (table.month >= sdef.winter_start)
+    hydro_year = sdef.hydro_year(table.year, table.month)
     order = np.lexsort((hydro_year, table.site))
     site, hydro_year = table.site[order], hydro_year[order]
     first = np.ones(len(order), dtype=bool)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .errors import (
-    DataError,
-    NumericError,
-    OverlapError,
-    ParameterError,
-)
+from .errors import DataError, NumericError, ParameterError
 from .gev import GevParams
 from .moments import _moment_method, gev_fit_gradient, sample_pwm, sample_pwm_unbiased
 
@@ -232,14 +227,9 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> CovarianceBlocks:
     # Pairs are grouped by overlap start, so only one group's centred
     # rows are held at a time.
     for start in sorted(set(offsets)):
-        m = n - start
+        m = n - start  # the record length of the sites starting here, so >= 2
         group = [j for j in range(d) if offsets[j] <= start]
         late = [j for j in group if offsets[j] == start]
-        if m < 2:
-            raise OverlapError(
-                f"sites {[scheme.site_ids[j] for j in late]} share only {m} "
-                "observation years with the others"
-            )
         centred = {}
         for j in group:
             z = zhats[j][start - offsets[j] :]

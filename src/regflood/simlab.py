@@ -42,6 +42,11 @@ __all__ = [
 
 ESTIMATOR_NAMES = ("W", "L", "TL", "sW", "sL", "sTL")
 _SEASONAL_ONLY = ("sW", "sL", "sTL")
+# ScenarioConfig.method_options: the keys and the values each may take
+_METHOD_OPTIONS = {
+    "pwm_estimator": ("plugin", "unbiased"),
+    "dependence_method": ("empirical", "pickands_cfg"),
+}
 
 
 # --------------------------------------------------------------------------
@@ -72,7 +77,7 @@ def gumbel_copula_sample(theta: float, d: int, rng: np.random.Generator, size=No
     size : int, optional
         Number of draws; omitted means a single d-vector.
     """
-    if theta < 1.0:
+    if not theta >= 1.0:
         raise ParameterError(f"dependence parameter must be >= 1, got {theta}")
     if d < 1:
         raise ParameterError("dimension must be >= 1")
@@ -97,7 +102,7 @@ def khoudraji_sample(
     c_j = 1 returns V_j (continuity limits of the exponents).
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    if np.any((c < 0.0) | (c > 1.0)):
+    if not np.all((c >= 0.0) & (c <= 1.0)):
         raise ParameterError("asymmetry exponents must lie in [0, 1]")
     d = len(c)
     n = 1 if size is None else int(size)
@@ -148,14 +153,16 @@ class BlockMaxMargin:
     b: int
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ParameterError("scale must be positive")
-        if self.xi <= 0:
+        if not math.isfinite(self.mu):
+            raise ParameterError(f"location must be finite, got {self.mu}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ParameterError(f"scale must be positive and finite, got {self.sigma}")
+        if not 0.0 < self.xi < math.inf:
             raise ParameterError(
-                "block-maximum construction needs a positive shape (t degrees "
-                "of freedom 1/xi)"
+                "block-maximum construction needs a positive finite shape (t degrees "
+                f"of freedom 1/xi), got {self.xi}"
             )
-        if self.b < 2:
+        if not self.b >= 2:
             raise ParameterError(
                 f"block size must be >= 2, got {self.b}; the standardization "
                 "constant vanishes below that"
@@ -215,11 +222,13 @@ class CopulaSpec:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.theta1 < 1.0 or self.theta2 < 1.0:
-            raise ParameterError("copula strengths must be >= 1")
+        if not (1.0 <= self.theta1 < math.inf and 1.0 <= self.theta2 < math.inf):
+            raise ParameterError(
+                f"copula strengths must be finite and >= 1, got {self.theta1}, {self.theta2}"
+            )
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if np.any((c < 0.0) | (c > 1.0)):
-            raise ParameterError("asymmetry exponents must lie in [0, 1]")
+        if c.ndim != 1 or not np.all((c >= 0.0) & (c <= 1.0)):
+            raise ParameterError("asymmetry exponents must be a vector in [0, 1]")
         object.__setattr__(self, "c", c)
 
     @classmethod
@@ -243,12 +252,14 @@ class ScenarioConfig:
     method_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d < 1 or self.n < 3:
+        if not (self.d >= 1 and self.n >= 3):
             raise ParameterError("need d >= 1 sites and n >= 3 years")
         if not 0.0 < self.p < 1.0:
             raise ParameterError("target probability must lie in (0, 1)")
-        if self.replications < 1:
+        if not self.replications >= 1:
             raise ParameterError("need at least one replication")
+        if not self.seed >= 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if len(self.copula.c) != self.d:
             raise ParameterError(
                 f"copula asymmetry vector has {len(self.copula.c)} entries for d={self.d}"
@@ -262,6 +273,11 @@ class ScenarioConfig:
                 raise ParameterError(
                     f"estimators {sorted(seasonal)} need seasonal margins"
                 )
+        for key, value in self.method_options.items():
+            if value not in _METHOD_OPTIONS.get(key, ()):
+                raise ParameterError(
+                    f"unknown method option {key}={value!r} (known: {_METHOD_OPTIONS})"
+                )
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
     def true_quantile(self) -> float:
@@ -271,9 +287,19 @@ class ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Read a scenario description from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read a scenario description from a JSON file.
+
+    A file that cannot be read, does not hold a JSON object, lacks a
+    key or holds a value that does not convert raises :class:`DataError`;
+    a converted value outside its range raises :class:`ParameterError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read scenario file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"scenario file {path} must hold a JSON object")
     try:
         d = int(raw["d"])
         marg = raw["margins"]
@@ -306,8 +332,12 @@ def load_scenario(path) -> ScenarioConfig:
             seed=int(raw.get("seed", 0)),
             method_options=dict(raw.get("method_options", {})),
         )
+    except RegfloodError:
+        raise
     except KeyError as exc:
         raise DataError(f"scenario file {path} is missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DataError(f"scenario file {path}: unusable value: {exc}") from exc
 
 
 @dataclass(frozen=True)

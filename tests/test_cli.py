@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regflood.cli import EXIT_HOMOGENEITY, EXIT_INPUT, main
 from regflood.gev import GevParams, gev_quantile
@@ -124,6 +125,37 @@ def test_simulate(tmp_path, capsys):
     assert (tmp_path / "scenario_report.csv").exists()
 
 
+SCENARIO = {
+    "d": 2,
+    "n": 30,
+    "p": 0.99,
+    "margins": {"type": "blockmax", "mu": 1.75, "sigma": 1, "xi": 0.3, "b": 12},
+    "estimators": ["L"],
+    "replications": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # no file
+        "{not json",
+        json.dumps({**SCENARIO, "margins": {**SCENARIO["margins"], "mu": "x"}}),
+        json.dumps([SCENARIO]),
+        json.dumps({**SCENARIO, "margins": {**SCENARIO["margins"], "sigma": float("nan")}}),
+        json.dumps({**SCENARIO, "copula": {"theta1": float("inf")}}),
+        json.dumps({**SCENARIO, "method_options": {"pwm_estimator": "unbiasd"}}),
+        json.dumps({**SCENARIO, "seed": -1}),
+    ],
+)
+def test_bad_scenario_file_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     code = main(["fit-gev", "--data", "/nonexistent/file.csv"])
     assert code == EXIT_INPUT or code == 3  # OSError surfaces as input problem
@@ -199,6 +231,93 @@ def test_config_tail_length_must_be_an_integer(monthly_csv, tmp_path, capsys, k)
     code = main(["weissman", "--data", str(monthly_csv), "--config", str(config)])
     assert code == EXIT_INPUT
     assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"p": "abc"},
+        {"alpha": None},
+        {"sites": 5},
+        {"season-def": 11},
+        {"method": ["L"]},
+        {"dependence": None},
+        {"end-policy": 1},
+    ],
+)
+def test_config_value_of_unusable_type_is_an_input_error(monthly_csv, tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["fit-gev", "--data", str(monthly_csv), "--config", str(path)])
+    assert code == EXIT_INPUT
+    assert f"unusable value {next(iter(config.values()))!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", '["p", 0.9]', "0.99", "null", '"p"'])
+def test_config_must_hold_an_object(monthly_csv, tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["weissman", "--data", str(monthly_csv), "--config", str(path)]) == EXIT_INPUT
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_config_unknown_key_is_an_input_error(monthly_csv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"method": "L", "pp": 0.9}))
+    assert main(["fit-gev", "--data", str(monthly_csv), "--config", str(path)]) == EXIT_INPUT
+    assert "unknown key 'pp'" in capsys.readouterr().err
+
+
+def test_flag_overrides_config(monthly_csv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"method": "L", "p": "0.9", "sites": ["site2", "site3"]}))
+    argv = ["fit-gev", "--data", str(monthly_csv), "--config", str(path)]
+    assert main(argv + ["--method", "TL", "--sites", "site1,site4"]) == 0
+    out = capsys.readouterr().out
+    assert "TL quantile estimate at site site1, p=0.9:" in out
+    assert "weights:" in out and len(out.split("weights:")[1].split()) == 2
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    """Three sites of 25 hydrological years of monthly maxima."""
+    rng = np.random.default_rng(31)
+    lines = ["site_id,year,month,flow"]
+    for j in range(3):
+        for hydro_year in range(1980, 2005):
+            for cal_year, month in [(hydro_year - 1, 11), (hydro_year - 1, 12)] + [
+                (hydro_year, m) for m in range(1, 11)
+            ]:
+                lines.append(f"s{j + 1},{cal_year},{month},{rng.gamma(2.0, 5.0) + 1 + j:.4f}")
+    path = tmp_path_factory.mktemp("small") / "monthly.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+CONFIG_KEYS = ["season-def", "end-policy", "sites", "method", "p", "alpha", "k", "dependence"]
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=8)
+)
+JSON_VALUES = (
+    JSON_SCALARS
+    | st.lists(JSON_SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=2)
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["fit-gev", "fit-two-component", "regional-tail", "weissman",
+                             "return-levels"]),
+    key=st.sampled_from(CONFIG_KEYS),
+    value=JSON_VALUES,
+)
+def test_any_config_value_exits_cleanly(small_csv, tmp_path_factory, capsys, command, key, value):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps({key: value}))
+    code = main([command, "--data", str(small_csv), "--config", str(path)])
+    capsys.readouterr()
+    assert code in (0, 2, 3)
 
 
 @pytest.fixture()

@@ -215,6 +215,32 @@ class TestSeasonDefinition:
         assert sdef.winter_months == (10, 11, 12, 1, 2, 3)
         assert sdef.summer_months == (4, 5, 6, 7, 8, 9)
 
+    @pytest.mark.parametrize("start", range(1, 13))
+    def test_seasons_partition_the_year(self, start):
+        for end in range(1, 13):
+            sdef = SeasonDefinition(start, end)
+            winter = sdef.winter_months
+            assert winter[0] == start and winter[-1] == end and len(set(winter)) == len(winter)
+            if len(winter) == 12:
+                with pytest.raises(ParameterError, match="no summer months"):
+                    sdef.summer_months
+            else:
+                assert sorted(winter + sdef.summer_months) == list(range(1, 13))
+                assert sdef.summer_months[0] == end % 12 + 1
+
+    def test_hydro_year_on_arrays(self):
+        sdef = SeasonDefinition(10, 3)
+        years, months = np.array([1999, 1999, 2000]), np.array([9, 10, 12])
+        np.testing.assert_array_equal(sdef.hydro_year(years, months), [1999, 2000, 2001])
+        assert [sdef.hydro_year(int(y), int(m)) for y, m in zip(years, months)] == [
+            1999, 2000, 2001
+        ]
+
+    @pytest.mark.parametrize("months", [(10.5, 3), (10, float("nan")), ("10", 3)])
+    def test_non_integer_month_rejected(self, months):
+        with pytest.raises(ParameterError, match="not an integer"):
+            SeasonDefinition(*months)
+
 
 class TestSeasonalMaxima:
     def test_summer_peak_drives_annual(self, tmp_path):

@@ -56,8 +56,9 @@ class TestGumbelCopula:
             assert kstest(u[:, j], "uniform").statistic < 0.02
 
     def test_theta_below_one_rejected(self):
-        with pytest.raises(ParameterError):
-            gumbel_copula_sample(0.9, 2, np.random.default_rng(0))
+        for theta in (0.9, math.nan):
+            with pytest.raises(ParameterError):
+                gumbel_copula_sample(theta, 2, np.random.default_rng(0))
 
     def test_single_draw_shape(self):
         u = gumbel_copula_sample(1.5, 5, np.random.default_rng(4))
@@ -102,8 +103,9 @@ class TestKhoudraji:
             assert kstest(u[:, j], "uniform").statistic < 0.02
 
     def test_exponent_validation(self):
-        with pytest.raises(ParameterError):
-            khoudraji_sample(1.5, 2.5, np.array([0.5, 1.2]), np.random.default_rng(0))
+        for c in ([0.5, 1.2], [0.5, math.nan]):
+            with pytest.raises(ParameterError):
+                khoudraji_sample(1.5, 2.5, np.array(c), np.random.default_rng(0))
 
 
 class TestBlockMax:
@@ -150,6 +152,28 @@ class TestBlockMax:
         with pytest.raises(DomainError):
             blockmax_quantile(MARGIN, 1.0)
 
+    @pytest.mark.parametrize(
+        "mu, sigma, xi, b",
+        [(math.nan, 1.0, 0.3, 12), (1.75, math.nan, 0.3, 12), (1.75, 1.0, math.nan, 12),
+         (math.inf, 1.0, 0.3, 12), (1.75, math.inf, 0.3, 12), (1.75, 1.0, math.inf, 12),
+         (1.75, 1.0, 0.3, math.nan)],
+    )
+    def test_nan_or_infinite_parameters_rejected(self, mu, sigma, xi, b):
+        with pytest.raises(ParameterError):
+            BlockMaxMargin(mu, sigma, xi, b)
+
+
+class TestCopulaSpec:
+    @pytest.mark.parametrize(
+        "theta1, theta2, c",
+        [(math.nan, 2.5, [0.0, 0.5]), (1.5, math.nan, [0.0, 0.5]),
+         (math.inf, 2.5, [0.0, 0.5]), (1.5, math.inf, [0.0, 0.5]),
+         (1.5, 2.5, [0.0, math.nan]), (1.5, 2.5, [[0.0, 0.5]])],
+    )
+    def test_nan_infinite_or_misshapen_parameters_rejected(self, theta1, theta2, c):
+        with pytest.raises(ParameterError):
+            CopulaSpec(theta1, theta2, c)
+
 
 def make_config(**kwargs):
     defaults = dict(
@@ -167,6 +191,25 @@ def make_config(**kwargs):
 
 
 class TestScenario:
+    @pytest.mark.parametrize(
+        "options",
+        [{"pwm_estimator": "unbiasd"}, {"dependence_method": "pickands"},
+         {"pwm_estimatr": "plugin"}],
+    )
+    def test_bad_method_options_rejected(self, options):
+        with pytest.raises(ParameterError, match="method option"):
+            make_config(method_options=options)
+
+    def test_valid_method_options_accepted(self):
+        options = {"pwm_estimator": "unbiased", "dependence_method": "pickands_cfg"}
+        assert make_config(method_options=options).method_options == options
+
+    @pytest.mark.parametrize("field", ["d", "n", "replications", "seed"])
+    def test_nan_or_negative_counts_rejected(self, field):
+        for value in (math.nan, -1):
+            with pytest.raises(ParameterError):
+                make_config(**{field: value})
+
     def test_bit_reproducible(self):
         r1 = run_scenario(make_config(replications=2))
         r2 = run_scenario(make_config(replications=2))
