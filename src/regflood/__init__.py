@@ -51,7 +51,6 @@ from .moments import (
     tlmoments_from_pwm,
 )
 from .regional import (
-    CovarianceBlocks,
     ObservationScheme,
     RegionalGevFit,
     RegionalShapeResult,

@@ -42,6 +42,8 @@ _CONFIG_KEYS = {
     "k": (None, object),
     "dependence": ("empirical", str),
 }
+# The curves return-levels draws, by --method or the config's "method".
+_CURVE_METHODS = ("L", "TL", "W", "sL", "sTL")
 
 
 def _options(args) -> dict:
@@ -232,16 +234,19 @@ def _cmd_return_levels(args) -> int:
         raise DataError(
             f"bad --t-grid {args.t_grid!r} (expected e.g. '2,10,100'): {exc}"
         ) from exc
-    _, schemes, target = _load(args)
-    method = args.method
+    options, schemes, target = _load(args)
+    method = options["method"]
     if method in ("L", "TL"):
         fit = fit_gev_regional(schemes.annual, target, method)
         quantile_fn = partial(gev_quantile, fit.theta)
     elif method in ("sL", "sTL"):
         fit = fit_seasonal_regional(schemes.winter, schemes.summer, target, method[1:])
         quantile_fn = partial(twocomp_quantile, fit.model)
+    elif method == "W":
+        fit = regional_tail_fit(schemes.annual, options["k"], options["dependence"])
+        quantile_fn = partial(fit.quantile, target)
     else:
-        quantile_fn = partial(regional_tail_fit(schemes.annual).quantile, target)
+        raise DataError(f"unknown return-level method {method!r}; use {', '.join(_CURVE_METHODS)}")
     site = schemes.annual.sites[schemes.annual.site_index(target)]
     curve = return_level_curve(quantile_fn, t_grid, sample=site.values, method=method)
     for t, level in curve.points:
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     tail.add_argument("--k", type=int, help="tail sample length override (all sites)")
     tail.add_argument("--dependence", choices=["empirical", "pickands_cfg"])
     curve = argparse.ArgumentParser(add_help=False)
-    curve.add_argument("--method", choices=["L", "TL", "W", "sL", "sTL"], default="TL")
+    curve.add_argument("--method", choices=_CURVE_METHODS)
     curve.add_argument("--t-grid", default="2,5,10,20,50,100,200,500")
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--scenario", required=True, help="scenario JSON file")

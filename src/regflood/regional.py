@@ -12,7 +12,7 @@ test of shape homogeneity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import chdtrc
@@ -24,7 +24,6 @@ from .moments import _moment_method, gev_fit_gradient, sample_pwm, sample_pwm_un
 __all__ = [
     "SiteSeries",
     "ObservationScheme",
-    "CovarianceBlocks",
     "zhat_vectors",
     "sigma_r_hat",
     "sigma_tail_hat",
@@ -132,6 +131,10 @@ class ObservationScheme:
         return self.sites[0].offset + self.sites[0].length
 
     @property
+    def offsets(self) -> np.ndarray:
+        return np.array([s.offset for s in self.sites], dtype=int)
+
+    @property
     def lengths(self) -> np.ndarray:
         return np.array([s.length for s in self.sites], dtype=int)
 
@@ -151,6 +154,22 @@ class ObservationScheme:
                 f"site {site_id!r} not in scheme (have {self.site_ids})"
             ) from None
 
+    def overlap_groups(self):
+        """Yield ``(start, group, late)`` per distinct offset, in increasing order:
+        ``group`` indexes the sites observed from ``start`` on, ``late`` the
+        positions among them of those starting there.  Each pair of sites is
+        a (late, group) entry of the group of its later start only."""
+        offsets = self.offsets
+        for start in np.unique(offsets):
+            group = np.flatnonzero(offsets <= start)
+            yield int(start), group, np.flatnonzero(offsets[group] == start)
+
+    def rows(self, sites, start: int) -> np.ndarray:
+        """Common-period rows from ``start`` on, one column per listed site."""
+        return np.column_stack(
+            [self.sites[j].values[start - self.sites[j].offset :] for j in sites]
+        )
+
     def subset(self, site_ids) -> "ObservationScheme":
         """Scheme restricted to the given sites (order preserved)."""
         keep = [self.sites[self.site_index(sid)] for sid in site_ids]
@@ -158,24 +177,6 @@ class ObservationScheme:
         return ObservationScheme(
             tuple(SiteSeries(s.site_id, s.offset - shift, s.values) for s in keep)
         )
-
-
-@dataclass(frozen=True)
-class CovarianceBlocks:
-    """Estimated dK x dK limiting covariance of the stacked sample PWMs.
-
-    ``matrix`` is exactly symmetric but not necessarily positive
-    semi-definite: finite-sample estimates can have negative
-    eigenvalues, which the shape weighting handles with its fallback.
-    """
-
-    matrix: np.ndarray
-    order: int
-    site_ids: tuple[str, ...]
-
-    def block(self, j: int, l: int) -> np.ndarray:
-        k = self.order
-        return self.matrix[j * k : (j + 1) * k, l * k : (l + 1) * k]
 
 
 def zhat_vectors(series, K: int) -> np.ndarray:
@@ -207,87 +208,45 @@ def zhat_vectors(series, K: int) -> np.ndarray:
     return out
 
 
-def sigma_r_hat(scheme: ObservationScheme, K: int) -> CovarianceBlocks:
+def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     """Nonparametric estimate of the joint PWM covariance across sites.
 
-    Block (j, l) is ``min(r_j, r_l)/(r_j*r_l)`` times the empirical
-    covariance of the sites' influence rows over their overlapping
-    years, with ``r_j = n_j/n``.  Each site's influence rows are
-    computed once and centred once per distinct overlap start (once in
-    all when the records have equal lengths); each block is one product
-    of two such centred row sets.  The result is exactly symmetric.
+    Returns the dK x dK limiting covariance of the stacked sample PWMs,
+    site by site: block (j, l) holds rows ``j*K:(j+1)*K`` and columns
+    ``l*K:(l+1)*K``.  It is ``min(r_j, r_l)/(r_j*r_l)`` times the
+    empirical covariance of the sites' influence rows over their
+    overlapping years, with ``r_j = n_j/n``.  Each overlap group's rows
+    are stacked and centred once, and the blocks of its late-starting
+    sites against the whole group are one stacked product.  The matrix
+    is exactly symmetric but not necessarily positive semi-definite:
+    finite-sample estimates can have negative eigenvalues, which the
+    shape weighting handles with its fallback.
     """
     if K < 1:
         raise ParameterError("K must be >= 1")
-    d, n = scheme.d, scheme.n
-    r = scheme.ratios
-    offsets = [s.offset for s in scheme.sites]
+    r, offsets = scheme.ratios, scheme.offsets
     zhats = [zhat_vectors(s.values, K) for s in scheme.sites]
-    matrix = np.empty((d * K, d * K))
-    # Pairs are grouped by overlap start, so only one group's centred
-    # rows are held at a time.
-    for start in sorted(set(offsets)):
-        m = n - start  # the record length of the sites starting here, so >= 2
-        group = [j for j in range(d) if offsets[j] <= start]
-        late = [j for j in group if offsets[j] == start]
-        centred = {}
-        for j in group:
-            z = zhats[j][start - offsets[j] :]
-            centred[j] = z - z.mean(axis=0)
-        for a in late:
-            for b in group:
-                if offsets[b] == start and b < a:
-                    continue  # both start here: the pair was done from b
-                j, l = min(a, b), max(a, b)
-                zj = centred[j]
-                # A.T @ A on one buffer would dispatch to a symmetric rank-k
-                # update; a distinct operand keeps every block on one product.
-                zl = centred[l] if l != j else zj.copy()
-                cov = zj.T @ zl / (m - 1)
-                block = min(r[j], r[l]) / (r[j] * r[l]) * cov
-                matrix[j * K : (j + 1) * K, l * K : (l + 1) * K] = block
-                if l != j:
-                    matrix[l * K : (l + 1) * K, j * K : (j + 1) * K] = block.T
-    return CovarianceBlocks(matrix=matrix, order=K, site_ids=tuple(scheme.site_ids))
 
+    def columns(sites):
+        return (sites[:, None] * K + np.arange(K)).ravel()
 
-@dataclass(frozen=True)
-class _ShapeSystem:
-    """Per-site PWMs, shape estimates and gradients with their covariances."""
-
-    pwms: list
-    grads: list
-    xi_hats: np.ndarray
-    sigma: np.ndarray
-    blocks: CovarianceBlocks
-
-
-def _shape_system(
-    scheme: ObservationScheme, method: str, pwm_estimator: str
-) -> _ShapeSystem:
-    spec = _moment_method(method)
-    K = spec.order
-    pwm_from = _pwm_fn(pwm_estimator)
-    d = scheme.d
-    xi_hats = np.empty(d)
-    pwms, grads = [], []
-    for j, site in enumerate(scheme.sites):
-        try:
-            pwm = pwm_from(site.values, K - 1)
-            xi_hats[j] = spec.shape(pwm)
-            grads.append(spec.shape_gradient(pwm))
-        except Exception as exc:
-            raise NumericError(
-                f"shape estimation failed at site {site.site_id!r}: {exc}"
-            ) from exc
-        pwms.append(pwm)
-    blocks = sigma_r_hat(scheme, K)
-    sigma = np.empty((d, d))
-    for j in range(d):
-        for l in range(d):
-            sigma[j, l] = grads[j] @ blocks.block(j, l) @ grads[l]
-    sigma = 0.5 * (sigma + sigma.T)
-    return _ShapeSystem(pwms, grads, xi_hats, sigma, blocks)
+    matrix = np.empty((scheme.d * K, scheme.d * K))
+    for start, group, late in scheme.overlap_groups():
+        z = np.hstack([zhats[j][start - offsets[j] :] for j in group])
+        z = z - z.mean(axis=0)
+        m = len(z)
+        # one K x K product per (late, group) pair: one 2-D product can round
+        # the blocks differently, as BLAS picks kernels by size; indexing copies
+        # the late sites, keeping A.T @ A off the symmetric rank-k path
+        by_site = z.reshape(m, len(group), K).transpose(1, 0, 2)
+        cov = by_site[late].transpose(0, 2, 1)[:, None] @ by_site[None] / (m - 1)
+        r_late, r_group = r[group[late]], r[group]
+        scale = np.minimum.outer(r_late, r_group) / np.outer(r_late, r_group)
+        block = (scale[:, :, None, None] * cov).transpose(0, 2, 1, 3).reshape(len(late) * K, -1)
+        rows, cols = columns(group[late]), columns(group)
+        matrix[np.ix_(rows, cols)] = block
+        matrix[np.ix_(cols, rows)] = block.T
+    return matrix
 
 
 def sigma_tail_hat(
@@ -298,6 +257,7 @@ def sigma_tail_hat(
     The covariance follows from the PWM covariance and the delta method,
     using the analytic gradient of the polynomial shape map actually
     applied to the data (so the variance describes the estimator in use).
+    Both are read off :func:`regional_shape`.
 
     Returns
     -------
@@ -305,8 +265,8 @@ def sigma_tail_hat(
         Length-d vector of shape estimates and the d x d covariance of
         ``sqrt(n) * (xi_hat - xi)``.
     """
-    system = _shape_system(scheme, method, pwm_estimator)
-    return system.xi_hats, system.sigma
+    diagnostics = regional_shape(scheme, method, pwm_estimator).diagnostics
+    return diagnostics["xi_by_site"], diagnostics["sigma_tail"]
 
 
 def _eigenvalues_valid(eigs: np.ndarray) -> bool:
@@ -368,13 +328,19 @@ class RegionalShapeResult:
     """Weighted regional shape estimate with its provenance.
 
     ``n`` is the scheme's common period length, to which the shape
-    covariance in ``diagnostics["sigma_tail"]`` is normalized.
+    covariance in ``diagnostics["sigma_tail"]`` is normalized.  The shape
+    system it was pooled from is kept: the per-site ``pwms``, the d x K
+    ``shape_gradients`` of the shape map in them and the dK x dK
+    ``pwm_covariance`` from :func:`sigma_r_hat`.
     """
 
     xi: float
     weights: np.ndarray
     diagnostics: dict
     n: int
+    pwms: tuple = field(repr=False)
+    shape_gradients: np.ndarray = field(repr=False)
+    pwm_covariance: np.ndarray = field(repr=False)
 
     def homogeneity(self) -> tuple[float, float]:
         """Wald test of equal shape parameters across the fitted sites.
@@ -409,29 +375,57 @@ def regional_shape(
 ) -> RegionalShapeResult:
     """Weighted combination of per-site shape estimates.
 
-    Weights minimize the estimated limiting variance when the shape
-    covariance is valid; otherwise they are proportional to the record
-    lengths (the remedy for finite-sample covariance estimates with
-    negative eigenvalues).
+    The shape covariance is ``G Sigma_R G'`` (delta method), with ``G``
+    the block-diagonal shape gradients and ``Sigma_R`` the joint PWM
+    covariance.  Weights minimize the estimated limiting variance when
+    that covariance is valid; otherwise they are proportional to the
+    record lengths (the remedy for finite-sample covariance estimates
+    with negative eigenvalues).  A site whose values are all equal is
+    rejected with :class:`DataError`, a non-finite shape covariance with
+    :class:`NumericError`.
     """
-    return _combine_shapes(scheme, _shape_system(scheme, method, pwm_estimator), method)
-
-
-def _combine_shapes(
-    scheme: ObservationScheme, system: _ShapeSystem, method: str
-) -> RegionalShapeResult:
-    weights, source, min_eig = _pool_weights(system.sigma, fallback_weights(scheme))
+    spec = _moment_method(method)
+    K, d = spec.order, scheme.d
+    pwm_from = _pwm_fn(pwm_estimator)
+    xi_hats, grads, pwms = np.empty(d), np.empty((d, K)), []
+    for j, site in enumerate(scheme.sites):
+        if np.all(site.values == site.values[0]):
+            raise DataError(
+                f"site {site.site_id!r}: all values are equal; its shape cannot be estimated"
+            )
+        try:
+            pwm = pwm_from(site.values, K - 1)
+            xi_hats[j] = spec.shape(pwm)
+            grads[j] = spec.shape_gradient(pwm)
+        except Exception as exc:
+            raise NumericError(
+                f"shape estimation failed at site {site.site_id!r}: {exc}"
+            ) from exc
+        pwms.append(pwm)
+    cov = sigma_r_hat(scheme, K)
+    blocks = cov.reshape(d, K, d, K).transpose(0, 2, 1, 3)
+    sigma = (grads[:, None, None] @ blocks @ grads[None, :, :, None])[:, :, 0, 0]
+    sigma = 0.5 * (sigma + sigma.T)
+    if not np.all(np.isfinite(sigma)):
+        raise NumericError(
+            "shape covariance is not finite: the data hold non-finite values "
+            "or their scale overflows the shape gradients"
+        )
+    weights, source, min_eig = _pool_weights(sigma, fallback_weights(scheme))
     return RegionalShapeResult(
-        xi=float(weights @ system.xi_hats),
+        xi=float(weights @ xi_hats),
         weights=weights,
         diagnostics={
             "weights_source": source,
-            "xi_by_site": system.xi_hats,
-            "sigma_tail": system.sigma,
+            "xi_by_site": xi_hats,
+            "sigma_tail": sigma,
             "sigma_tail_min_eigenvalue": min_eig,
             "method": method,
         },
         n=scheme.n,
+        pwms=tuple(pwms),
+        shape_gradients=grads,
+        pwm_covariance=cov,
     )
 
 
@@ -477,26 +471,21 @@ def fit_gev_regional(
     with the regional weights (treated as fixed, their limit value).
     """
     spec = _moment_method(method)
-    K = spec.order
     t = scheme.site_index(target_site)
-    system = _shape_system(scheme, method, pwm_estimator)
-    shape = _combine_shapes(scheme, system, method)
-
+    shape = regional_shape(scheme, method, pwm_estimator)
     try:
-        local = spec.recover(system.pwms[t])
+        local = spec.recover(shape.pwms[t])
     except Exception as exc:
         raise NumericError(
             f"moment fit failed at target site {target_site!r}: {exc}"
         ) from exc
     theta = GevParams(local.mu, local.sigma, shape.xi)
 
-    d = scheme.d
-    grad = np.zeros((3, d * K))
-    fit_grad_t = gev_fit_gradient(system.pwms[t], method)
-    grad[:2, t * K : (t + 1) * K] = fit_grad_t[:2]
-    for j in range(d):
-        grad[2, j * K : (j + 1) * K] = shape.weights[j] * system.grads[j]
-    cov = grad @ system.blocks.matrix @ grad.T
+    K = spec.order
+    grad = np.zeros((3, scheme.d * K))
+    grad[:2, t * K : (t + 1) * K] = gev_fit_gradient(shape.pwms[t], method)[:2]
+    grad[2] = (shape.weights[:, None] * shape.shape_gradients).ravel()
+    cov = grad @ shape.pwm_covariance @ grad.T
     cov = 0.5 * (cov + cov.T)
     return RegionalGevFit(
         theta=theta,

@@ -276,20 +276,18 @@ class TailDependence:
             )
         d = scheme.d
         ks = _as_k_vector(scheme, k)
-        offsets = np.array([s.offset for s in scheme.sites])
         if method == "pickands_cfg":
             if np.any(np.diff(t_grid) < 0):
                 raise DomainError("t grid must be non-decreasing")
+            offsets = scheme.offsets
             a_rows = [
-                pickands_cfg(_overlap_rows(scheme, (l, m), max(offsets[[l, m]])), t_grid)
+                pickands_cfg(scheme.rows((l, m), max(offsets[l], offsets[m])), t_grid)
                 for l, m in zip(*np.triu_indices(d, 1))
             ]
             return cls(d, method, (np.asarray(t_grid, dtype=float), a_rows))
         tables = []
-        for start in np.unique(offsets):
-            group = np.flatnonzero(offsets <= start)
-            late = np.flatnonzero(offsets[group] == start)
-            ranks = _ordinal_ranks(_overlap_rows(scheme, group, start))
+        for start, group, late in scheme.overlap_groups():
+            ranks = _ordinal_ranks(scheme.rows(group, start))
             k_pair = np.minimum.outer(ks[group[late]], ks[group])
             tables.append((group, late, ranks, k_pair))
         return cls(d, method, tables)
@@ -327,13 +325,6 @@ class TailDependence:
             )
         np.fill_diagonal(lam, x)
         return lam
-
-
-def _overlap_rows(scheme: ObservationScheme, sites, start: int) -> np.ndarray:
-    """Common-period rows from ``start`` on, one column per listed site."""
-    return np.column_stack(
-        [scheme.sites[j].values[start - scheme.sites[j].offset :] for j in sites]
-    )
 
 
 # --------------------------------------------------------------------------

@@ -106,6 +106,59 @@ def test_return_levels(monthly_csv, capsys, tmp_path):
     assert (out_dir / "return_levels_sTL.csv").exists()
 
 
+def _curve(capsys, argv):
+    assert main(argv) == 0
+    return [line for line in capsys.readouterr().out.splitlines() if "T=" in line]
+
+
+@pytest.mark.parametrize("method", ["L", "W", "sL"])
+def test_return_levels_reads_method_from_config(monthly_csv, tmp_path, capsys, method):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": method}))
+    argv = ["return-levels", "--data", str(monthly_csv), "--t-grid", "20,100,500"]
+    from_config = _curve(capsys, argv + ["--config", str(config)])
+    assert from_config == _curve(capsys, argv + ["--method", method])
+    assert from_config != _curve(capsys, argv)  # the default TL curve
+    assert _curve(capsys, argv + ["--config", str(config), "--method", "TL"]) == _curve(capsys, argv)
+
+
+def test_return_levels_w_fits_with_config_tail_options(monthly_csv, tmp_path, monkeypatch, capsys):
+    from regflood import cli
+
+    calls = []
+    original = cli.regional_tail_fit
+
+    def recording(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "regional_tail_fit", recording)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "W", "k": 5, "dependence": "pickands_cfg"}))
+    argv = ["return-levels", "--data", str(monthly_csv), "--t-grid", "20,100,500"]
+    tuned = _curve(capsys, argv + ["--config", str(config)])
+    assert calls == [(5, "pickands_cfg")]
+    assert tuned != _curve(capsys, argv + ["--method", "W"])
+
+
+def test_return_levels_unknown_method_is_an_input_error(monthly_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "X"}))
+    code = main(["return-levels", "--data", str(monthly_csv), "--config", str(config)])
+    assert code == EXIT_INPUT
+    assert "unknown return-level method 'X'" in capsys.readouterr().err
+
+
+def test_constant_site_is_an_input_error(monthly_csv, capsys):
+    lines = monthly_csv.read_text().splitlines()
+    monthly_csv.write_text("\n".join(
+        line if not line.startswith("site2,") else line.rsplit(",", 1)[0] + ",5.0"
+        for line in lines
+    ) + "\n")
+    assert main(["fit-gev", "--data", str(monthly_csv)]) == EXIT_INPUT
+    assert "site 'site2'" in capsys.readouterr().err
+
+
 def test_simulate(tmp_path, capsys):
     scenario = {
         "d": 2,

@@ -7,7 +7,7 @@ from scipy.stats import chi2, kstest
 from regflood.errors import DataError, NumericError, ParameterError
 from regflood.gev import GevParams, gev_quantile
 from regflood import regional as regional_module
-from regflood.moments import sample_pwm, sample_pwm_unbiased, shape_from_lmoments
+from regflood.moments import _moment_method, sample_pwm, sample_pwm_unbiased, shape_from_lmoments
 from regflood.regional import (
     ObservationScheme,
     SiteSeries,
@@ -20,6 +20,7 @@ from regflood.regional import (
     sigma_tail_hat,
     zhat_vectors,
 )
+from regflood.twocomp import fit_seasonal_regional
 
 
 def make_scheme(seed=0, d=4, n=80, xi=0.2, offsets=None):
@@ -31,6 +32,12 @@ def make_scheme(seed=0, d=4, n=80, xi=0.2, offsets=None):
         series = gev_quantile(GevParams(2, 1, xi), rng.uniform(size=nj))
         sites.append(SiteSeries(f"s{j + 1}", offsets[j], series))
     return ObservationScheme(tuple(sites))
+
+
+def _gumbel_region(seed=1):
+    """Three sites x 30 years of Gumbel maxima."""
+    rng = np.random.default_rng(seed)
+    return gev_quantile(GevParams(10, 2, 0.0), rng.uniform(size=(30, 3)))
 
 
 class TestScheme:
@@ -51,11 +58,39 @@ class TestScheme:
     def test_properties(self):
         scheme = make_scheme(d=3, n=50, offsets=[0, 10, 20])
         assert scheme.n == 50
+        assert list(scheme.offsets) == [0, 10, 20]
         assert list(scheme.lengths) == [50, 40, 30]
         np.testing.assert_allclose(scheme.ratios, [1.0, 0.8, 0.6])
         assert scheme.site_index("s2") == 1
         with pytest.raises(DataError):
             scheme.site_index("nope")
+
+
+    def test_overlap_groups_with_shared_starts(self):
+        scheme = make_scheme(d=5, n=30, offsets=[0, 5, 0, 5, 12])
+        groups = [(start, g.tolist(), late.tolist()) for start, g, late in scheme.overlap_groups()]
+        assert groups == [
+            (0, [0, 2], [0, 1]),
+            (5, [0, 1, 2, 3], [1, 3]),
+            (12, [0, 1, 2, 3, 4], [4]),
+        ]
+        # each of the 15 site pairs (self-pairs included) is met in one group
+        # only, the one of its later start
+        pairs = [
+            (frozenset((g[i], j)), start) for start, g, late in groups for i in late for j in g
+        ]
+        assert len({pair for pair, _ in pairs}) == 15
+        for pair, start in pairs:
+            assert start == max(scheme.offsets[list(pair)])
+        values = [s.values for s in scheme.sites]
+        np.testing.assert_array_equal(
+            scheme.rows([1, 3], 5), np.column_stack([values[1], values[3]])
+        )
+        np.testing.assert_array_equal(
+            scheme.rows([4, 0, 2], 12),
+            np.column_stack([values[4], values[0][12:], values[2][12:]]),
+        )
+        assert scheme.rows([0], 0).shape == (30, 1)
 
 
 class TestZhat:
@@ -101,14 +136,14 @@ class TestSigmaR:
         # with K = 1 the influence rows are the raw data, so the matrix
         # is the plain empirical covariance of the annual maxima
         scheme = make_scheme(d=3, n=60)
-        blocks = sigma_r_hat(scheme, 1)
+        matrix = sigma_r_hat(scheme, 1)
         data = np.column_stack([s.values for s in scheme.sites])
-        np.testing.assert_allclose(blocks.matrix, np.cov(data.T, ddof=1), rtol=1e-10)
+        np.testing.assert_allclose(matrix, np.cov(data.T, ddof=1), rtol=1e-10)
 
     def test_single_site_variance(self):
         scheme = ObservationScheme((SiteSeries("a", 0, np.array([1.0, 2, 3, 4, 5])),))
-        blocks = sigma_r_hat(scheme, 1)
-        assert blocks.matrix[0, 0] == pytest.approx(2.5)
+        matrix = sigma_r_hat(scheme, 1)
+        assert matrix[0, 0] == pytest.approx(2.5)
 
     def test_two_site_hand_case(self):
         scheme = ObservationScheme(
@@ -117,29 +152,42 @@ class TestSigmaR:
                 SiteSeries("b", 2, np.array([2.0, 1, 3])),
             )
         )
-        blocks = sigma_r_hat(scheme, 1)
+        matrix = sigma_r_hat(scheme, 1)
         # overlap years 3..5 pair (3,4,5) with (2,1,3): cov = 0.5,
         # prefactor min(1, .6)/(1*.6) = 1
-        assert blocks.matrix[0, 1] == pytest.approx(0.5)
-        assert blocks.matrix[1, 0] == pytest.approx(0.5)
-        assert blocks.matrix[0, 0] == pytest.approx(2.5)
+        assert matrix[0, 1] == pytest.approx(0.5)
+        assert matrix[1, 0] == pytest.approx(0.5)
+        assert matrix[0, 0] == pytest.approx(2.5)
         # own block of the short site: var(2,1,3) = 1, prefactor 1/0.6
-        assert blocks.matrix[1, 1] == pytest.approx(1.0 / 0.6)
+        assert matrix[1, 1] == pytest.approx(1.0 / 0.6)
 
     def test_symmetry_with_k3(self):
         scheme = make_scheme(d=4, n=70, offsets=[0, 0, 15, 30])
-        blocks = sigma_r_hat(scheme, 3)
-        np.testing.assert_allclose(blocks.matrix, blocks.matrix.T, atol=1e-12)
-        assert blocks.matrix.shape == (12, 12)
+        matrix = sigma_r_hat(scheme, 3)
+        np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
+        assert matrix.shape == (12, 12)
 
     @pytest.mark.parametrize("K", [3, 4])
     def test_matches_per_pair_loop_on_staggered_scheme(self, K):
-        # four distinct offsets: rows centred once per (site, overlap start)
-        # must give exactly the blocks of centring afresh for every pair
-        scheme = make_scheme(seed=3, d=6, n=75, offsets=[0, 0, 12, 25, 25, 40])
-        np.testing.assert_array_equal(
-            sigma_r_hat(scheme, K).matrix, _sigma_r_per_pair(scheme, K)
-        )
+        # rows centred once per overlap group and multiplied in one stacked
+        # product must give exactly the blocks of centring afresh for every
+        # pair: staggered, tied, equal-length and 40-site staggered schemes
+        for scheme in _reference_schemes():
+            np.testing.assert_array_equal(sigma_r_hat(scheme, K), _sigma_r_per_pair(scheme, K))
+
+
+def _reference_schemes():
+    staggered = make_scheme(seed=3, d=6, n=75, offsets=[0, 0, 12, 25, 25, 40])
+    tied = ObservationScheme(
+        tuple(SiteSeries(s.site_id, s.offset, np.round(s.values, 1)) for s in staggered.sites)
+    )
+    wide_offsets = [0] + np.random.default_rng(8).integers(0, 45, size=39).tolist()
+    return [
+        staggered,
+        tied,
+        make_scheme(seed=4, d=5, n=40),
+        make_scheme(seed=5, d=40, n=60, offsets=wide_offsets),
+    ]
 
 
 def _sigma_r_per_pair(scheme, K):
@@ -163,6 +211,25 @@ def _sigma_r_per_pair(scheme, K):
 
 
 class TestSigmaTail:
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    def test_matches_per_pair_reference(self, method):
+        # entry (j, l) is g_j @ block_jl @ g_l, symmetrized, on every scheme
+        spec = _moment_method(method)
+        K = spec.order
+        for scheme in _reference_schemes():
+            pwms = [sample_pwm_unbiased(s.values, K - 1) for s in scheme.sites]
+            grads = [spec.shape_gradient(pwm) for pwm in pwms]
+            cov = _sigma_r_per_pair(scheme, K)
+            expected = np.empty((scheme.d, scheme.d))
+            for j in range(scheme.d):
+                for l in range(scheme.d):
+                    block = cov[j * K : (j + 1) * K, l * K : (l + 1) * K]
+                    expected[j, l] = grads[j] @ block @ grads[l]
+            expected = 0.5 * (expected + expected.T)
+            xi_hats, sigma = sigma_tail_hat(scheme, method)
+            np.testing.assert_array_equal(sigma, expected)
+            np.testing.assert_array_equal(xi_hats, [spec.shape(pwm) for pwm in pwms])
+
     def test_single_site_scalar(self):
         scheme = make_scheme(d=1, n=100)
         xi_hats, sigma = sigma_tail_hat(scheme, "L")
@@ -275,6 +342,43 @@ class TestRegionalShape:
         )
         result = regional_shape(scheme, "L")
         assert result.diagnostics["weights_source"] == "length-proportional"
+
+    def test_keeps_the_shape_system(self):
+        scheme = make_scheme(d=4, n=60, offsets=[0, 5, 5, 20])
+        result = regional_shape(scheme, "TL", pwm_estimator="plugin")
+        spec = _moment_method("TL")
+        pwms = [sample_pwm(s.values, 3) for s in scheme.sites]
+        np.testing.assert_array_equal([p.values for p in result.pwms], [p.values for p in pwms])
+        np.testing.assert_array_equal(
+            result.shape_gradients, [spec.shape_gradient(p) for p in pwms]
+        )
+        np.testing.assert_array_equal(result.pwm_covariance, sigma_r_hat(scheme, 4))
+        assert "pwm_covariance" not in repr(result)
+
+    @pytest.mark.parametrize("pwm_estimator", ["unbiased", "plugin"])
+    def test_constant_site_rejected(self, pwm_estimator):
+        # an all-equal site has no shape: unbiased PWMs gave xi_hat = 14.9 from
+        # rounding, plug-in PWMs a bare division by zero
+        data = _gumbel_region()
+        data[:, 1] = 5.0
+        scheme = ObservationScheme.from_matrix(data)
+        for call in (
+            lambda: regional_shape(scheme, "TL", pwm_estimator),
+            lambda: fit_gev_regional(scheme, "site1", "L", pwm_estimator),
+            lambda: homogeneity_test(scheme, "TL", pwm_estimator),
+            lambda: fit_seasonal_regional(scheme, scheme, "site3", "TL", pwm_estimator),
+        ):
+            with pytest.raises(DataError, match="site 'site2'"):
+                call()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_shape_covariance_rejected(self):
+        # the shape gradients overflow at this scale
+        scheme = ObservationScheme.from_matrix(_gumbel_region() * 1e-300)
+        for call in (regional_shape, homogeneity_test, sigma_tail_hat,
+                     lambda s: fit_gev_regional(s, "site1")):
+            with pytest.raises(NumericError, match="not finite"):
+                call(scheme)
 
     def test_regional_variance_not_worse(self):
         # homogeneous region: pooling should not increase the spread of
