@@ -75,6 +75,7 @@ from .simlab import (
     gumbel_copula_sample,
     khoudraji_sample,
     load_scenario,
+    quantile_function,
     run_scenario,
 )
 from .tail import (

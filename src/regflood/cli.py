@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DomainError, HomogeneityError, ParameterError, RegfloodError
-from .gev import gev_quantile, twocomp_quantile
 from .ingest import SeasonDefinition, ingest_monthly, return_level_curve, seasonal_maxima
 from .regional import RegionalShapeResult, fit_gev_regional, regional_shape
-from .simlab import load_scenario, run_scenario
-from .tail import regional_tail_fit
+from .simlab import load_scenario, quantile_function, run_scenario
+from .tail import DEPENDENCE_METHODS, regional_tail_fit
 from .twocomp import fit_seasonal_regional, gev_quantile_ci, twocomp_quantile_ci
 
 EXIT_OK = 0
@@ -236,17 +235,11 @@ def _cmd_return_levels(args) -> int:
         ) from exc
     options, schemes, target = _load(args)
     method = options["method"]
-    if method in ("L", "TL"):
-        fit = fit_gev_regional(schemes.annual, target, method)
-        quantile_fn = partial(gev_quantile, fit.theta)
-    elif method in ("sL", "sTL"):
-        fit = fit_seasonal_regional(schemes.winter, schemes.summer, target, method[1:])
-        quantile_fn = partial(twocomp_quantile, fit.model)
-    elif method == "W":
-        fit = regional_tail_fit(schemes.annual, options["k"], options["dependence"])
-        quantile_fn = partial(fit.quantile, target)
-    else:
+    if method not in _CURVE_METHODS:
         raise DataError(f"unknown return-level method {method!r}; use {', '.join(_CURVE_METHODS)}")
+    quantile_fn = quantile_function(
+        method, schemes, target, k=options["k"], dependence_method=options["dependence"]
+    )
     site = schemes.annual.sites[schemes.annual.site_index(target)]
     curve = return_level_curve(quantile_fn, t_grid, sample=site.values, method=method)
     for t, level in curve.points:
@@ -293,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument("--alpha", type=float)
     tail = argparse.ArgumentParser(add_help=False)
     tail.add_argument("--k", type=int, help="tail sample length override (all sites)")
-    tail.add_argument("--dependence", choices=["empirical", "pickands_cfg"])
+    tail.add_argument("--dependence", choices=DEPENDENCE_METHODS)
     curve = argparse.ArgumentParser(add_help=False)
     curve.add_argument("--method", choices=_CURVE_METHODS)
     curve.add_argument("--t-grid", default="2,5,10,20,50,100,200,500")

@@ -14,14 +14,16 @@ import json
 import math
 import warnings
 from dataclasses import astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
 from .errors import DataError, DomainError, ParameterError, RegfloodError
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
-from .regional import ObservationScheme, fit_gev_regional
-from .tail import regional_tail_fit, seasonal_weissman_quantile
+from .ingest import SeasonalSchemes
+from .regional import _PWM_FNS, ObservationScheme, fit_gev_regional
+from .tail import DEPENDENCE_METHODS, regional_tail_fit, seasonal_weissman_quantile
 from .twocomp import fit_seasonal_regional
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "ScenarioReport",
     "run_scenario",
     "load_scenario",
+    "quantile_function",
     "ESTIMATOR_NAMES",
 ]
 
@@ -44,8 +47,8 @@ ESTIMATOR_NAMES = ("W", "L", "TL", "sW", "sL", "sTL")
 _SEASONAL_ONLY = ("sW", "sL", "sTL")
 # ScenarioConfig.method_options: the keys and the values each may take
 _METHOD_OPTIONS = {
-    "pwm_estimator": ("plugin", "unbiased"),
-    "dependence_method": ("empirical", "pickands_cfg"),
+    "pwm_estimator": tuple(_PWM_FNS),
+    "dependence_method": DEPENDENCE_METHODS,
 }
 
 
@@ -340,66 +343,44 @@ def load_scenario(path) -> ScenarioConfig:
         raise DataError(f"scenario file {path}: unusable value: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SimulatedRegion:
-    annual: ObservationScheme
-    winter: ObservationScheme | None
-    summer: ObservationScheme | None
-    target_site: str
-
-
-def _simulate_region(config: ScenarioConfig, rng: np.random.Generator) -> SimulatedRegion:
+def _simulate_region(config: ScenarioConfig, rng: np.random.Generator) -> SeasonalSchemes:
     cop = config.copula
     if isinstance(config.margins, BlockMaxMargin):
         u = khoudraji_sample(cop.theta1, cop.theta2, cop.c, rng, size=config.n)
         x = blockmax_quantile(config.margins, u)
-        annual = ObservationScheme.from_matrix(x)
-        return SimulatedRegion(annual, None, None, annual.site_ids[0])
+        return SeasonalSchemes(None, None, ObservationScheme.from_matrix(x))
     # seasonal margins: one independent copula draw per season
     u_w = khoudraji_sample(cop.theta1, cop.theta2, cop.c, rng, size=config.n)
     u_s = khoudraji_sample(cop.theta1, cop.theta2, cop.c, rng, size=config.n)
     w = gev_quantile(config.margins.winter, u_w)
     s = gev_quantile(config.margins.summer, u_s)
-    winter = ObservationScheme.from_matrix(w)
-    summer = ObservationScheme.from_matrix(s)
-    annual = ObservationScheme.from_matrix(np.maximum(w, s))
-    return SimulatedRegion(annual, winter, summer, annual.site_ids[0])
+    return SeasonalSchemes(
+        ObservationScheme.from_matrix(w),
+        ObservationScheme.from_matrix(s),
+        ObservationScheme.from_matrix(np.maximum(w, s)),
+    )
 
 
-def _estimate(name: str, region: SimulatedRegion, p: float, options: dict) -> float:
-    # the lab reproduces the published study, whose moment estimators are
-    # the plug-in versions covered by the asymptotic theory; production
-    # fits elsewhere default to the unbiased variant
-    pwm_estimator = options.get("pwm_estimator", "plugin")
-    if name == "L" or name == "TL":
-        fit = fit_gev_regional(
-            region.annual, region.target_site, name, pwm_estimator=pwm_estimator
-        )
-        return float(gev_quantile(fit.theta, p))
-    if name == "W":
-        fit = regional_tail_fit(
-            region.annual,
-            dependence_method=options.get("dependence_method", "empirical"),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return fit.quantile(region.target_site, p)
+def quantile_function(
+    name, schemes, target, pwm_estimator="unbiased", k=None, dependence_method="empirical"
+):
+    """Fit estimator ``name`` of :data:`ESTIMATOR_NAMES` to the region ``schemes`` (a
+    :class:`SeasonalSchemes`); return ``p -> quantile`` at site ``target``.
+    ``pwm_estimator`` serves L, TL, sL and sTL, ``k`` W and sW, ``dependence_method``
+    W; sW fits at each call and warns."""
+    if name in ("L", "TL"):
+        fit = fit_gev_regional(schemes.annual, target, name, pwm_estimator=pwm_estimator)
+        return partial(gev_quantile, fit.theta)
     if name in ("sL", "sTL"):
         fit = fit_seasonal_regional(
-            region.winter,
-            region.summer,
-            region.target_site,
-            name[1:],
-            pwm_estimator=pwm_estimator,
+            schemes.winter, schemes.summer, target, name[1:], pwm_estimator=pwm_estimator
         )
-        return twocomp_quantile(fit.model, p)
+        return partial(twocomp_quantile, fit.model)
+    if name == "W":
+        return partial(regional_tail_fit(schemes.annual, k, dependence_method).quantile, target)
     if name == "sW":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return seasonal_weissman_quantile(
-                region.winter, region.summer, region.target_site, p
-            )
-    raise ParameterError(f"unknown estimator {name!r}")
+        return partial(seasonal_weissman_quantile, schemes.winter, schemes.summer, target, k=k)
+    raise ParameterError(f"unknown estimator {name!r}; use one of {ESTIMATOR_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -505,15 +486,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     estimates = {
         name: np.full(config.replications, np.nan) for name in config.estimators
     }
+    # the lab reproduces the published study, whose moment estimators are
+    # the plug-in versions covered by the asymptotic theory; production
+    # fits elsewhere default to the unbiased variant
+    options = {"pwm_estimator": "plugin", **config.method_options}
     streams = np.random.SeedSequence(config.seed).spawn(config.replications)
     for rep, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         region = _simulate_region(config, rng)
         for name in config.estimators:
             try:
-                estimates[name][rep] = _estimate(
-                    name, region, config.p, config.method_options
-                )
+                quantile = quantile_function(name, region, region.annual.site_ids[0], **options)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    estimates[name][rep] = quantile(config.p)
             except (RegfloodError, np.linalg.LinAlgError):
                 pass  # recorded as NaN; counted in the report
     stats = tuple(

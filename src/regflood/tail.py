@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 PICKANDS_T_GRID = np.linspace(0.0, 1.0, 201)
+# the estimated dependence methods of TailDependence.from_scheme
+DEPENDENCE_METHODS = ("empirical", "pickands_cfg")
 
 
 def _tail_lengths(k) -> np.ndarray:
@@ -270,9 +272,9 @@ class TailDependence:
         on ``t_grid`` for each pair; ``matrix`` interpolates in it, so the
         grid must be non-decreasing.
         """
-        if method not in ("empirical", "pickands_cfg"):
+        if method not in DEPENDENCE_METHODS:
             raise ParameterError(
-                f"unknown dependence method {method!r}; use 'empirical' or 'pickands_cfg'"
+                f"unknown dependence method {method!r}; use one of {DEPENDENCE_METHODS}"
             )
         d = scheme.d
         ks = _as_k_vector(scheme, k)
@@ -350,7 +352,7 @@ class TailConfig:
             if not np.all(np.isfinite(w)) or abs(w.sum() - 1.0) > 1e-12:
                 raise ParameterError("weights must be finite and sum to 1")
             object.__setattr__(self, "weights", w)
-        if self.dependence_method not in ("empirical", "pickands_cfg"):
+        if self.dependence_method not in DEPENDENCE_METHODS:
             raise ParameterError(
                 f"unknown dependence method {self.dependence_method!r}"
             )

@@ -123,16 +123,16 @@ def test_return_levels_reads_method_from_config(monthly_csv, tmp_path, capsys, m
 
 
 def test_return_levels_w_fits_with_config_tail_options(monthly_csv, tmp_path, monkeypatch, capsys):
-    from regflood import cli
+    from regflood import simlab
 
     calls = []
-    original = cli.regional_tail_fit
+    original = simlab.regional_tail_fit
 
     def recording(*args, **kwargs):
         calls.append(args[1:])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "regional_tail_fit", recording)
+    monkeypatch.setattr(simlab, "regional_tail_fit", recording)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"method": "W", "k": 5, "dependence": "pickands_cfg"}))
     argv = ["return-levels", "--data", str(monthly_csv), "--t-grid", "20,100,500"]
