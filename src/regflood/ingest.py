@@ -266,10 +266,11 @@ def _row_problems(rows) -> list[str]:
 
 @dataclass(frozen=True)
 class SeasonalSchemes:
-    """Aligned winter/summer/annual observation schemes plus a drop report."""
+    """Aligned winter/summer/annual observation schemes plus a drop report;
+    a region known only by its annual maxima has no seasons (``None``)."""
 
-    winter: ObservationScheme
-    summer: ObservationScheme
+    winter: ObservationScheme | None
+    summer: ObservationScheme | None
     annual: ObservationScheme
     dropped_years: dict = field(default_factory=dict)
     dropped_sites: tuple[str, ...] = ()

@@ -63,7 +63,7 @@ class SiteSeries:
 
     ``offset`` counts years missing at the start relative to the longest
     record; row ``i`` of ``values`` is year ``offset + i + 1`` of the
-    common observation period.
+    common observation period.  Values must be finite.
     """
 
     site_id: str
@@ -76,6 +76,8 @@ class SiteSeries:
             raise DataError(
                 f"site {self.site_id!r}: series must be 1-D with length >= 2"
             )
+        if not np.all(np.isfinite(vals)):
+            raise DataError(f"site {self.site_id!r}: series values must be finite")
         if self.offset < 0:
             raise DataError(f"site {self.site_id!r}: negative offset")
         object.__setattr__(self, "values", vals)
@@ -116,6 +118,8 @@ class ObservationScheme:
             raise DataError("expected a 2-D (years x sites) array")
         if site_ids is None:
             site_ids = [f"site{j + 1}" for j in range(arr.shape[1])]
+        elif len(site_ids) != arr.shape[1]:
+            raise DataError(f"{len(site_ids)} site ids for {arr.shape[1]} columns")
         return cls(
             tuple(
                 SiteSeries(sid, 0, arr[:, j]) for j, sid in enumerate(site_ids)
@@ -408,8 +412,8 @@ def regional_shape(
     sigma = 0.5 * (sigma + sigma.T)
     if not np.all(np.isfinite(sigma)):
         raise NumericError(
-            "shape covariance is not finite: the data hold non-finite values "
-            "or their scale overflows the shape gradients"
+            "shape covariance is not finite: the data's scale overflows "
+            "the shape gradients or the PWM covariance"
         )
     weights, source, min_eig = _pool_weights(sigma, fallback_weights(scheme))
     return RegionalShapeResult(

@@ -267,11 +267,14 @@ class ScenarioConfig:
             raise ParameterError(
                 f"copula asymmetry vector has {len(self.copula.c)} entries for d={self.d}"
             )
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
+        estimators = tuple(self.estimators)
+        if not estimators or len(set(estimators)) != len(estimators):
+            raise ParameterError(f"need distinct estimators, at least one, got {estimators}")
+        unknown = set(estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ParameterError(f"unknown estimators: {sorted(unknown)}")
         if isinstance(self.margins, BlockMaxMargin):
-            seasonal = set(self.estimators) & set(_SEASONAL_ONLY)
+            seasonal = set(estimators) & set(_SEASONAL_ONLY)
             if seasonal:
                 raise ParameterError(
                     f"estimators {sorted(seasonal)} need seasonal margins"
@@ -281,7 +284,7 @@ class ScenarioConfig:
                 raise ParameterError(
                     f"unknown method option {key}={value!r} (known: {_METHOD_OPTIONS})"
                 )
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "estimators", estimators)
 
     def true_quantile(self) -> float:
         if isinstance(self.margins, BlockMaxMargin):
@@ -324,13 +327,16 @@ def load_scenario(path) -> ScenarioConfig:
             float(cop.get("theta2", 2.5)),
             np.asarray(c, dtype=float) if c is not None else np.arange(d) / d,
         )
+        estimators = raw.get("estimators", ["W", "L", "TL"])
+        if not isinstance(estimators, list):
+            raise DataError(f"scenario file {path}: estimators must be a JSON list")
         return ScenarioConfig(
             d=d,
             n=int(raw["n"]),
             p=float(raw["p"]),
             margins=margins,
             copula=copula,
-            estimators=tuple(raw.get("estimators", ["W", "L", "TL"])),
+            estimators=tuple(estimators),
             replications=int(raw.get("replications", 500)),
             seed=int(raw.get("seed", 0)),
             method_options=dict(raw.get("method_options", {})),
@@ -368,6 +374,8 @@ def quantile_function(
     :class:`SeasonalSchemes`); return ``p -> quantile`` at site ``target``.
     ``pwm_estimator`` serves L, TL, sL and sTL, ``k`` W and sW, ``dependence_method``
     W; sW fits at each call and warns."""
+    if name in _SEASONAL_ONLY and schemes.winter is None:
+        raise DataError(f"estimator {name!r} needs winter and summer schemes")
     if name in ("L", "TL"):
         fit = fit_gev_regional(schemes.annual, target, name, pwm_estimator=pwm_estimator)
         return partial(gev_quantile, fit.theta)

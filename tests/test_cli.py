@@ -199,6 +199,9 @@ SCENARIO = {
         json.dumps({**SCENARIO, "copula": {"theta1": float("inf")}}),
         json.dumps({**SCENARIO, "method_options": {"pwm_estimator": "unbiasd"}}),
         json.dumps({**SCENARIO, "seed": -1}),
+        json.dumps({**SCENARIO, "estimators": []}),
+        json.dumps({**SCENARIO, "estimators": ["L", "L"]}),
+        json.dumps({**SCENARIO, "estimators": "L"}),
     ],
 )
 def test_bad_scenario_file_is_an_input_error(tmp_path, capsys, text):

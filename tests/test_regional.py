@@ -1,10 +1,15 @@
 """Observation scheme, PWM covariance and regional shape tests."""
 
+import warnings
+from dataclasses import astuple
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, kstest
 
-from regflood.errors import DataError, NumericError, ParameterError
+from regflood.errors import DataError, NumericError, ParameterError, RegfloodError
 from regflood.gev import GevParams, gev_quantile
 from regflood import regional as regional_module
 from regflood.moments import _moment_method, sample_pwm, sample_pwm_unbiased, shape_from_lmoments
@@ -20,7 +25,10 @@ from regflood.regional import (
     sigma_tail_hat,
     zhat_vectors,
 )
-from regflood.twocomp import fit_seasonal_regional
+from regflood.ingest import SeasonalSchemes
+from regflood.simlab import ESTIMATOR_NAMES, quantile_function
+from regflood.tail import DEPENDENCE_METHODS, regional_tail_fit
+from regflood.twocomp import fit_seasonal_regional, twocomp_quantile_ci
 
 
 def make_scheme(seed=0, d=4, n=80, xi=0.2, offsets=None):
@@ -54,6 +62,23 @@ class TestScheme:
             ObservationScheme(
                 (SiteSeries("a", 1, np.ones(4)), SiteSeries("b", 2, np.ones(3)))
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.linspace(1.0, 2.0, 30)
+        values[7] = bad
+        with pytest.raises(DataError, match="site 'b'"):
+            SiteSeries("b", 0, values)
+        data = _gumbel_region()
+        data[4, 1] = bad
+        with pytest.raises(DataError, match="site 'site2'.*finite"):
+            ObservationScheme.from_matrix(data)
+
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b"], ["a", "b", "c", "d"]])
+    def test_from_matrix_needs_one_id_per_column(self, ids):
+        with pytest.raises(DataError, match=f"{len(ids)} site ids for 3 columns"):
+            ObservationScheme.from_matrix(np.ones((10, 3)), ids)
+        assert ObservationScheme.from_matrix(np.ones((10, 3)), ["x", "y", "z"]).d == 3
 
     def test_properties(self):
         scheme = make_scheme(d=3, n=50, offsets=[0, 10, 20])
@@ -380,6 +405,15 @@ class TestRegionalShape:
             with pytest.raises(NumericError, match="not finite"):
                 call(scheme)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_scale_overflows_the_shape_covariance(self):
+        # finite data can still overflow the PWM covariance (from 1e153 here);
+        # from 1e155 on the site's own shape fit overflows first
+        for scale, message in ((1e153, "not finite"), (1e300, "site 'site1'")):
+            scheme = ObservationScheme.from_matrix(_gumbel_region() * scale)
+            with pytest.raises(NumericError, match=message):
+                regional_shape(scheme)
+
     def test_regional_variance_not_worse(self):
         # homogeneous region: pooling should not increase the spread of
         # the shape estimate compared to single-site estimation
@@ -472,3 +506,79 @@ class TestFitGevRegional:
         scheme = make_scheme(d=4, n=60, offsets=[0, 5, 10, 20])
         fit_gev_regional(scheme, "s2", "TL")
         assert len(calls) == 1
+
+
+def _degenerate_schemes(seed, d, n, short_last, scale, decimals, constant, bad):
+    """Winter, summer and annual schemes of GEV draws with the degeneracies asked for:
+    a last site observed ``short_last`` (2) years only, rounding ties, a constant
+    first site, an overall scale and one non-finite ``bad`` winter value."""
+    rng = np.random.default_rng(seed)
+    seasons = [gev_quantile(GevParams(2, 1, 0.2), rng.uniform(size=(n, d))) for _ in range(2)]
+    for x in seasons:
+        if decimals is not None:
+            x[:] = np.round(x, decimals)
+        if constant:
+            x[:, 0] = 3.0
+        x *= scale
+    if bad is not None:
+        seasons[0][-1, -1] = bad
+    offsets = [0] * (d - 1) + [n - short_last if short_last else 0]
+
+    def scheme(x):
+        return ObservationScheme(
+            tuple(SiteSeries(f"site{j + 1}", a, x[a:, j]) for j, a in enumerate(offsets))
+        )
+
+    return tuple(map(scheme, (*seasons, np.maximum(*seasons))))
+
+
+def _estimates(winter, summer, annual):
+    """Every regional entry point on one region, as (label, call returning numbers)."""
+    target = annual.site_ids[0]
+    calls = []
+    for method in ("L", "TL"):
+        for pwm in ("plugin", "unbiased"):
+            calls.append((f"fit_gev_regional {method} {pwm}", lambda m=method, e=pwm: astuple(
+                fit_gev_regional(annual, target, m, pwm_estimator=e).theta)))
+        calls.append((f"homogeneity_test {method}", lambda m=method: homogeneity_test(annual, m)))
+        calls.append((f"seasonal {method} interval", lambda m=method: astuple(twocomp_quantile_ci(
+            fit_seasonal_regional(winter, summer, target, m), 0.99, 0.05))))
+    for dependence in DEPENDENCE_METHODS:
+        fit = partial(regional_tail_fit, annual, None, dependence)
+        calls.append((f"regional_tail_fit {dependence}", lambda f=fit: f().gamma))
+        calls.append((f"regional_tail_fit {dependence} interval",
+                      lambda f=fit: astuple(f().interval(target, 0.99, 0.05))))
+    schemes = SeasonalSchemes(winter, summer, annual)
+    for name in ESTIMATOR_NAMES:
+        calls.append((f"quantile_function {name}", lambda nm=name: quantile_function(
+            nm, schemes, target)(0.99)))
+    return calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    d=st.integers(1, 3),
+    n=st.sampled_from([3, 4, 6, 12, 30]),
+    short_last=st.sampled_from([None, 2]),
+    scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+    decimals=st.sampled_from([None, 0, 1]),
+    constant=st.booleans(),
+    bad=st.sampled_from([None, None, None, np.nan, np.inf]),
+)
+def test_degenerate_input_gives_finite_estimates_or_package_errors(
+    seed, d, n, short_last, scale, decimals, constant, bad
+):
+    # ties, a constant site, n = 3, a 2-year overlap, extreme scales, non-finite values
+    try:
+        schemes = _degenerate_schemes(seed, d, n, short_last, scale, decimals, constant, bad)
+    except RegfloodError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for label, call in _estimates(*schemes):
+            try:
+                values = np.asarray(call(), dtype=float)
+            except RegfloodError:
+                continue
+            assert np.all(np.isfinite(values)), (label, values)

@@ -2,14 +2,16 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
 
-from regflood.errors import DomainError, ParameterError
+from regflood.errors import DataError, DomainError, ParameterError
 from regflood.gev import GevParams, gev_cdf
 from regflood.simlab import (
+    ESTIMATOR_NAMES,
     BlockMaxMargin,
     CopulaSpec,
     ScenarioConfig,
@@ -20,7 +22,9 @@ from regflood.simlab import (
     gumbel_copula_sample,
     khoudraji_cdf,
     khoudraji_sample,
+    _simulate_region,
     load_scenario,
+    quantile_function,
     run_scenario,
 )
 
@@ -200,6 +204,11 @@ class TestScenario:
         with pytest.raises(ParameterError, match="method option"):
             make_config(method_options=options)
 
+    @pytest.mark.parametrize("estimators", [(), ("W", "W"), ["L", "sTL", "L"]])
+    def test_empty_or_repeated_estimators_rejected(self, estimators):
+        with pytest.raises(ParameterError, match="distinct estimators"):
+            make_config(estimators=estimators)
+
     def test_valid_method_options_accepted(self):
         options = {"pwm_estimator": "unbiased", "dependence_method": "pickands_cfg"}
         assert make_config(method_options=options).method_options == options
@@ -234,8 +243,6 @@ class TestScenario:
             estimators=("W",),
             replications=1,
         )
-        from regflood.simlab import _simulate_region
-
         rng = np.random.default_rng(np.random.SeedSequence(5))
         region = _simulate_region(config, rng)
         sample = region.annual.sites[0].values
@@ -282,6 +289,42 @@ class TestScenario:
         assert r1.stat("L").n_ok == r2.stat("L").n_ok
 
 
+class TestQuantileFunction:
+    def test_run_scenario_reads_every_estimator_off_it(self):
+        config = make_config(estimators=ESTIMATOR_NAMES, replications=2)
+        report = run_scenario(config)
+        streams = np.random.SeedSequence(config.seed).spawn(config.replications)
+        for rep, stream in enumerate(streams):
+            region = _simulate_region(config, np.random.default_rng(stream))
+            for name in ESTIMATOR_NAMES:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    q = quantile_function(name, region, "site1", pwm_estimator="plugin")(config.p)
+                assert q == report.estimates[name][rep]
+
+    def test_only_sw_fits_at_each_call(self):
+        region = _simulate_region(make_config(), np.random.default_rng(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quantile = quantile_function("sW", region, "site2")
+        with pytest.warns(UserWarning, match="not recommended"):
+            assert quantile(0.99) > 0
+
+    def test_unknown_name_rejected(self):
+        region = _simulate_region(make_config(), np.random.default_rng(3))
+        with pytest.raises(ParameterError, match="unknown estimator 'X'"):
+            quantile_function("X", region, "site1")
+
+    def test_blockmax_region_has_no_seasons(self):
+        config = make_config(margins=MARGIN, estimators=("W",))
+        region = _simulate_region(config, np.random.default_rng(4))
+        assert region.winter is None and region.summer is None
+        assert region.annual.d == 3 and region.annual.n == 50
+        for name in ("sW", "sL", "sTL"):
+            with pytest.raises(DataError, match="needs winter and summer"):
+                quantile_function(name, region, "site1")
+
+
 class TestScenarioFile:
     def test_load_round_trip(self, tmp_path):
         raw = {
@@ -301,6 +344,19 @@ class TestScenarioFile:
         assert config.replications == 7
         assert isinstance(config.margins, SeasonalMargins)
         np.testing.assert_allclose(config.copula.c, np.arange(4) / 4)
+
+    def test_estimators_must_be_a_list(self, tmp_path):
+        raw = {
+            "d": 2,
+            "n": 60,
+            "p": 0.99,
+            "margins": {"type": "seasonal", "winter": [2, 1, 0.2], "summer": [1.5, 1, 0.4]},
+            "estimators": "sTL",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match="estimators must be a JSON list"):
+            load_scenario(path)
 
     def test_blockmax_margins(self, tmp_path):
         raw = {
