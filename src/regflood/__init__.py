@@ -31,7 +31,6 @@ from .gev import (
     twocomp_quantile,
 )
 from .ingest import (
-    MonthlyRecord,
     MonthlyTable,
     ReturnLevelCurve,
     SeasonDefinition,

@@ -179,7 +179,7 @@ def gev_quantile(params: GevParams, p):
         # expm1 avoids the cancellation of y**(-xi) - 1 for small |xi|
         return params.mu + params.sigma * math.expm1(-params.xi * math.log(y)) / params.xi
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise DomainError("quantile level must lie strictly between 0 and 1")
     y = -np.log(p)
     if params.is_gumbel:
@@ -327,6 +327,11 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> fl
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+# acceptable residual |F(q) - p| of a product quantile, and the solver's iteration cap
+_QUANTILE_PROB_TOL = 1e-10
+_QUANTILE_MAX_ITER = 200
+
+
 def twocomp_cdf(model: TwoComponentGev, x):
     """Distribution function of the seasonal product model."""
     return gev_cdf(model.winter, x) * gev_cdf(model.summer, x)
@@ -339,9 +344,7 @@ def twocomp_pdf(model: TwoComponentGev, x):
     ) * gev_pdf(model.summer, x)
 
 
-def twocomp_quantile(
-    model: TwoComponentGev, p: float, prob_tol: float = 1e-10, max_iter: int = 200
-) -> float:
+def twocomp_quantile(model: TwoComponentGev, p: float) -> float:
     """Invert the product cdf at level ``p`` by bracketed root finding.
 
     The root is bracketed without heuristics: the larger of the two
@@ -351,19 +354,12 @@ def twocomp_quantile(
     by the in-package Brent solver :func:`brentq`, which takes the same
     iterates as SciPy's ``brentq``.
 
-    Parameters
-    ----------
-    p : float
-        Target probability in (0, 1).
-    prob_tol : float
-        Acceptable residual |F(q) - p| of the returned root.
-
     Raises
     ------
     DomainError
         If ``p`` is outside (0, 1).
     NumericError
-        If the solver fails to reach ``prob_tol``.
+        If the solver fails or its root's residual |F(q) - p| exceeds 1e-10.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("quantile level must lie strictly between 0 and 1")
@@ -381,30 +377,30 @@ def twocomp_quantile(
     # end onto the level, in which case the endpoint is the root
     res_lo = residual(lo)
     if res_lo >= 0.0:
-        if res_lo <= prob_tol:
+        if res_lo <= _QUANTILE_PROB_TOL:
             return float(lo)
         raise NumericError(
             f"lower bracket invalidated by rounding: F({lo:.6g}) - p = {res_lo:.3e}"
         )
     res_hi = residual(hi)
     if res_hi <= 0.0:
-        if -res_hi <= prob_tol:
+        if -res_hi <= _QUANTILE_PROB_TOL:
             return float(hi)
         raise NumericError(
             f"upper bracket invalidated by rounding: F({hi:.6g}) - p = {res_hi:.3e}"
         )
     try:
-        root = brentq(residual, lo, hi, xtol=1e-13, maxiter=max_iter)
+        root = brentq(residual, lo, hi, xtol=1e-13, maxiter=_QUANTILE_MAX_ITER)
     except (ValueError, RuntimeError) as exc:
         raise NumericError(
             f"product-quantile inversion failed for p={p} on bracket "
             f"[{lo:.6g}, {hi:.6g}]: {exc}"
         ) from exc
     res = residual(root)
-    if abs(res) > prob_tol:
+    if abs(res) > _QUANTILE_PROB_TOL:
         raise NumericError(
             f"product-quantile inversion did not converge: residual {res:.3e} "
-            f"exceeds {prob_tol:.3e} at q={root:.6g}"
+            f"exceeds {_QUANTILE_PROB_TOL:.3e} at q={root:.6g}"
         )
     return float(root)
 
@@ -427,6 +423,14 @@ def twocomp_evi(model: TwoComponentGev) -> float:
 # --------------------------------------------------------------------------
 # Projection of an arbitrary density onto the GEV family
 # --------------------------------------------------------------------------
+
+
+# kl_project_gev: tolerated mass defect of the target, density truncation floor,
+# gradient norm accepted as stationary and Nelder-Mead iteration budget
+_KL_MASS_TOL = 1e-6
+_KL_DENSITY_FLOOR = 1e-12
+_KL_GRAD_TOL = 1e-3
+_KL_MAX_ITER = 4000
 
 
 def _quadrature_grid(lo: float, hi: float, n_segments: int, nodes_per_segment: int):
@@ -457,60 +461,50 @@ def _effective_bounds(density, support, floor: float) -> tuple[float, float]:
     ladder point (true for any unimodal model at realistic scales).
     """
     lo, hi = float(support[0]), float(support[1])
-    anchor = 0.0 if math.isinf(lo) else lo
     if math.isinf(hi):
-        probe = None
-        for j in range(-20, 60):
-            x = anchor + 2.0**j
-            if density(x) > floor:
-                probe = x
-        if probe is None:
-            raise ParameterError(
-                "density not detectable above the truncation floor to the "
-                "right of the support anchor"
-            )
-        hi = anchor + 2.0 * (probe - anchor)
-        while density(hi) > floor and hi - anchor < 1e12:
-            hi = anchor + 2.0 * (hi - anchor)
-    anchor_hi = 0.0 if math.isinf(lo) and hi > 0 else hi
+        hi = _density_edge(density, 0.0 if math.isinf(lo) else lo, 1.0, floor)
     if math.isinf(lo):
-        probe = None
-        for j in range(-20, 60):
-            x = anchor_hi - 2.0**j
-            if density(x) > floor:
-                probe = x
-        if probe is None:
-            raise ParameterError(
-                "density not detectable above the truncation floor to the "
-                "left of the support anchor"
-            )
-        lo = anchor_hi - 2.0 * (anchor_hi - probe)
-        while density(lo) > floor and anchor_hi - lo < 1e12:
-            lo = anchor_hi - 2.0 * (anchor_hi - lo)
+        lo = _density_edge(density, 0.0 if hi > 0 else hi, -1.0, floor)
     return lo, hi
+
+
+def _density_edge(density, anchor: float, step: float, floor: float) -> float:
+    """Truncation point of an unbounded end: right of ``anchor`` for ``step`` +1,
+    left for -1 (``anchor + (-b)`` is ``anchor - b`` exactly, so both ends probe
+    the same points)."""
+    probe = None
+    for j in range(-20, 60):
+        x = anchor + step * 2.0**j
+        if density(x) > floor:
+            probe = x
+    if probe is None:
+        side = "right" if step > 0 else "left"
+        raise ParameterError(
+            "density not detectable above the truncation floor to the "
+            f"{side} of the support anchor"
+        )
+    edge = anchor + 2.0 * (probe - anchor)
+    while density(edge) > floor and step * (edge - anchor) < 1e12:
+        edge = anchor + 2.0 * (edge - anchor)
+    return edge
 
 
 def kl_project_gev(
     target_density,
     target_support: tuple[float, float],
     init: GevParams | None = None,
-    *,
-    mass_tol: float = 1e-6,
-    density_floor: float = 1e-12,
-    grad_tol: float = 1e-3,
-    max_iter: int = 4000,
 ) -> GevParams:
     """Project a density onto the GEV family in Kullback-Leibler distance.
 
     Minimizes KL(f || g_theta) over theta by numerical quadrature of the
     cross-entropy integral and derivative-free minimization.  The target
-    support is truncated where the density falls below ``density_floor``.
+    support is truncated where the density falls below 1e-12.
 
     Parameters
     ----------
     target_density : callable
         Scalar density ``f``; must integrate to 1 on the support within
-        ``mass_tol`` (checked by quadrature).
+        1e-6 (checked by quadrature).
     target_support : (float, float)
         Interval on which ``f`` lives; either end may be infinite.
     init : GevParams, optional
@@ -519,20 +513,20 @@ def kl_project_gev(
     Returns
     -------
     GevParams
-        Local minimizer with quadrature-gradient norm below ``grad_tol``.
+        Local minimizer with quadrature-gradient norm below 1e-3.
     """
-    lo, hi = _effective_bounds(target_density, target_support, density_floor)
+    lo, hi = _effective_bounds(target_density, target_support, _KL_DENSITY_FLOOR)
     if not lo < hi:
         raise ParameterError(f"empty effective support [{lo}, {hi}]")
     nodes, weights = _quadrature_grid(lo, hi, n_segments=48, nodes_per_segment=32)
     f_vals = np.array([max(float(target_density(x)), 0.0) for x in nodes])
     mass = float(np.sum(weights * f_vals))
-    if abs(mass - 1.0) > mass_tol:
+    if abs(mass - 1.0) > _KL_MASS_TOL:
         raise ParameterError(
             f"target density integrates to {mass:.8f} on [{lo:.6g}, {hi:.6g}], "
-            f"not 1 within {mass_tol}"
+            f"not 1 within {_KL_MASS_TOL}"
         )
-    active = f_vals > density_floor
+    active = f_vals > _KL_DENSITY_FLOOR
     wf = weights * f_vals
 
     if init is None:
@@ -568,7 +562,7 @@ def kl_project_gev(
         objective,
         theta0,
         method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": max_iter, "maxfev": max_iter},
+        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": _KL_MAX_ITER, "maxfev": _KL_MAX_ITER},
     )
     if not result.success:
         raise NumericError(f"KL projection did not converge: {result.message}")
@@ -581,10 +575,10 @@ def kl_project_gev(
         up[i] += h
         dn[i] -= h
         grad[i] = (objective(up) - objective(dn)) / (2.0 * h)
-    if float(np.linalg.norm(grad)) > grad_tol:
+    if float(np.linalg.norm(grad)) > _KL_GRAD_TOL:
         raise NumericError(
             f"KL projection stalled away from a stationary point "
-            f"(gradient norm {np.linalg.norm(grad):.3e} > {grad_tol})"
+            f"(gradient norm {np.linalg.norm(grad):.3e} > {_KL_GRAD_TOL})"
         )
     return GevParams(*map(float, theta))
 

@@ -15,7 +15,6 @@ import csv
 import math
 import warnings
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, islice
 
@@ -25,7 +24,6 @@ from .errors import DataError, ParameterError
 from .regional import ObservationScheme, SiteSeries
 
 __all__ = [
-    "MonthlyRecord",
     "MonthlyTable",
     "SeasonDefinition",
     "SeasonalSchemes",
@@ -41,24 +39,14 @@ _YEAR_LIMIT = 2**62
 _CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class MonthlyRecord:
-    """One monthly maximal flow observation."""
-
-    site_id: str
-    year: int
-    month: int
-    flow: float
-
-
 @dataclass(frozen=True, eq=False)
-class MonthlyTable(Sequence):
+class MonthlyTable:
     """Monthly records as columns, one entry per record in input order.
 
     Row ``i`` is site ``site_ids[site[i]]``, calendar ``year[i]`` and
     ``month[i]`` and flow ``flow[i]``.  ``site_ids`` lists the sites in
     order of first appearance; aggregation reports sites in that order.
-    As a sequence the table yields one :class:`MonthlyRecord` per row.
+    Months lie in 1..12 and flows are finite and positive, as in the CSV.
     """
 
     site_ids: tuple[str, ...]
@@ -82,39 +70,8 @@ class MonthlyTable(Sequence):
         bad = (self.month < 1) | (self.month > 12)
         if bad.any():
             raise DataError(f"month {self.month[bad][0]} outside 1..12")
-
-    @classmethod
-    def from_records(cls, records) -> "MonthlyTable":
-        """Table of any iterable of :class:`MonthlyRecord`; a table is returned as is."""
-        if isinstance(records, MonthlyTable):
-            return records
-        records = list(records)
-        codes: dict[str, int] = {}
-        site = [codes.setdefault(r.site_id, len(codes)) for r in records]
-        return cls(
-            tuple(codes),
-            site,
-            [r.year for r in records],
-            [r.month for r in records],
-            [r.flow for r in records],
-        )
-
-    def __len__(self) -> int:
-        return len(self.flow)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        return MonthlyRecord(
-            self.site_ids[self.site[i]], int(self.year[i]), int(self.month[i]),
-            float(self.flow[i]),
-        )
-
-    def __iter__(self):
-        sids = map(self.site_ids.__getitem__, self.site.tolist())
-        columns = (self.year.tolist(), self.month.tolist(), self.flow.tolist())
-        return map(MonthlyRecord, sids, *columns)
+        if not np.all(np.isfinite(self.flow) & (self.flow > 0)):
+            raise DataError("monthly flows must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -170,7 +127,7 @@ def ingest_monthly(path) -> MonthlyTable:
         # an invalid file is read again, row by row, for the per-line report
         problems = _read_rows(path, _row_problems)
         raise DataError(f"{path}: invalid input rows:\n  " + "\n  ".join(problems))
-    if not len(table):
+    if not table.flow.size:
         warnings.warn(f"{path}: no data rows found", stacklevel=2)
     return table
 
@@ -277,14 +234,13 @@ class SeasonalSchemes:
 
 
 def seasonal_maxima(
-    records,
+    table: MonthlyTable,
     season_def: SeasonDefinition | None = None,
     end_policy: str = "truncate",
 ) -> SeasonalSchemes:
-    """Aggregate monthly records to seasonal and annual maxima schemes.
+    """Aggregate a :class:`MonthlyTable` to seasonal and annual maxima schemes.
 
-    ``records`` is a :class:`MonthlyTable` or any iterable of
-    :class:`MonthlyRecord`.  Per complete site-hydro-year the winter
+    Per complete site-hydro-year the winter
     maximum W, summer maximum S and annual maximum max(W, S) are formed;
     repeated (site, year, month) records count with their largest flow.
     All sites are aligned on a common final year: ``end_policy='truncate'``
@@ -299,8 +255,9 @@ def seasonal_maxima(
     sdef = season_def or SeasonDefinition()
     winter = np.isin(np.arange(1, 13), sdef.winter_months)
     summer = np.isin(np.arange(1, 13), sdef.summer_months)
-    table = MonthlyTable.from_records(records)
-    if not len(table):
+    if not isinstance(table, MonthlyTable):
+        raise DataError(f"need a MonthlyTable, got {type(table).__name__}")
+    if not table.flow.size:
         raise DataError("no records to aggregate")
 
     # one row per (site, hydro-year) present, sorted by site code then year
@@ -405,7 +362,7 @@ def return_level_curve(quantile_fn, t_grid, sample=None, method: str = "") -> Re
     empirical points at periods 1/(1 - i/(n+1)).
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid <= 1.0):
+    if not np.all(t_grid > 1.0):  # also rejects NaN
         raise ParameterError("return periods must exceed 1 year")
     points = tuple((float(t), float(quantile_fn(1.0 - 1.0 / t))) for t in t_grid)
     empirical: tuple[tuple[float, float], ...] = ()

@@ -104,6 +104,13 @@ def pwm_of_gev(params: GevParams, k: int) -> float:
     return float(value)
 
 
+def _check_sorted_finite(xs: np.ndarray) -> None:
+    """Reject a sorted, non-empty sample holding NaN or an infinity, read off its
+    two ends (NaN sorts last)."""
+    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+        raise DataError("sample values must be finite")
+
+
 def sample_pwm(data, k_max: int) -> PwmVector:
     """Plug-in sample PWMs beta_hat_k = mean(x * Fhat(x)**k), k = 0..k_max.
 
@@ -116,6 +123,7 @@ def sample_pwm(data, k_max: int) -> PwmVector:
     if k_max < 0:
         raise ParameterError("k_max must be non-negative")
     xs = np.sort(x)
+    _check_sorted_finite(xs)
     ecdf = np.searchsorted(xs, x, side="right") / len(x)
     ks = np.arange(k_max + 1)
     betas = np.mean(x[:, None] * ecdf[:, None] ** ks[None, :], axis=0)
@@ -138,6 +146,7 @@ def sample_pwm_unbiased(data, k_max: int) -> PwmVector:
     if k_max < 0:
         raise ParameterError("k_max must be non-negative")
     xs = np.sort(x)
+    _check_sorted_finite(xs)
     n = len(xs)
     if k_max >= n:
         raise ParameterError(f"PWM order {k_max} needs a sample larger than {k_max}")
@@ -176,11 +185,21 @@ def tlmoments_from_pwm(pwm: PwmVector) -> tuple[float, float, float]:
 
 
 def _h_l(b0: float, b1: float, b2: float) -> float:
-    return (2 * b1 - b0) / (3 * b2 - b0) - _L_OFFSET
+    try:
+        return (2 * b1 - b0) / (3 * b2 - b0) - _L_OFFSET
+    except ZeroDivisionError:
+        raise DataError(
+            "degenerate sample: L-moment shape ratio has a zero denominator"
+        ) from None
 
 
 def _h_tl(b0: float, b1: float, b2: float, b3: float) -> float:
-    return (4 * b1 - b0 - 3 * b2) / (9 * b2 - b0 - 8 * b3) - _TL_OFFSET
+    try:
+        return (4 * b1 - b0 - 3 * b2) / (9 * b2 - b0 - 8 * b3) - _TL_OFFSET
+    except ZeroDivisionError:
+        raise DataError(
+            "degenerate sample: trimmed L-moment shape ratio has a zero denominator"
+        ) from None
 
 
 def shape_from_lmoments(pwm: PwmVector) -> float:

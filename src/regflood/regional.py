@@ -19,7 +19,13 @@ from scipy.special import chdtrc
 
 from .errors import DataError, NumericError, ParameterError
 from .gev import GevParams
-from .moments import _moment_method, gev_fit_gradient, sample_pwm, sample_pwm_unbiased
+from .moments import (
+    _check_sorted_finite,
+    _moment_method,
+    gev_fit_gradient,
+    sample_pwm,
+    sample_pwm_unbiased,
+)
 
 __all__ = [
     "SiteSeries",
@@ -200,6 +206,7 @@ def zhat_vectors(series, K: int) -> np.ndarray:
         raise ParameterError("K must be >= 1")
     n = len(x)
     xs = np.sort(x)
+    _check_sorted_finite(xs)
     ecdf_x = np.searchsorted(xs, x, side="right") / n
     ecdf_s = np.searchsorted(xs, xs, side="right") / n
     out = np.empty((n, K))

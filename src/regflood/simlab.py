@@ -52,6 +52,18 @@ _METHOD_OPTIONS = {
 }
 
 
+def _integer(value, name: str, error=ParameterError) -> int:
+    """``value`` as an int, as ``int()`` reads it, except that a fractional, NaN or
+    infinite number raises ``error`` instead of being truncated (2.0 passes)."""
+    try:
+        as_int = int(value)
+        if isinstance(value, str) or as_int == value:
+            return as_int
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 # --------------------------------------------------------------------------
 # Copula sampling
 # --------------------------------------------------------------------------
@@ -68,37 +80,27 @@ def _positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.nd
     )
 
 
-def gumbel_copula_sample(theta: float, d: int, rng: np.random.Generator, size=None):
-    """Draws from the d-dimensional Gumbel-Hougaard copula.
+def gumbel_copula_sample(theta: float, d: int, rng: np.random.Generator, size: int):
+    """``size`` x d draws from the d-dimensional Gumbel-Hougaard copula.
 
     Uses the frailty construction: exponentials divided by a positive
     stable variate, pushed through the generator inverse.  ``theta = 1``
     yields exact independence.
-
-    Parameters
-    ----------
-    size : int, optional
-        Number of draws; omitted means a single d-vector.
     """
     if not theta >= 1.0:
         raise ParameterError(f"dependence parameter must be >= 1, got {theta}")
     if d < 1:
         raise ParameterError("dimension must be >= 1")
-    n = 1 if size is None else int(size)
     if theta == 1.0:
-        u = rng.uniform(size=(n, d))
-    else:
-        alpha = 1.0 / theta
-        s = _positive_stable(alpha, n, rng)
-        e = rng.standard_exponential(size=(n, d))
-        u = np.exp(-((e / s[:, None]) ** (1.0 / theta)))
-    return u[0] if size is None else u
+        return rng.uniform(size=(size, d))
+    alpha = 1.0 / theta
+    s = _positive_stable(alpha, size, rng)
+    e = rng.standard_exponential(size=(size, d))
+    return np.exp(-((e / s[:, None]) ** (1.0 / theta)))
 
 
-def khoudraji_sample(
-    theta1: float, theta2: float, c, rng: np.random.Generator, size=None
-):
-    """Asymmetrized copula draws via componentwise power weights.
+def khoudraji_sample(theta1: float, theta2: float, c, rng: np.random.Generator, size: int):
+    """``size`` x d asymmetrized copula draws via componentwise power weights.
 
     Component j is max(V_j**(1/c_j), W_j**(1/(1-c_j))) for V, W drawn
     independently from the two base copulas; c_j = 0 returns W_j and
@@ -108,10 +110,9 @@ def khoudraji_sample(
     if not np.all((c >= 0.0) & (c <= 1.0)):
         raise ParameterError("asymmetry exponents must lie in [0, 1]")
     d = len(c)
-    n = 1 if size is None else int(size)
-    v = gumbel_copula_sample(theta1, d, rng, size=n)
-    w = gumbel_copula_sample(theta2, d, rng, size=n)
-    u = np.empty((n, d))
+    v = gumbel_copula_sample(theta1, d, rng, size=size)
+    w = gumbel_copula_sample(theta2, d, rng, size=size)
+    u = np.empty((size, d))
     for j in range(d):
         if c[j] == 0.0:
             u[:, j] = w[:, j]
@@ -119,7 +120,7 @@ def khoudraji_sample(
             u[:, j] = v[:, j]
         else:
             u[:, j] = np.maximum(v[:, j] ** (1.0 / c[j]), w[:, j] ** (1.0 / (1.0 - c[j])))
-    return u[0] if size is None else u
+    return u
 
 
 def gumbel_copula_cdf(theta: float, u) -> float:
@@ -165,6 +166,7 @@ class BlockMaxMargin:
                 "block-maximum construction needs a positive finite shape (t degrees "
                 f"of freedom 1/xi), got {self.xi}"
             )
+        object.__setattr__(self, "b", _integer(self.b, "block size"))
         if not self.b >= 2:
             raise ParameterError(
                 f"block size must be >= 2, got {self.b}; the standardization "
@@ -204,7 +206,7 @@ def blockmax_cdf(margin: BlockMaxMargin, x):
 def blockmax_quantile(margin: BlockMaxMargin, p):
     """Closed-form inverse of :func:`blockmax_cdf` on (0, 1)."""
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise DomainError("quantile level must lie strictly between 0 and 1")
     inner = stdtrit(margin.dof, (p ** (1.0 / margin.b) + 1.0) / 2.0)
     out = margin.mu + margin.sigma / margin.xi * (inner / margin.a_b - 1.0)
@@ -255,6 +257,8 @@ class ScenarioConfig:
     method_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("d", "n", "replications", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not (self.d >= 1 and self.n >= 3):
             raise ParameterError("need d >= 1 sites and n >= 3 years")
         if not 0.0 < self.p < 1.0:
@@ -306,12 +310,17 @@ def load_scenario(path) -> ScenarioConfig:
         raise DataError(f"cannot read scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"scenario file {path} must hold a JSON object")
+
+    def integer(value, name):
+        return _integer(value, f"scenario file {path}: {name}", DataError)
+
     try:
-        d = int(raw["d"])
+        d = integer(raw["d"], "d")
         marg = raw["margins"]
         if marg["type"] == "blockmax":
             margins = BlockMaxMargin(
-                float(marg["mu"]), float(marg["sigma"]), float(marg["xi"]), int(marg["b"])
+                float(marg["mu"]), float(marg["sigma"]), float(marg["xi"]),
+                integer(marg["b"], "b"),
             )
         elif marg["type"] == "seasonal":
             margins = SeasonalMargins(
@@ -332,13 +341,13 @@ def load_scenario(path) -> ScenarioConfig:
             raise DataError(f"scenario file {path}: estimators must be a JSON list")
         return ScenarioConfig(
             d=d,
-            n=int(raw["n"]),
+            n=integer(raw["n"], "n"),
             p=float(raw["p"]),
             margins=margins,
             copula=copula,
             estimators=tuple(estimators),
-            replications=int(raw.get("replications", 500)),
-            seed=int(raw.get("seed", 0)),
+            replications=integer(raw.get("replications", 500), "replications"),
+            seed=integer(raw.get("seed", 0), "seed"),
             method_options=dict(raw.get("method_options", {})),
         )
     except RegfloodError:

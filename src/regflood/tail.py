@@ -19,6 +19,7 @@ from scipy.special import ndtri
 
 from .errors import DataError, DomainError, NumericError, ParameterError
 from .gev import brentq
+from .moments import _check_sorted_finite
 from .regional import ObservationScheme, _pool_weights, fallback_weights
 from .twocomp import QuantileInterval
 
@@ -60,10 +61,14 @@ def _tail_lengths(k) -> np.ndarray:
 def _excess_threshold(data, k) -> tuple[np.ndarray, int, float]:
     """Sorted sample, k as an int and the excess threshold X_(n-k), checked positive."""
     k = int(_tail_lengths(k))
-    x = np.sort(np.asarray(data, dtype=float))
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1:
+        raise DataError(f"need a 1-D sample, got shape {x.shape}")
+    x = np.sort(x)
     n = len(x)
     if not 2 <= k < n:
         raise ParameterError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
+    _check_sorted_finite(x)
     threshold = x[n - k - 1]
     if threshold <= 0:
         raise DomainError(
@@ -95,9 +100,9 @@ def default_k(n: int, d: int) -> int:
     tail; shrinking with d trades local tail data against the bias
     reduction from pooling many sites.
     """
-    if n < 3:
-        raise ParameterError(f"need n >= 3 observations, got {n}")
-    if d < 1:
+    if not 3 <= n < math.inf:  # also rejects NaN
+        raise ParameterError(f"need a finite n >= 3 observations, got {n}")
+    if not d >= 1:
         raise ParameterError(f"need d >= 1 sites, got {d}")
     k = math.floor(2.0 * n ** (2.0 / 3.0) / d ** (1.0 / 3.0))
     clamped = min(max(k, 2), n - 1)
@@ -123,7 +128,15 @@ def _power_tail_quantile(threshold, k: int, n: int, gamma: float, p: float) -> t
             stacklevel=3,
         )
     ratio = k / (n * (1.0 - p))
-    return float(threshold * ratio**gamma), ratio
+    try:
+        q = float(threshold) * ratio**gamma
+    except OverflowError:  # of the power; the product overflows to inf
+        q = math.inf
+    if not math.isfinite(q):
+        raise NumericError(
+            f"extrapolated quantile {threshold:.6g} * {ratio:.6g}**{gamma:.6g} overflows"
+        )
+    return q, ratio
 
 
 def _power_tail_cdf(threshold, k: int, n: int, gamma: float, x: float) -> float:
@@ -168,6 +181,16 @@ def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(values, axis=0, kind="stable"), axis=0) + 1.0
 
 
+def _finite_pairs(pairs) -> np.ndarray:
+    """Paired observations as a finite (m x 2) float array."""
+    arr = np.asarray(pairs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DataError("need an (m x 2) array of paired observations")
+    if not np.all(np.isfinite(arr)):
+        raise DataError("paired observations must be finite")
+    return arr
+
+
 def tail_dependence_empirical(pairs, k: int, x: float, y: float) -> float:
     """Joint-top-rank estimate of the upper tail copula at (x, y).
 
@@ -175,8 +198,8 @@ def tail_dependence_empirical(pairs, k: int, x: float, y: float) -> float:
     resp. ``k*y`` fractions and normalizes by k.  Converges to
     min(x, y) for comonotone pairs and to 0 under independence.
     """
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
+    arr = _finite_pairs(pairs)
+    if arr.shape[0] < 2:
         raise DataError("need an (m x 2) array of paired observations, m >= 2")
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -204,9 +227,7 @@ def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
     Pseudo-observations are built internally as rank/(m+1), which keeps
     all logarithms finite.
     """
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DataError("need an (m x 2) array of paired observations")
+    arr = _finite_pairs(pairs)
     m = arr.shape[0]
     if m < 10:
         raise DataError(f"dependence-function estimation needs >= 10 pairs, got {m}")
@@ -237,8 +258,8 @@ class TailDependence:
       positions among them of those starting there, their ranks and the
       pairs' tail sample lengths;
     - ``"pickands_cfg"``: (x_l + x_m)(1 - A_lm(x_m/(x_l + x_m))); ``tables``
-      is the t grid and one table A_lm per pair l < m (``np.triu_indices``
-      order).
+      holds one table A_lm on ``PICKANDS_T_GRID`` per pair l < m
+      (``np.triu_indices`` order).
     """
 
     def __init__(self, d: int, method: str, tables=()):
@@ -256,11 +277,7 @@ class TailDependence:
 
     @classmethod
     def from_scheme(
-        cls,
-        scheme: ObservationScheme,
-        k,
-        method: str = "empirical",
-        t_grid=PICKANDS_T_GRID,
+        cls, scheme: ObservationScheme, k, method: str = "empirical"
     ) -> "TailDependence":
         """Estimate the region's dependence from each pair's overlap years.
 
@@ -269,8 +286,7 @@ class TailDependence:
         on each pair's overlap rows with k = min(k_l, k_m) (below the
         overlap length, since each k_j is below its site's length).
         The ``pickands_cfg`` method estimates a dependence-function table
-        on ``t_grid`` for each pair; ``matrix`` interpolates in it, so the
-        grid must be non-decreasing.
+        on ``PICKANDS_T_GRID`` for each pair; ``matrix`` interpolates in it.
         """
         if method not in DEPENDENCE_METHODS:
             raise ParameterError(
@@ -279,14 +295,12 @@ class TailDependence:
         d = scheme.d
         ks = _as_k_vector(scheme, k)
         if method == "pickands_cfg":
-            if np.any(np.diff(t_grid) < 0):
-                raise DomainError("t grid must be non-decreasing")
             offsets = scheme.offsets
             a_rows = [
-                pickands_cfg(scheme.rows((l, m), max(offsets[l], offsets[m])), t_grid)
+                pickands_cfg(scheme.rows((l, m), max(offsets[l], offsets[m])))
                 for l, m in zip(*np.triu_indices(d, 1))
             ]
-            return cls(d, method, (np.asarray(t_grid, dtype=float), a_rows))
+            return cls(d, method, a_rows)
         tables = []
         for start, group, late in scheme.overlap_groups():
             ranks = _ordinal_ranks(scheme.rows(group, start))
@@ -317,11 +331,10 @@ class TailDependence:
                 lam[np.ix_(starts_here, group)] = block
                 lam[np.ix_(group, starts_here)] = block.T
         elif self.method == "pickands_cfg":
-            t_grid, a_rows = self._tables
             l, m = np.triu_indices(self.d, 1)
             with np.errstate(invalid="ignore"):
                 t = x[m] / (x[l] + x[m])
-            a = np.array([np.interp(tp, t_grid, row) for tp, row in zip(t, a_rows)])
+            a = np.array([np.interp(tp, PICKANDS_T_GRID, row) for tp, row in zip(t, self._tables)])
             lam[l, m] = lam[m, l] = np.where(
                 (x[l] > 0) & (x[m] > 0), (x[l] + x[m]) * (1.0 - a), 0.0
             )

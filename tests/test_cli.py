@@ -202,6 +202,11 @@ SCENARIO = {
         json.dumps({**SCENARIO, "estimators": []}),
         json.dumps({**SCENARIO, "estimators": ["L", "L"]}),
         json.dumps({**SCENARIO, "estimators": "L"}),
+        json.dumps({**SCENARIO, "n": 20.7}),
+        json.dumps({**SCENARIO, "replications": 2.5}),
+        json.dumps({**SCENARIO, "d": 2.5}),
+        json.dumps({**SCENARIO, "seed": 1.5}),
+        json.dumps({**SCENARIO, "margins": {**SCENARIO["margins"], "b": 12.5}}),
     ],
 )
 def test_bad_scenario_file_is_an_input_error(tmp_path, capsys, text):

@@ -105,6 +105,11 @@ class TestGevQuantile:
         with pytest.raises(DomainError):
             gev_quantile(STD_HEAVY, 1.0)
 
+    def test_nan_level_in_an_array_rejected(self):
+        # the array path must reject NaN like the scalar path
+        with pytest.raises(DomainError):
+            gev_quantile(STD_HEAVY, np.array([0.5, math.nan]))
+
     def test_gumbel_continuity(self):
         # |xi| = 1e-9 must agree with the xi = 0 formulas to 1e-6
         base = GevParams(1.0, 2.0, 0.0)
@@ -329,9 +334,10 @@ class TestBrentq:
             return exact(model, x)
 
         monkeypatch.setattr(gev, "twocomp_cdf", cdf)
-        max_iter = 1 if failure == "max-iterations" else 200
+        if failure == "max-iterations":
+            monkeypatch.setattr(gev, "_QUANTILE_MAX_ITER", 1)
         with pytest.raises(NumericError, match="product-quantile inversion failed") as info:
-            twocomp_quantile(MODEL, p, max_iter=max_iter)
+            twocomp_quantile(MODEL, p)
         assert isinstance(info.value.__cause__, (ValueError, RuntimeError))
         assert cause in str(info.value)
 
@@ -361,6 +367,15 @@ class TestKlProjection:
         assert a.mu == pytest.approx(b.mu, abs=1e-6)
         assert a.sigma == pytest.approx(b.sigma, abs=1e-6)
         assert a.xi == pytest.approx(b.xi, abs=1e-6)
+
+    def test_support_truncation_is_mirror_symmetric(self):
+        # both unbounded ends are found by one search, stepping right or left
+        def dens(x):
+            return gev_pdf(GevParams(0.0, 1.0, 0.0), x)
+
+        line = (-math.inf, math.inf)
+        lo, hi = gev._effective_bounds(dens, line, 1e-12)
+        assert gev._effective_bounds(lambda x: dens(-x), line, 1e-12) == (-hi, -lo)
 
     def test_unnormalized_density_rejected(self):
         with pytest.raises(ParameterError):

@@ -7,7 +7,6 @@ from regflood.errors import DataError, ParameterError
 from regflood.gev import GevParams, gev_quantile
 from regflood.regional import ObservationScheme, SiteSeries
 from regflood.ingest import (
-    MonthlyRecord,
     MonthlyTable,
     SeasonDefinition,
     ingest_monthly,
@@ -20,6 +19,13 @@ def write_csv(path, rows, header="site_id,year,month,flow"):
     lines = [header] + rows
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def columns(table):
+    """A table's site ids and its site, year, month and flow columns as lists."""
+    return table.site_ids, *(
+        getattr(table, c).tolist() for c in ("site", "year", "month", "flow")
+    )
 
 
 def full_year_rows(site, hydro_year, base=10.0, peak_month=8, peak=100.0):
@@ -36,15 +42,16 @@ def full_year_rows(site, hydro_year, base=10.0, peak_month=8, peak=100.0):
 class TestIngest:
     def test_round_trip(self, tmp_path):
         path = write_csv(tmp_path / "data.csv", full_year_rows("A", 2000))
-        records = ingest_monthly(path)
-        assert len(records) == 12
-        assert records[0] == MonthlyRecord("A", 1999, 11, 21.0)
+        table = ingest_monthly(path)
+        site_ids, *rows = columns(table)
+        assert site_ids == ("A",) and table.flow.size == 12
+        assert [c[0] for c in rows] == [0, 1999, 11, 21.0]
 
     def test_empty_file_warns(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.warns(UserWarning):
-            assert len(ingest_monthly(path)) == 0
+            assert ingest_monthly(path).flow.size == 0
 
     def test_duplicate_rejected_with_line(self, tmp_path):
         rows = ["A,2000,5,10.0", "A,2000,5,11.0"]
@@ -62,10 +69,7 @@ class TestIngest:
         plain = write_csv(tmp_path / "plain.csv", rows)
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        expected, got = ingest_monthly(plain), ingest_monthly(bom)
-        assert got.site_ids == expected.site_ids
-        for column in ("site", "year", "month", "flow"):
-            np.testing.assert_array_equal(getattr(got, column), getattr(expected, column))
+        assert columns(ingest_monthly(bom)) == columns(ingest_monthly(plain))
 
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path / "hdr.csv", ["A,2000,5,1.0"], header="a,b,c,d")
@@ -138,68 +142,47 @@ class TestIngestMessages:
 class TestIngestAccepts:
     def test_quoted_fields(self, tmp_path):
         rows = ['"A",2000,"5","1.5"', '"B,C",2000,5,2.0', 'D,"2001",6,"3"']
-        assert list(ingest_monthly(write_csv(tmp_path / "q.csv", rows))) == [
-            MonthlyRecord("A", 2000, 5, 1.5),
-            MonthlyRecord("B,C", 2000, 5, 2.0),
-            MonthlyRecord("D", 2001, 6, 3.0),
-        ]
+        assert columns(ingest_monthly(write_csv(tmp_path / "q.csv", rows))) == (
+            ("A", "B,C", "D"), [0, 1, 2], [2000, 2000, 2001], [5, 5, 6], [1.5, 2.0, 3.0]
+        )
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_line_endings(self, tmp_path, newline):
         path = tmp_path / "eol.csv"
         lines = [b"site_id,year,month,flow", b"A,2000,5,1.5", b"", b"A,2000,6,2.5"]
         path.write_bytes(newline.join(lines) + newline)
-        assert list(ingest_monthly(path)) == [
-            MonthlyRecord("A", 2000, 5, 1.5), MonthlyRecord("A", 2000, 6, 2.5)
-        ]
+        assert columns(ingest_monthly(path)) == (
+            ("A",), [0, 0], [2000, 2000], [5, 6], [1.5, 2.5]
+        )
 
     def test_blank_rows_and_padded_fields(self, tmp_path):
         rows = ["  A  ,2000,5,1.5", "   ", " , , , ", "", "B\t,2000, 6 ,2.0 ", "C,2_000,7,1_0.5"]
-        assert list(ingest_monthly(write_csv(tmp_path / "ws.csv", rows))) == [
-            MonthlyRecord("A", 2000, 5, 1.5),
-            MonthlyRecord("B", 2000, 6, 2.0),
-            MonthlyRecord("C", 2000, 7, 10.5),
-        ]
+        assert columns(ingest_monthly(write_csv(tmp_path / "ws.csv", rows))) == (
+            ("A", "B", "C"), [0, 1, 2], [2000, 2000, 2000], [5, 6, 7], [1.5, 2.0, 10.5]
+        )
 
     def test_only_blank_rows_warn(self, tmp_path):
         path = write_csv(tmp_path / "blank.csv", ["", " , , , "])
         with pytest.warns(UserWarning, match="no data rows"):
-            assert len(ingest_monthly(path)) == 0
+            assert ingest_monthly(path).flow.size == 0
 
 
 class TestMonthlyTable:
-    RECORDS = [
-        MonthlyRecord("B", 2000, 5, 1.5),
-        MonthlyRecord("A", 2000, 5, 2.5),
-        MonthlyRecord("B", 2001, 6, 3.5),
-    ]
-
-    def test_sequence_of_records(self):
-        table = MonthlyTable.from_records(self.RECORDS)
-        assert table.site_ids == ("B", "A")
-        np.testing.assert_array_equal(table.site, [0, 1, 0])
-        assert len(table) == 3
-        assert list(table) == self.RECORDS
-        assert table[1] == self.RECORDS[1] and table[-1] == self.RECORDS[-1]
-        assert table[1:] == self.RECORDS[1:]
-        assert MonthlyRecord("A", 2000, 5, 2.5) in table
-        assert type(table[0].year) is int and type(table[0].flow) is float
-        with pytest.raises(IndexError):
-            table[3]
-
-    def test_from_records_keeps_a_table(self):
-        table = MonthlyTable.from_records(self.RECORDS)
-        assert MonthlyTable.from_records(table) is table
+    @pytest.mark.parametrize("flow", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_flows(self, flow):
+        # the CSV rules hold for a table built in the library too
+        with pytest.raises(DataError, match="finite and positive"):
+            MonthlyTable(("A", "B"), [0, 1], [2000, 2000], [5, 5], [1.0, flow])
 
     def test_rejects_bad_columns(self):
         with pytest.raises(DataError, match="month 13"):
-            MonthlyTable.from_records([MonthlyRecord("A", 2000, 13, 1.0)])
+            MonthlyTable(("A",), [0], [2000], [13], [1.0])
         with pytest.raises(DataError, match="equal length"):
             MonthlyTable(("A",), [0, 0], [2000], [5], [1.0])
         with pytest.raises(DataError, match="site codes"):
             MonthlyTable(("A",), [1], [2000], [5], [1.0])
         with pytest.raises(DataError, match="year column out of range"):
-            MonthlyTable.from_records([MonthlyRecord("A", 10**30, 5, 1.0)])
+            MonthlyTable(("A",), [0], [10**30], [5], [1.0])
 
 
 class TestSeasonDefinition:
@@ -301,10 +284,10 @@ class TestSeasonalMaxima:
         for year in (2000, 2001):  # B ends a year early
             rows += full_year_rows("B", year)
         path = write_csv(tmp_path / "d.csv", rows)
-        records = ingest_monthly(path)
-        truncated = seasonal_maxima(records, end_policy="truncate")
+        table = ingest_monthly(path)
+        truncated = seasonal_maxima(table, end_policy="truncate")
         assert truncated.annual.n == 2
-        rejected = seasonal_maxima(records, end_policy="reject")
+        rejected = seasonal_maxima(table, end_policy="reject")
         assert rejected.annual.site_ids == ["A"]
         assert "B" in rejected.dropped_sites
 
@@ -332,9 +315,13 @@ class TestSeasonalMaxima:
         assert schemes.dropped_sites == ("B", "D", "C")
 
     def test_winter_without_summer_rejected(self):
-        records = [MonthlyRecord("A", 2000, m, 1.0) for m in range(1, 13)]
+        table = MonthlyTable(("A",), [0] * 12, [2000] * 12, range(1, 13), [1.0] * 12)
         with pytest.raises(ParameterError, match="no summer months"):
-            seasonal_maxima(records, SeasonDefinition(1, 12))
+            seasonal_maxima(table, SeasonDefinition(1, 12))
+
+    def test_only_a_table_is_aggregated(self):
+        with pytest.raises(DataError, match="need a MonthlyTable"):
+            seasonal_maxima([("A", 2000, m, 1.0) for m in range(1, 13)])
 
     def test_interior_gap_keeps_trailing_run(self, tmp_path):
         rows = full_year_rows("A", 2000)
@@ -367,6 +354,8 @@ class TestReturnLevels:
     def test_period_validation(self):
         with pytest.raises(ParameterError):
             return_level_curve(lambda p: p, [0.5])
+        with pytest.raises(ParameterError):
+            return_level_curve(lambda p: p, [10.0, np.nan])
 
     def test_csv_output(self, tmp_path):
         params = GevParams(2, 1, 0.2)
@@ -381,18 +370,18 @@ class TestReturnLevels:
         assert len(lines) == 1 + 2 + 3
 
 
-def dict_seasonal_maxima(records, season_def=None, end_policy="truncate"):
-    """Record-by-record dict aggregation (reference for ``seasonal_maxima``)."""
+def dict_seasonal_maxima(table, season_def=None, end_policy="truncate"):
+    """Row-by-row dict aggregation of a table (reference for ``seasonal_maxima``)."""
     sdef = season_def or SeasonDefinition()
     winter_set = set(sdef.winter_months)
 
-    by_site = {}
-    for rec in records:
-        hy = sdef.hydro_year(rec.year, rec.month)
-        months = by_site.setdefault(rec.site_id, {}).setdefault(hy, {})
-        months[rec.month] = max(rec.flow, months.get(rec.month, 0.0))
-    if not by_site:
+    if not table.flow.size:
         raise DataError("no records to aggregate")
+    by_site = {sid: {} for sid in table.site_ids}
+    for code, year, month, flow in zip(*columns(table)[1:]):
+        hy = sdef.hydro_year(year, month)
+        months = by_site[table.site_ids[code]].setdefault(hy, {})
+        months[month] = max(flow, months.get(month, 0.0))
 
     complete, dropped_years = {}, {}
     for sid, years in by_site.items():
@@ -460,10 +449,13 @@ def dict_seasonal_maxima(records, season_def=None, end_policy="truncate"):
     )
 
 
-def random_records(rng):
-    """Monthly records with staggered spans, gaps, incomplete years and repeats."""
-    records = []
-    for sid in rng.permutation(["S1", "S2", "S3", "S4", "S5"])[: rng.integers(1, 6)]:
+def random_table(rng):
+    """Monthly table with staggered spans, gaps, incomplete years and repeated keys,
+    its rows shuffled or not."""
+    chosen = rng.permutation(["S1", "S2", "S3", "S4", "S5"])[: rng.integers(1, 6)]
+    site_ids = tuple(map(str, chosen))
+    rows = []
+    for code in range(len(site_ids)):
         first = int(rng.integers(1950, 1960))
         last = int(rng.integers(1962, 1970))
         gaps = set(rng.choice(np.arange(first, last + 1), rng.integers(0, 3)).tolist())
@@ -473,14 +465,11 @@ def random_records(rng):
             for month in range(1, 13):
                 if rng.uniform() < 0.01:  # leaves its hydro-year incomplete
                     continue
-                flow = float(rng.gamma(3.0) * 10.0 + 0.5)
-                records.append(MonthlyRecord(str(sid), year, month, flow))
+                rows.append((code, year, month, float(rng.gamma(3.0) * 10.0 + 0.5)))
                 if rng.uniform() < 0.02:  # a repeated key with another flow
-                    records.append(
-                        MonthlyRecord(str(sid), year, month, float(rng.gamma(3.0) * 10.0))
-                    )
-    order = rng.permutation(len(records)) if rng.uniform() < 0.5 else range(len(records))
-    return [records[i] for i in order]
+                    rows.append((code, year, month, float(rng.gamma(3.0) * 10.0)))
+    order = rng.permutation(len(rows)) if rng.uniform() < 0.5 else range(len(rows))
+    return MonthlyTable(site_ids, *zip(*[rows[i] for i in order]))
 
 
 def aggregate(fn, *args):
@@ -497,13 +486,12 @@ def test_aggregation_matches_dict_reference(season, end_policy):
     sdef = SeasonDefinition(*season)
     outcomes = set()
     for _ in range(100):
-        records = random_records(rng)
-        expected = aggregate(dict_seasonal_maxima, records, sdef, end_policy)
-        for given in (records, MonthlyTable.from_records(records)):
-            got = aggregate(seasonal_maxima, given, sdef, end_policy)
-            if isinstance(expected, str):
-                assert got == expected
-                continue
+        table = random_table(rng)
+        expected = aggregate(dict_seasonal_maxima, table, sdef, end_policy)
+        got = aggregate(seasonal_maxima, table, sdef, end_policy)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
             *schemes, dropped_years, dropped_sites = expected
             for scheme, new in zip(schemes, (got.winter, got.summer, got.annual)):
                 assert new.site_ids == scheme.site_ids

@@ -1,6 +1,8 @@
 """PWM, (trimmed) L-moment and parameter-recovery tests."""
 
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from regflood.errors import DataError, ParameterError
+from regflood.errors import DataError, ParameterError, RegfloodError
 from regflood.gev import GevParams, gev_quantile
+from regflood.ingest import MonthlyTable, seasonal_maxima
 from regflood.moments import (
     PwmVector,
     gev_from_lmoments,
@@ -18,9 +21,18 @@ from regflood.moments import (
     lmoments_from_pwm,
     pwm_of_gev,
     sample_pwm,
+    sample_pwm_unbiased,
     shape_gradient_lmoments,
     shape_gradient_tlmoments,
     tlmoments_from_pwm,
+)
+from regflood.regional import zhat_vectors
+from regflood.tail import (
+    hill,
+    pickands_cfg,
+    tail_dependence_empirical,
+    tail_prob,
+    weissman_quantile,
 )
 
 
@@ -368,3 +380,113 @@ def test_round_trip_property(xi, mu, sigma):
     assert abs(fit_l.xi - theta.xi) < 0.002
     fit_tl = gev_from_tlmoments(pwm)
     assert abs(fit_tl.xi - theta.xi) < 0.006
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "sample_pwm": lambda x: sample_pwm(x, 3),
+    "sample_pwm_unbiased": lambda x: sample_pwm_unbiased(x, 3),
+    "zhat_vectors": lambda x: zhat_vectors(x, 4),
+    "hill": lambda x: hill(x, 3),
+    "weissman_quantile": lambda x: weissman_quantile(x, 3, 0.99, 0.5),
+    "tail_prob": lambda x: tail_prob(20.0, x, 3, 0.5),
+    "pickands_cfg": lambda x: pickands_cfg(np.column_stack([x, x[::-1]])),
+    "tail_dependence_empirical":
+        lambda x: tail_dependence_empirical(np.column_stack([x, x[::-1]]), 3, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected(entry, bad):
+    # one bad value among 12 used to give NaN, or a finite but wrong value
+    x = np.arange(1.0, 13.0)
+    x[4] = bad
+    with pytest.raises(DataError, match="finite"):
+        NON_FINITE_ENTRY_POINTS[entry](x)
+
+
+def test_excess_threshold_needs_a_1d_sample():
+    with pytest.raises(DataError, match="1-D"):
+        hill(np.arange(1.0, 13.0).reshape(6, 2), 3)
+
+
+def test_vanishing_shape_ratio_denominator_rejected():
+    # a constant sample's unbiased PWMs keep a rounding-level second trimmed L-moment
+    # but an exactly zero ratio denominator
+    pwm = sample_pwm_unbiased(np.full(12, 3e-300), 3)
+    with pytest.raises(DataError, match="zero denominator"):
+        gev_from_tlmoments(pwm)
+
+
+def _degenerate_sample(seed, n, scale, decimals, constant, bad):
+    """n x 12 GEV draws with the degeneracies asked for: rounding ties, a constant
+    first column, an overall scale and one non-finite ``bad`` value in it."""
+    x = gev_quantile(GevParams(2, 1, 0.2), np.random.default_rng(seed).uniform(size=(n, 12)))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    if constant:
+        x[:, 0] = 3.0
+    x *= scale
+    if bad is not None:
+        x[-1, 0] = bad
+    return x
+
+
+def _sample_calls(x, gamma):
+    """Every sample-level entry point on one degenerate draw, as (label, call)."""
+    sample, pairs = x[:, 0], x[:, :2]
+    n = len(sample)
+    k = max(2, n // 3)
+    calls = [
+        ("sample_pwm", lambda: sample_pwm(sample, 3).values),
+        ("sample_pwm_unbiased", lambda: sample_pwm_unbiased(sample, min(3, n - 1)).values),
+        ("zhat_vectors", lambda: zhat_vectors(sample, 4)),
+        ("hill", lambda: hill(sample, k)),
+        ("weissman_quantile", lambda: weissman_quantile(sample, k, 0.999, gamma)),
+        ("tail_prob", lambda: tail_prob(np.max(sample), sample, k, gamma)),
+        ("pickands_cfg", lambda: pickands_cfg(pairs)),
+        ("tail_dependence_empirical", lambda: tail_dependence_empirical(pairs, k, 1.0, 0.5)),
+    ]
+    for pwm_fn in (sample_pwm, sample_pwm_unbiased):
+        for recover, order in ((gev_from_lmoments, 2), (gev_from_tlmoments, 3)):
+            for exact in (False, True):
+                calls.append((f"{recover.__name__} {pwm_fn.__name__} exact={exact}",
+                              lambda f=pwm_fn, r=recover, o=order, e=exact:
+                              astuple(r(f(sample, o), exact_shape=e))))
+
+    def aggregated():
+        # one site observed in every month of n calendar years, x[i, m] in month m + 1
+        table = MonthlyTable(("A",), np.zeros(x.size, dtype=int),
+                             np.repeat(2000 + np.arange(n), 12), np.tile(np.arange(1, 13), n),
+                             x.ravel())
+        schemes = seasonal_maxima(table)
+        return np.concatenate([s.values for scheme in (schemes.winter, schemes.summer,
+                                                       schemes.annual) for s in scheme.sites])
+
+    calls.append(("seasonal_maxima", aggregated))
+    return calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.sampled_from([2, 3, 4, 12, 30]),
+    scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+    decimals=st.sampled_from([None, 0, 1]),
+    constant=st.booleans(),
+    bad=st.sampled_from([None, None, np.nan, np.inf, -np.inf]),
+    gamma=st.sampled_from([0.0, 0.5, 2.0]),
+)
+def test_degenerate_samples_give_finite_values_or_package_errors(
+    seed, n, scale, decimals, constant, bad, gamma
+):
+    # ties, a constant sample, n = 2-3, extreme scales, non-finite values
+    x = _degenerate_sample(seed, n, scale, decimals, constant, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for label, call in _sample_calls(x, gamma):
+            try:
+                values = np.asarray(call(), dtype=float)
+            except RegfloodError:
+                continue
+            assert np.all(np.isfinite(values)), (label, values)

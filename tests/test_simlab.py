@@ -62,11 +62,7 @@ class TestGumbelCopula:
     def test_theta_below_one_rejected(self):
         for theta in (0.9, math.nan):
             with pytest.raises(ParameterError):
-                gumbel_copula_sample(theta, 2, np.random.default_rng(0))
-
-    def test_single_draw_shape(self):
-        u = gumbel_copula_sample(1.5, 5, np.random.default_rng(4))
-        assert u.shape == (5,)
+                gumbel_copula_sample(theta, 2, np.random.default_rng(0), size=1)
 
 
 class TestKhoudraji:
@@ -109,7 +105,7 @@ class TestKhoudraji:
     def test_exponent_validation(self):
         for c in ([0.5, 1.2], [0.5, math.nan]):
             with pytest.raises(ParameterError):
-                khoudraji_sample(1.5, 2.5, np.array(c), np.random.default_rng(0))
+                khoudraji_sample(1.5, 2.5, np.array(c), np.random.default_rng(0), size=1)
 
 
 class TestBlockMax:
@@ -155,6 +151,13 @@ class TestBlockMax:
     def test_quantile_domain(self):
         with pytest.raises(DomainError):
             blockmax_quantile(MARGIN, 1.0)
+        with pytest.raises(DomainError):
+            blockmax_quantile(MARGIN, np.array([0.5, math.nan]))
+
+    def test_fractional_block_size_rejected(self):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            BlockMaxMargin(1.75, 1.0, 0.3, 2.5)
+        assert type(BlockMaxMargin(1.75, 1.0, 0.3, 12.0).b) is int
 
     @pytest.mark.parametrize(
         "mu, sigma, xi, b",
@@ -218,6 +221,16 @@ class TestScenario:
         for value in (math.nan, -1):
             with pytest.raises(ParameterError):
                 make_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["d", "n", "replications", "seed"])
+    def test_fractional_counts_rejected(self, field):
+        # int() would truncate; replications=2.5 used to escape run_scenario as TypeError
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            make_config(**{field: 3.5})
+
+    def test_integral_float_counts_become_ints(self):
+        config = make_config(d=3.0, n=50.0, replications=4.0, seed=99.0)
+        assert [type(getattr(config, f)) for f in ("d", "n", "replications", "seed")] == [int] * 4
 
     def test_bit_reproducible(self):
         r1 = run_scenario(make_config(replications=2))
