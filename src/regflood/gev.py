@@ -108,25 +108,20 @@ def gev_cdf(params: GevParams, x):
 
     Returns 0 below the lower support endpoint (``xi > 0``) and 1 above
     the upper endpoint (``xi < 0``) so that product distributions and
-    root finders can evaluate anywhere.  Scalar in, scalar out; arrays
-    are mapped elementwise.
+    root finders can evaluate anywhere; a NaN argument gives NaN.
+    Scalar in, scalar out; arrays are mapped elementwise.
     """
     # a float (np.float64 included) skips np.ndim, which costs more than the kernel
     if isinstance(x, float) or np.ndim(x) == 0:
         return _gev_cdf_scalar(params, float(x))
+    return _map_kernel(_gev_cdf_scalar, params, x)
+
+
+def _map_kernel(kernel, params: GevParams, x) -> np.ndarray:
+    """``kernel(params, v)`` for every entry v of the array ``x``, in its shape."""
     x = np.asarray(x, dtype=float)
-    z = (x - params.mu) / params.sigma
-    if params.is_gumbel:
-        return np.exp(-np.exp(-z))
-    w = params.xi * z
-    u = 1.0 + w
-    # exp(-log1p(w)/xi) keeps full precision for small |xi|, where
-    # forming (1 + w) first absorbs w into the 1
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.where(u > 0, np.exp(-np.log1p(np.maximum(w, -1.0)) / params.xi), np.inf)
-        inside = np.exp(-t)
-    limit = 0.0 if params.xi > 0 else 1.0
-    return np.where(u > 0, inside, limit)
+    values = [kernel(params, v) for v in x.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(x.shape)
 
 
 def _gev_pdf_scalar(params: GevParams, x: float) -> float:
@@ -135,56 +130,63 @@ def _gev_pdf_scalar(params: GevParams, x: float) -> float:
         if -z > 690.0:
             return 0.0
         t = math.exp(-z)
-        return t * math.exp(-t) / params.sigma
-    w = params.xi * z
-    if w <= -1.0:
-        return 0.0
-    expo = -math.log1p(w) / params.xi
-    if expo > 690.0:
-        return 0.0
-    t = math.exp(expo)
-    arg = (params.xi + 1.0) * expo - t
-    if arg < -745.0:
-        return 0.0
-    return math.exp(arg) / params.sigma
+        dens = t * math.exp(-t) / params.sigma
+    else:
+        w = params.xi * z
+        if w <= -1.0:
+            return 0.0
+        expo = -math.log1p(w) / params.xi
+        if expo > 690.0:
+            return 0.0
+        t = math.exp(expo)
+        arg = (params.xi + 1.0) * expo - t
+        if arg < -745.0:
+            return 0.0
+        dens = math.exp(arg) / params.sigma
+    if dens == math.inf:
+        raise NumericError(f"the density of {params} at x={x} overflows the float range")
+    return dens
 
 
 def gev_pdf(params: GevParams, x):
-    """GEV density; zero outside the support."""
+    """GEV density; zero outside the support, NaN at a NaN argument and a
+    ``NumericError`` where it exceeds the float range."""
     if isinstance(x, float) or np.ndim(x) == 0:
         return _gev_pdf_scalar(params, float(x))
-    x = np.asarray(x, dtype=float)
-    z = (x - params.mu) / params.sigma
-    if params.is_gumbel:
-        t = np.exp(-z)
-        return t * np.exp(-t) / params.sigma
-    w = params.xi * z
-    u = 1.0 + w
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_u = np.log1p(np.maximum(w, -1.0))
-        t = np.exp(-log_u / params.xi)
-        dens = np.exp(-(params.xi + 1.0) * log_u / params.xi - t) / params.sigma
-    return np.where(u > 0, dens, 0.0)
+    return _map_kernel(_gev_pdf_scalar, params, x)
 
 
 def gev_quantile(params: GevParams, p):
-    """Inverse of :func:`gev_cdf` on (0, 1)."""
+    """Inverse of :func:`gev_cdf` on (0, 1); a ``NumericError`` where it
+    exceeds the float range."""
     if isinstance(p, float) or np.ndim(p) == 0:
         p = float(p)
         if not 0.0 < p < 1.0:
             raise DomainError("quantile level must lie strictly between 0 and 1")
         y = -math.log(p)
-        if params.is_gumbel:
-            return params.mu - params.sigma * math.log(y)
-        # expm1 avoids the cancellation of y**(-xi) - 1 for small |xi|
-        return params.mu + params.sigma * math.expm1(-params.xi * math.log(y)) / params.xi
+        try:
+            if params.is_gumbel:
+                q = params.mu - params.sigma * math.log(y)
+            else:
+                # expm1 avoids the cancellation of y**(-xi) - 1 for small |xi|
+                q = params.mu + params.sigma * math.expm1(-params.xi * math.log(y)) / params.xi
+        except OverflowError:
+            q = math.inf
+        if not math.isfinite(q):
+            raise NumericError(f"the {p}-quantile of {params} overflows the float range")
+        return q
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise DomainError("quantile level must lie strictly between 0 and 1")
     y = -np.log(p)
-    if params.is_gumbel:
-        return params.mu - params.sigma * np.log(y)
-    return params.mu + params.sigma * np.expm1(-params.xi * np.log(y)) / params.xi
+    with np.errstate(over="ignore"):
+        if params.is_gumbel:
+            q = params.mu - params.sigma * np.log(y)
+        else:
+            q = params.mu + params.sigma * np.expm1(-params.xi * np.log(y)) / params.xi
+    if not np.isfinite(q).all():
+        raise NumericError(f"a quantile of {params} overflows the float range")
+    return q
 
 
 def _xi_log_factor(w: float) -> float:
@@ -195,7 +197,7 @@ def _xi_log_factor(w: float) -> float:
     small ``w``, where the series 1/2 - 2w/3 + 3w**2/4 - ... applies.
     """
     if abs(w) > 1e-4:
-        return math.log1p(w) / w**2 - 1.0 / (w * (1.0 + w))
+        return math.log1p(w) / (w * w) - 1.0 / (w * (1.0 + w))
     return 0.5 - 2.0 * w / 3.0 + 0.75 * w**2 - 0.8 * w**3
 
 
@@ -205,31 +207,32 @@ def gev_cdf_jacobian(params: GevParams, x: float) -> np.ndarray:
     Parameters
     ----------
     x : float
-        Point strictly inside the support.
+        Finite point strictly inside the support (else ``DomainError``).
 
     Returns
     -------
     numpy.ndarray
-        Length-3 vector (dG/dmu, dG/dsigma, dG/dxi).
+        Length-3 vector (dG/dmu, dG/dsigma, dG/dxi); ``NumericError`` if
+        one exceeds the float range.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"the cdf Jacobian needs a finite x, got {x}")
     z = (x - params.mu) / params.sigma
-    if params.is_gumbel:
-        t = math.exp(-z)
-        cdf = math.exp(-t)
-        dmu = -t * cdf / params.sigma
-        return np.array([dmu, z * dmu, -cdf * t * z * z * 0.5])
-    w = params.xi * z
-    if 1.0 + w <= 0:
+    # the Gumbel limit is w = 0, where the shape factor is exactly 1/2
+    w = 0.0 if params.is_gumbel else params.xi * z
+    if w <= -1.0:
         raise DomainError(f"x={x} lies outside the support of {params}")
-    log_u = math.log1p(w)
-    t = math.exp(-log_u / params.xi)
-    cdf = math.exp(-t)
-    common = -cdf * math.exp(-(params.xi + 1.0) * log_u / params.xi) / params.sigma
-    dmu = common
-    dsigma = z * common
-    dxi = -cdf * t * z * z * _xi_log_factor(w)
-    return np.array([dmu, dsigma, dxi])
+    dmu = -_gev_pdf_scalar(params, x)
+    cdf = _gev_cdf_scalar(params, x)
+    dxi = 0.0
+    if cdf > 0.0:  # where G underflows, t = -log G can overflow while G t vanishes
+        t = math.exp(-z) if params.is_gumbel else math.exp(-math.log1p(w) / params.xi)
+        dxi = -cdf * t * z * z * _xi_log_factor(w)
+    jac = np.array([dmu, z * dmu, dxi])
+    if not np.isfinite(jac).all():
+        raise NumericError(f"the cdf Jacobian of {params} at x={x} overflows the float range")
+    return jac
 
 
 def gev_quantile_gradient(params: GevParams, p: float) -> np.ndarray:
@@ -242,7 +245,11 @@ def gev_quantile_gradient(params: GevParams, p: float) -> np.ndarray:
     dens = gev_pdf(params, q)
     if dens <= 0:
         raise NumericError(f"density vanished at the {p}-quantile of {params}")
-    return -gev_cdf_jacobian(params, q) / dens
+    with np.errstate(over="ignore"):
+        grad = -gev_cdf_jacobian(params, q) / dens
+    if not np.isfinite(grad).all():
+        raise NumericError(f"the {p}-quantile gradient of {params} overflows the float range")
+    return grad
 
 
 _BRENT_RTOL = 4 * float(np.finfo(float).eps)

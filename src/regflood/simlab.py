@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .errors import DataError, DomainError, ParameterError, RegfloodError
+from .errors import DataError, DomainError, NumericError, ParameterError, RegfloodError
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
 from .ingest import SeasonalSchemes
 from .regional import _PWM_FNS, ObservationScheme, fit_gev_regional
@@ -195,21 +195,32 @@ class SeasonalMargins:
 
 
 def blockmax_cdf(margin: BlockMaxMargin, x):
-    """cdf (2 T_dof(a_b (1 + xi (x-mu)/sigma)) - 1)**b, zero below support."""
+    """cdf (2 T_dof(a_b (1 + xi (x-mu)/sigma)) - 1)**b, zero below support.
+
+    A NaN argument gives NaN.
+    """
     x = np.asarray(x, dtype=float)
-    z = 1.0 + margin.xi * (x - margin.mu) / margin.sigma
-    inner = 2.0 * stdtr(margin.dof, margin.a_b * z) - 1.0
-    out = np.where(z > 0, np.maximum(inner, 0.0) ** margin.b, 0.0)
+    # an overflowing z is an infinite one, which the limits below handle
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = 1.0 + margin.xi * (x - margin.mu) / margin.sigma
+        inner = 2.0 * stdtr(margin.dof, margin.a_b * z) - 1.0
+    out = np.where(z <= 0, 0.0, np.maximum(inner, 0.0) ** margin.b)
     return float(out) if out.ndim == 0 else out
 
 
 def blockmax_quantile(margin: BlockMaxMargin, p):
-    """Closed-form inverse of :func:`blockmax_cdf` on (0, 1)."""
+    """Closed-form inverse of :func:`blockmax_cdf` on (0, 1).
+
+    Raises ``NumericError`` if a quantile exceeds the float range.
+    """
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise DomainError("quantile level must lie strictly between 0 and 1")
     inner = stdtrit(margin.dof, (p ** (1.0 / margin.b) + 1.0) / 2.0)
-    out = margin.mu + margin.sigma / margin.xi * (inner / margin.a_b - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = margin.mu + margin.sigma / margin.xi * (inner / margin.a_b - 1.0)
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"a quantile of {margin} overflows the float range")
     return float(out) if out.ndim == 0 else out
 
 

@@ -45,16 +45,19 @@ DEPENDENCE_METHODS = ("empirical", "pickands_cfg")
 
 
 def _tail_lengths(k) -> np.ndarray:
-    """Tail sample lengths as ints of the same shape; NaN, infinite or
-    fractional values are rejected rather than truncated (10.0 passes)."""
+    """Tail sample lengths as ints of the same shape; NaN, infinite,
+    fractional or int64-overflowing values are rejected rather than
+    truncated or wrapped (10.0 passes)."""
     ks = np.asarray(k)
-    if ks.dtype.kind not in "iu":
+    if ks.dtype.kind != "i":
         try:
             ks = ks.astype(float)
         except (TypeError, ValueError):
             raise ParameterError(f"tail sample lengths must be integers, got {k!r}") from None
-        if not np.all(np.isfinite(ks) & (ks == np.round(ks))):
-            raise ParameterError(f"tail sample lengths must be integers, got {ks.tolist()}")
+        if not np.all((np.abs(ks) < 2.0**63) & (ks == np.round(ks))):  # also rejects NaN
+            raise ParameterError(
+                f"tail sample lengths must be integers of magnitude below 2**63, got {ks.tolist()}"
+            )
     return np.asarray(ks, dtype=int)
 
 

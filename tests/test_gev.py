@@ -1,6 +1,7 @@
 """Distribution-function, quantile and projection tests for the GEV core."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from regflood import gev
-from regflood.errors import DomainError, NumericError, ParameterError
+from regflood.errors import DomainError, NumericError, ParameterError, RegfloodError
 from regflood.gev import (
     GevParams,
     TwoComponentGev,
@@ -17,12 +18,14 @@ from regflood.gev import (
     gev_cdf_jacobian,
     gev_pdf,
     gev_quantile,
+    gev_quantile_gradient,
     kl_project_gev,
     twocomp_cdf,
     twocomp_evi,
     twocomp_pdf,
     twocomp_quantile,
 )
+from regflood.simlab import BlockMaxMargin, blockmax_cdf, blockmax_quantile
 
 STD_HEAVY = GevParams(2.0, 1.0, 0.2)
 STD_SUMMER = GevParams(1.5, 1.0, 0.4)
@@ -105,6 +108,14 @@ class TestGevQuantile:
         with pytest.raises(DomainError):
             gev_quantile(STD_HEAVY, 1.0)
 
+    def test_overflow_is_a_numeric_error(self):
+        heavy, p = GevParams(0, 1, 20.0), 1 - 1e-16
+        wide = TwoComponentGev(GevParams(0, 1e300, 0.99), GevParams(0, 1, 0.1))
+        for call in (lambda: gev_quantile(heavy, p), lambda: gev_quantile(heavy, np.array([p])),
+                     lambda: gev_quantile_gradient(heavy, p), lambda: twocomp_quantile(wide, p)):
+            with pytest.raises(NumericError, match="overflows"):
+                call()
+
     def test_nan_level_in_an_array_rejected(self):
         # the array path must reject NaN like the scalar path
         with pytest.raises(DomainError):
@@ -172,8 +183,9 @@ class TestJacobian:
                 )
 
     def test_outside_support_raises(self):
-        with pytest.raises(DomainError):
-            gev_cdf_jacobian(GevParams(0, 1, 0.5), -5.0)
+        for x in (-5.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                gev_cdf_jacobian(GevParams(0, 1, 0.5), x)
 
 
 class TestTwoComponent:
@@ -382,3 +394,73 @@ class TestKlProjection:
             kl_project_gev(
                 lambda x: 2.0 * gev_pdf(STD_HEAVY, x), STD_HEAVY.support()
             )
+
+
+def _outcome(call):
+    """``call()`` as a float array, or the class of the package error it raised."""
+    try:
+        return np.asarray(call(), dtype=float)
+    except RegfloodError as exc:
+        return type(exc)
+
+
+_gev_params = st.builds(
+    GevParams,
+    mu=st.one_of(st.just(0.0), st.floats(-1e300, 1e300)),
+    sigma=st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), st.floats(1e-300, 1e300)),
+    xi=st.one_of(st.sampled_from([0.0, 1e-9, -1e-9, -1.0, -50.0, 50.0]), st.floats(-50, 50)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    params=_gev_params,
+    other=_gev_params,
+    offsets=st.lists(st.floats(-1e3, 1e3), max_size=4),
+    raw=st.lists(st.floats(), max_size=3),
+    levels=st.lists(
+        st.one_of(st.sampled_from([5e-324, 0.5, 1 - 2**-53]),
+                  st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        min_size=1,
+        max_size=4,
+    ),
+    b=st.sampled_from([2, 12]),
+)
+def test_degenerate_parameters_give_finite_values_or_package_errors(
+    params, other, offsets, raw, levels, b
+):
+    # NaN, infinite and far-out arguments, support endpoints, scales 1e-300 to
+    # 1e300 and shapes from -50 to 50; kl_project_gev takes seconds per call
+    # and is left out
+    edges = [e for e in params.support() if math.isfinite(e)]
+    xs = [params.mu + params.sigma * o for o in offsets] + edges + raw
+    xs += [math.nan, math.inf, -math.inf]
+    model = TwoComponentGev(params, other)
+    margin = BlockMaxMargin(params.mu, params.sigma, abs(params.xi) or 1.0, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # cdfs and densities: finite, and NaN exactly at a NaN argument; the
+        # GEV ones map their scalar kernels, so their arrays equal the scalar calls
+        for f, dist, mapped in [(gev_cdf, params, True), (gev_pdf, params, True),
+                                (twocomp_cdf, model, True), (twocomp_pdf, model, True),
+                                (blockmax_cdf, margin, False)]:
+            entries = [_outcome(lambda x=x: f(dist, x)) for x in xs]
+            whole = _outcome(lambda: f(dist, np.array(xs)))
+            errors = [e for e in entries if isinstance(e, type)]
+            if errors:
+                assert isinstance(whole, type) and whole in errors, (f.__name__, dist, xs, whole)
+                continue
+            if mapped:
+                np.testing.assert_array_equal(whole, entries, err_msg=f"{f.__name__} {dist}")
+            for values in (np.array(entries), whole):
+                np.testing.assert_array_equal(np.isnan(values), np.isnan(xs), f.__name__)
+                assert np.all(np.isfinite(values[~np.isnan(xs)])), (f.__name__, dist, xs, values)
+        # quantiles on both paths, Jacobians and gradients: finite or a package error
+        calls = [(f, dist, p) for p in levels + [np.array(levels)]
+                 for f, dist in [(gev_quantile, params), (blockmax_quantile, margin)]]
+        calls += [(f, dist, p) for p in levels
+                  for f, dist in [(gev_quantile_gradient, params), (twocomp_quantile, model)]]
+        calls += [(gev_cdf_jacobian, params, x) for x in xs]
+        for f, dist, arg in calls:
+            value = _outcome(lambda: f(dist, arg))
+            assert isinstance(value, type) or np.all(np.isfinite(value)), (f.__name__, dist, arg)

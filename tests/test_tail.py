@@ -94,10 +94,12 @@ class TestHill:
                 fn(HAND_DATA, 1)
             with pytest.raises(ParameterError):
                 fn(HAND_DATA, 5)
-            # fractional or non-finite lengths are rejected, not truncated
-            for k in (2.5, 3.7, np.nan, np.inf):
-                with pytest.raises(ParameterError, match="integers"):
+            # fractional, non-finite or int64-overflowing lengths are rejected,
+            # not truncated or wrapped, and the message names the value given
+            for k in (2.5, 3.7, np.nan, np.inf, 1e300):
+                with pytest.raises(ParameterError, match="integers") as info:
                     fn(HAND_DATA, k)
+                assert str(k) in str(info.value)
             assert fn(HAND_DATA, 2.0) == fn(HAND_DATA, 2)
 
     def test_nonpositive_threshold(self):
