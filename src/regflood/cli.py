@@ -153,9 +153,12 @@ def _write_rows(header, rows, path) -> None:
 def _save(out, name, write, indent="") -> None:
     """With an output directory, create it, ``write`` file ``name`` in it and say so."""
     if out:
-        Path(out).mkdir(parents=True, exist_ok=True)
         path = Path(out) / name
-        write(path)
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+            write(path)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
         print(f"{indent}wrote {path}")
 
 

@@ -168,8 +168,13 @@ def gev_quantile(params: GevParams, p):
             if params.is_gumbel:
                 q = params.mu - params.sigma * math.log(y)
             else:
-                # expm1 avoids the cancellation of y**(-xi) - 1 for small |xi|
-                q = params.mu + params.sigma * math.expm1(-params.xi * math.log(y)) / params.xi
+                t = -params.xi * math.log(y)
+                try:
+                    # expm1 avoids the cancellation of y**(-xi) - 1 for small |xi|
+                    q = params.mu + params.sigma * math.expm1(t) / params.xi
+                except OverflowError:  # only e**t overflowed: sigma/xi * e**t on the log scale
+                    scale = math.exp(t + math.log(params.sigma) - math.log(abs(params.xi)))
+                    q = params.mu + math.copysign(scale, params.xi)
         except OverflowError:
             q = math.inf
         if not math.isfinite(q):
@@ -184,8 +189,10 @@ def gev_quantile(params: GevParams, p):
             q = params.mu - params.sigma * np.log(y)
         else:
             q = params.mu + params.sigma * np.expm1(-params.xi * np.log(y)) / params.xi
-    if not np.isfinite(q).all():
-        raise NumericError(f"a quantile of {params} overflows the float range")
+    over = ~np.isfinite(q)
+    if over.any():
+        # the scalar path recovers a quantile whose intermediate e**t overflowed, or raises
+        q[over] = [gev_quantile(params, level) for level in p[over].tolist()]
     return q
 
 

@@ -12,11 +12,10 @@ the common final year.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -118,24 +117,10 @@ def ingest_monthly(path) -> MonthlyTable:
     in the ``csv`` module's default dialect: fields may be quoted and
     lines may end in LF, CRLF or CR.  Expects the exact header
     ``site_id,year,month,flow``.  Blank rows are skipped and site ids
-    are stripped of surrounding whitespace.  Malformed rows, non-positive
-    flows and duplicate (site, year, month) keys are collected and
-    reported together with their line numbers.
-    """
-    table = _read_rows(path, _parse_rows)
-    if table is None:
-        # an invalid file is read again, row by row, for the per-line report
-        problems = _read_rows(path, _row_problems)
-        raise DataError(f"{path}: invalid input rows:\n  " + "\n  ".join(problems))
-    if not table.flow.size:
-        warnings.warn(f"{path}: no data rows found", stacklevel=2)
-    return table
-
-
-def _read_rows(path, parse):
-    """``parse`` applied to the CSV rows after the header, which it checks first.
-
-    An empty file counts as a header with no rows after it.
+    are stripped of surrounding whitespace.  Malformed rows, empty site
+    ids, non-positive flows and duplicate (site, year, month) keys are
+    collected and reported together with their line numbers.  The file
+    is read once, so it may be a pipe.
     """
     try:
         # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write it
@@ -147,78 +132,86 @@ def _read_rows(path, parse):
                     f"{path}: expected header {','.join(_HEADER)!r}, "
                     f"got {','.join(header)!r}"
                 )
-            return parse(rows)
+            table, problems = _parse_rows(rows)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if problems:
+        report = "\n  ".join(f"line {line}: {problems[line]}" for line in sorted(problems))
+        raise DataError(f"{path}: invalid input rows:\n  {report}")
+    if not table.flow.size:
+        warnings.warn(f"{path}: no data rows found", stacklevel=2)
+    return table
 
 
-def _parse_rows(rows) -> MonthlyTable | None:
-    """Table of the non-blank rows, or None when any of them is invalid.
-
-    Applies the rules of :func:`_row_problems` column by column, converting
-    ``_CHUNK_ROWS`` rows at a time so that the parsed strings of only one
-    chunk are held at once.
-    """
+def _parse_rows(rows) -> tuple[MonthlyTable, dict[int, str]]:
+    """Table of the rows that keep the row rules, and the message of each
+    row that breaks one or repeats an earlier key, by line number.  Each
+    chunk's strings die with the :func:`_parse_chunk` call that reads them."""
     codes: dict[str, int] = {}
-    site, year, month, flow = array("q"), array("q"), array("q"), array("d")
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
-        if not chunk:
-            continue
-        if set(map(len, chunk)) != {4}:
-            return None
-        sids, years, months, flows = zip(*chunk)
+    problems: dict[int, str] = {}
+    columns = [array(code) for code in "qqqqd"]  # line, site code, year, month, flow
+    for start in count(2, _CHUNK_ROWS):  # the header is line 1
+        if not (chunk := list(islice(rows, _CHUNK_ROWS))):
+            break
+        _parse_chunk(start, chunk, codes, problems, columns)
+    line, site, year, month, flow = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    order = np.lexsort((month, year, site))  # stable: a key's first line sorts first
+    repeats = np.all([np.diff(c[order]) == 0 for c in (site, year, month)], axis=0)
+    for i in order[1:][repeats].tolist():
+        key = (tuple(codes)[site[i]], int(year[i]), int(month[i]))
+        problems[int(line[i])] = f"duplicate record for {key}"
+    return MonthlyTable(tuple(codes), site, year, month, flow), problems
+
+
+def _parse_chunk(start, chunk, codes, problems, columns) -> None:
+    """Append the rows of ``chunk`` (from line ``start``) that keep the row
+    rules to ``columns``, coding new sites in ``codes``, and put the message
+    of every other non-blank row in ``problems``.  A piece of rows that does
+    not convert column by column is halved until each row at fault stands
+    alone; the site id, year, month and flow rules then run on the columns
+    of each piece, in that order."""
+    filled = list(map(str.strip, map("".join, chunk)))
+    lines = start + np.flatnonzero(np.fromiter(map(bool, filled), bool, len(chunk)))
+    pieces = [(lines, list(compress(chunk, filled)))]
+    while pieces:  # in line order: the first half of a split piece is on top
+        lines, rows = pieces.pop()
+        lengths = set(map(len, rows))
         try:
-            year.extend(map(int, years))
-            month.extend(map(int, months))
-            flow.extend(map(float, flows))
+            if lengths != {4}:
+                raise ValueError
+            sids, years, months, flows = zip(*rows)
+            # a lone row keeps ints beyond int64 exact, for the year and month rules to reject
+            year, month = np.array([list(map(int, years)), list(map(int, months))],
+                                   dtype=object if len(rows) == 1 else np.int64)
+            flow = np.fromiter(map(float, flows), float, len(flows))
         except (ValueError, OverflowError):
-            return None
-        site.extend(codes.setdefault(s, len(codes)) for s in map(str.strip, sids))
-    year, month, flow = np.array(year), np.array(month), np.array(flow)
-    bad = (year < -_YEAR_LIMIT) | (year > _YEAR_LIMIT) | (month < 1) | (month > 12)
-    if np.any(bad | ~(np.isfinite(flow) & (flow > 0))):
-        return None
-    keys = np.stack([np.array(site), year, month])
-    keys = keys[:, np.lexsort(keys)]
-    if np.any(np.all(keys[:, 1:] == keys[:, :-1], axis=0)):
-        return None
-    return MonthlyTable(tuple(codes), site, year, month, flow)
-
-
-def _row_problems(rows) -> list[str]:
-    """One message per invalid data row, numbered from line 2 (after the header)."""
-    problems: list[str] = []
-    seen: set[tuple[str, int, int]] = set()
-    for lineno, row in enumerate(rows, start=2):
-        if not row or all(not c.strip() for c in row):
+            if len(rows) > 1:
+                half = len(rows) // 2
+                pieces += [(lines[half:], rows[half:]), (lines[:half], rows[:half])]
+            elif rows:  # a chunk of blank rows leaves no row here
+                problems[int(lines[0])] = (
+                    f"expected 4 fields, got {len(rows[0])}" if lengths != {4}
+                    else f"unparseable year/month/flow {rows[0][1:]!r}"
+                )
             continue
-        if len(row) != 4:
-            problems.append(f"line {lineno}: expected 4 fields, got {len(row)}")
-            continue
-        sid = row[0].strip()
-        try:
-            year = int(row[1])
-            month = int(row[2])
-            flow = float(row[3])
-        except ValueError:
-            problems.append(f"line {lineno}: unparseable year/month/flow {row[1:]!r}")
-            continue
-        if not -_YEAR_LIMIT <= year <= _YEAR_LIMIT:
-            problems.append(f"line {lineno}: year {year} out of range")
-            continue
-        if not 1 <= month <= 12:
-            problems.append(f"line {lineno}: month {month} outside 1..12")
-            continue
-        if not (math.isfinite(flow) and flow > 0):
-            problems.append(f"line {lineno}: flow must be a positive number, got {row[3]}")
-            continue
-        key = (sid, year, month)
-        if key in seen:
-            problems.append(f"line {lineno}: duplicate record for {key}")
-            continue
-        seen.add(key)
-    return problems
+        sids = list(map(str.strip, sids))
+        empty = np.equal(sids, "") if "" in sids else np.zeros(len(sids), dtype=bool)
+        ok = np.ones(len(rows), dtype=bool)
+        for fault, text in (
+            (empty, "empty site id"),
+            ((year < -_YEAR_LIMIT) | (year > _YEAR_LIMIT), "year {year} out of range"),
+            ((month < 1) | (month > 12), "month {month} outside 1..12"),
+            (~(np.isfinite(flow) & (flow > 0)), "flow must be a positive number, got {flow}"),
+        ):
+            for i in np.flatnonzero(fault & ok).tolist():
+                problems[int(lines[i])] = text.format(year=year[i], month=month[i], flow=flows[i])
+            ok &= ~fault
+        sids = sids if ok.all() else list(compress(sids, ok.tolist()))
+        for sid in dict.fromkeys(sids):
+            codes.setdefault(sid, len(codes))
+        site = np.fromiter(map(codes.__getitem__, sids), np.int64, len(sids))
+        for column, values in zip(columns, (lines[ok], site, year[ok], month[ok], flow[ok])):
+            column.frombytes(values.astype(column.typecode).tobytes())
 
 
 @dataclass(frozen=True)

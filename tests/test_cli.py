@@ -472,3 +472,24 @@ def test_import_leaves_out_scipy_stats_and_integrate():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("below", ["", "results"], ids=["a-file", "below-a-file"])
+def test_unusable_out_directory_is_an_input_error(monthly_csv, tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["fit-gev", "--data", str(monthly_csv), "--out", str(taken / below)])
+    assert code == EXIT_INPUT
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_invalid_rows_from_a_pipe_are_reported_by_line():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-m", "regflood.cli", "fit-gev", "--data", "/dev/stdin"],
+        input="site_id,year,month,flow\nA,2000,13,1.0\n", capture_output=True, text=True,
+        env=env,
+    )
+    assert result.returncode == EXIT_INPUT
+    assert "line 2: month 13 outside 1..12" in result.stderr

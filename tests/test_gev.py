@@ -116,6 +116,23 @@ class TestGevQuantile:
             with pytest.raises(NumericError, match="overflows"):
                 call()
 
+    @pytest.mark.parametrize("params, p", [(GevParams(0, 1e-300, 20.0), 1 - 1e-16),
+                                           (GevParams(3.0, 1e-300, -200.0), 1e-300)],
+                             ids=["upper-tail", "lower-tail"])
+    def test_overflowing_intermediate_with_a_finite_quantile(self, params, p):
+        # y**(-xi) exceeds the float range, sigma/xi * y**(-xi) does not
+        import mpmath
+
+        with mpmath.workdps(50):
+            y = -mpmath.log(p)
+            expected = float(params.mu + params.sigma * mpmath.expm1(-params.xi * mpmath.log(y))
+                             / params.xi)
+        assert gev_quantile(params, p) == pytest.approx(expected, rel=1e-12)
+        # finite entries of the array path are untouched; the others take the scalar path
+        levels = gev_quantile(params, np.array([0.5, p]))
+        assert levels[0] == gev_quantile(params, np.array([0.5]))[0]
+        assert levels[1] == gev_quantile(params, p)
+
     def test_nan_level_in_an_array_rejected(self):
         # the array path must reject NaN like the scalar path
         with pytest.raises(DomainError):

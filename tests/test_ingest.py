@@ -1,7 +1,13 @@
 """CSV ingestion, season aggregation and return-level curve tests."""
 
+import csv
+import io
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regflood.errors import DataError, ParameterError
 from regflood.gev import GevParams, gev_quantile
@@ -99,6 +105,14 @@ INVALID_FILES = {
         ["A,2000,5,10.0", "A,2000,6,3.0", " A ,2000,05,11.0"],
         ["line 4: duplicate record for ('A', 2000, 5)"],
     ),
+    "empty_site_id": (
+        ["  ,xx,5,1.0", "  ,2000,5,1.0", f'"",{10**30},13,-1', "B,2000,5,1.0"],
+        [
+            "line 2: unparseable year/month/flow ['xx', '5', '1.0']",
+            "line 3: empty site id",
+            "line 4: empty site id",
+        ],
+    ),
     "several": (
         ["A,2000,5,1.0", "", "A,2000", "B,2000,5.5,1.0", "B,2000,13,1.0", "B,2000,6,-inf",
          "A,2000,5,2.0", "  ,  ,  ,  ", "C,1e3,1,1.0"],
@@ -137,6 +151,121 @@ class TestIngestMessages:
         path.write_bytes(b"site_id,year,month,flow\n" + row + b"\n")
         with pytest.raises(DataError, match="cannot read"):
             ingest_monthly(path)
+
+
+def reference_ingest(text):
+    """The row rules applied one row at a time: the table's site ids and
+    columns as lists, or the expected problem lines."""
+    rows = csv.reader(io.StringIO(text))
+    next(rows)
+    problems, seen, kept = [], set(), []
+    for line, row in enumerate(rows, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != 4:
+            problems.append(f"line {line}: expected 4 fields, got {len(row)}")
+            continue
+        try:
+            key, flow = (row[0].strip(), int(row[1]), int(row[2])), float(row[3])
+        except ValueError:
+            problems.append(f"line {line}: unparseable year/month/flow {row[1:]!r}")
+            continue
+        if not key[0]:
+            problems.append(f"line {line}: empty site id")
+        elif not -2**62 <= key[1] <= 2**62:
+            problems.append(f"line {line}: year {key[1]} out of range")
+        elif not 1 <= key[2] <= 12:
+            problems.append(f"line {line}: month {key[2]} outside 1..12")
+        elif not (math.isfinite(flow) and flow > 0):
+            problems.append(f"line {line}: flow must be a positive number, got {row[3]}")
+        elif key in seen:
+            problems.append(f"line {line}: duplicate record for {key}")
+        else:
+            seen.add(key)
+            kept.append((*key, flow))
+    if problems:
+        return problems
+    site_ids = tuple(dict.fromkeys(k[0] for k in kept))
+    return (site_ids, [site_ids.index(k[0]) for k in kept],
+            *([k[c] for k in kept] for c in (1, 2, 3)))
+
+
+def ingest_outcome(path):
+    """``columns`` of the table ingested from ``path``, or its problem lines."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty table
+            return columns(ingest_monthly(path))
+    except DataError as exc:
+        head, _, report = str(exc).partition(": invalid input rows:\n  ")
+        assert head == str(path)
+        return report.split("\n  ")
+
+
+def base_rows(n):
+    """``n`` valid rows of five sites with distinct keys."""
+    return [f"S{i % 5},{1990 + i // 60},{i // 5 % 12 + 1},{i % 89 + 0.5}" for i in range(n)]
+
+
+ROW_TOKENS = (
+    ["A", "B", " A ", '"C"', '"B,C"', "", "  "],
+    ["2000", "2001", " 2000 ", "2_000", "1e3", "xx", "", str(2**62), str(2**62 + 1),
+     str(-2**62 - 1), str(2**63), str(2**64), str(-10**23)],
+    ["1", "5", "12", "05", " 7 ", "0", "13", "5.5", str(2**63)],
+    ["1e3", "5.5", "1.0", "0", "-1", "nan", "inf", "1e999", "x"],
+)
+rows_of_tokens = st.one_of(
+    st.tuples(*map(st.sampled_from, ROW_TOKENS)).map(",".join),
+    st.sampled_from(["", " , , , ", "S0,1990,1,2.5"]),  # blank rows, a repeat of a base key
+    st.lists(st.sampled_from(ROW_TOKENS[0] + ROW_TOKENS[1]), min_size=1, max_size=6)
+    .filter(lambda fields: len(fields) != 4).map(",".join),
+)
+
+
+class TestIngestReference:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([0, 0, 3, 1030, 2200]),
+        edits=st.lists(st.tuples(
+            st.one_of(st.integers(0, 2200), st.sampled_from([1021, 1022, 1023, 2045, 2046])),
+            rows_of_tokens,
+        ), max_size=8),
+    )
+    def test_matches_row_by_row_reference(self, tmp_path_factory, n, edits):
+        # files over 1,024 rows put bad rows in several chunks and at chunk edges
+        rows = base_rows(n)
+        for at, row in edits:
+            rows.insert(at, row)
+        text = "\n".join(["site_id,year,month,flow", *rows]) + "\n"
+        path = tmp_path_factory.mktemp("ref") / "monthly.csv"
+        path.write_text(text, encoding="utf-8")
+        assert ingest_outcome(path) == reference_ingest(text)
+
+    def test_bad_rows_in_several_chunks(self, tmp_path):
+        rows = base_rows(3000)
+        for at, row in ((0, "A,2000,13,1"), (1023, "A,2000"), (1024, "S1,1990,1,9.0"),
+                        (2047, " ,2000,5,1"), (2048, "A,xx,5,1"), (2999, "A,2000,5,nan")):
+            rows[at] = row
+        path = write_csv(tmp_path / "long.csv", rows)
+        outcome = ingest_outcome(path)
+        assert outcome == reference_ingest(path.read_text())
+        assert [line.split(":")[0] for line in outcome] == [
+            "line 2", "line 1025", "line 1026", "line 2049", "line 2050", "line 3001"
+        ]
+
+    @pytest.mark.parametrize("rows", [base_rows(30), ["A,2000,13,1.0", "A,2000,5"]],
+                             ids=["valid", "invalid"])
+    def test_file_opened_once(self, tmp_path, monkeypatch, rows):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr("regflood.ingest.open", counting_open, raising=False)
+        path = write_csv(tmp_path / "monthly.csv", rows)
+        ingest_outcome(path)
+        assert opened == [path]
 
 
 class TestIngestAccepts:
