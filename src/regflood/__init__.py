@@ -26,7 +26,6 @@ from .gev import (
     gev_quantile,
     kl_project_gev,
     twocomp_cdf,
-    twocomp_evi,
     twocomp_pdf,
     twocomp_quantile,
 )
@@ -43,11 +42,9 @@ from .moments import (
     PwmVector,
     gev_from_lmoments,
     gev_from_tlmoments,
-    lmoments_from_pwm,
     pwm_of_gev,
     sample_pwm,
     sample_pwm_unbiased,
-    tlmoments_from_pwm,
 )
 from .regional import (
     ObservationScheme,

@@ -29,7 +29,6 @@ __all__ = [
     "twocomp_cdf",
     "twocomp_pdf",
     "twocomp_quantile",
-    "twocomp_evi",
     "kl_project_gev",
 ]
 
@@ -172,6 +171,8 @@ def gev_quantile(params: GevParams, p):
                 try:
                     # expm1 avoids the cancellation of y**(-xi) - 1 for small |xi|
                     q = params.mu + params.sigma * math.expm1(t) / params.xi
+                    if not math.isfinite(q):  # sigma * e**t overflowed before the division
+                        q = params.mu + params.sigma * (math.expm1(t) / params.xi)
                 except OverflowError:  # only e**t overflowed: sigma/xi * e**t on the log scale
                     scale = math.exp(t + math.log(params.sigma) - math.log(abs(params.xi)))
                     q = params.mu + math.copysign(scale, params.xi)
@@ -417,21 +418,6 @@ def twocomp_quantile(model: TwoComponentGev, p: float) -> float:
             f"exceeds {_QUANTILE_PROB_TOL:.3e} at q={root:.6g}"
         )
     return float(root)
-
-
-def twocomp_evi(model: TwoComponentGev) -> float:
-    """Extreme value index of the product model for positive shapes.
-
-    The tail of the product is governed by the heavier component, so the
-    index is max(xi_w, xi_s).  Only the case of two strictly positive
-    shapes is supported.
-    """
-    if model.winter.xi <= 0 or model.summer.xi <= 0:
-        raise DomainError(
-            "product-model extreme value index requires strictly positive "
-            f"shapes, got ({model.winter.xi}, {model.summer.xi})"
-        )
-    return max(model.winter.xi, model.summer.xi)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,9 @@ three L-moments and a trimmed variant based on the first three
 observation.  Both express the moments through PWMs ``beta_0..beta_K``
 and invert an equation system for (mu, sigma, xi); the shape equation is
 solved by a fitted polynomial by default, with exact numerical inversion
-available behind a flag for validation.
+available behind a flag for validation.  Sample PWMs, and the influence
+rows behind their covariance, come from one stable ranking of all sites
+of a region at once.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ __all__ = [
     "pwm_of_gev",
     "sample_pwm",
     "sample_pwm_unbiased",
-    "lmoments_from_pwm",
-    "tlmoments_from_pwm",
     "gev_from_lmoments",
     "gev_from_tlmoments",
     "shape_from_lmoments",
@@ -104,11 +104,75 @@ def pwm_of_gev(params: GevParams, k: int) -> float:
     return float(value)
 
 
-def _check_sorted_finite(xs: np.ndarray) -> None:
-    """Reject a sorted, non-empty sample holding NaN or an infinity, read off its
-    two ends (NaN sorts last)."""
-    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarray:
+    """Sample PWMs or influence rows of samples ending in the same year, from one
+    stable ranking of the n x d block that pads them at the start.
+
+    With ``pwm_estimator`` ('plugin' or 'unbiased') this is the d x K matrix
+    of PWMs beta_0..beta_{K-1}, one row per sample.  Without it, it is the
+    n x d x K array of plug-in influence rows (see ``zhat_vectors``): entry
+    (t, j) is year t of the block, which holds no data before sample j
+    starts.  Tied values share the ecdf value #{obs <= x}/n_j.  The
+    one-sample calls are the public sample functions.
+    """
+    lengths = np.array([len(x) for x in samples])
+    n, d = int(lengths.max()), len(samples)
+    pad = n - lengths
+    years = np.arange(n)[:, None]
+    real = years >= pad
+    block = np.full((n, d), -np.inf)
+    block.T[real.T] = np.concatenate(samples)
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    # the padding sorts first, so a sample's smallest value follows it (NaN sorts last)
+    if not (np.isfinite(xs[pad, np.arange(d)]).all() and np.isfinite(xs[-1]).all()):
         raise DataError("sample values must be finite")
+    if pwm_estimator == "unbiased" and lengths.min() < K:
+        raise ParameterError(f"PWM order {K - 1} needs a sample larger than {K - 1}")
+    # runs of tied values, read before the padding is zeroed: no real value ties -inf
+    starts = np.ones((n + 1, d), dtype=bool)
+    starts[1:-1] = xs[1:] != xs[:-1]
+    last = np.minimum.accumulate(np.where(starts[1:], years, n)[::-1], axis=0)[::-1]
+    ecdf = (last + 1 - pad) / lengths
+    # zeros in the padding keep inf * 0 out of every product and sum below
+    xs[~real] = 0.0
+    if pwm_estimator == "plugin":
+        # the plug-in mean adds its terms in each sample's own order
+        ecdf_x = np.empty_like(ecdf)
+        np.put_along_axis(ecdf_x, order, ecdf, axis=0)
+        x = np.where(real, block, 0.0)
+        return (x[:, :, None] * ecdf_x[:, :, None] ** np.arange(K)).sum(axis=0) / lengths[:, None]
+    if pwm_estimator == "unbiased":
+        # b_k averages x_(i) * C(i-1, k)/C(n-1, k); a row-wise mean over each
+        # sample's sorted values keeps the pairwise sum of a one-sample mean
+        rank = (years + 1 - pad).astype(float)
+        weights, terms = np.ones((n, d)), [xs]
+        for k in range(1, K):
+            weights = weights * (rank - k) / (lengths - k)
+            terms.append(weights * xs)
+        by_sample = np.stack(terms).transpose(2, 0, 1).copy()
+        return np.array([t[:, a:].mean(axis=1) for t, a in zip(by_sample, pad)])
+    # x F(x)**k plus k/n_j times the sum of x_l F(x_l)**(k-1) over x_l >= x,
+    # a suffix sum from the first of x's ties in sorted order
+    first = np.maximum.accumulate(np.where(starts[:-1], years, 0), axis=0)
+    ranked = np.empty((n, d, K))
+    ranked[:, :, 0] = xs
+    for k in range(1, K):
+        v = xs * ecdf ** (k - 1)
+        suffix = np.cumsum(v[::-1], axis=0)[::-1]
+        ranked[:, :, k] = xs * ecdf**k + (k / lengths) * np.take_along_axis(suffix, first, axis=0)
+    rows = np.empty_like(ranked)
+    np.put_along_axis(rows, order[:, :, None], ranked, axis=0)
+    return rows
+
+
+def _one_sample_pwms(data, k_max: int, pwm_estimator: str) -> PwmVector:
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1 or len(x) < 2:
+        raise DataError("sample PWMs require a 1-D sample of length >= 2")
+    if k_max < 0:
+        raise ParameterError("k_max must be non-negative")
+    return PwmVector(_ranked_block([x], k_max + 1, pwm_estimator)[0])
 
 
 def sample_pwm(data, k_max: int) -> PwmVector:
@@ -117,17 +181,7 @@ def sample_pwm(data, k_max: int) -> PwmVector:
     ``Fhat`` is the empirical distribution function #{obs <= x}/n; tied
     observations share a common value.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise DataError("sample PWMs require a 1-D sample of length >= 2")
-    if k_max < 0:
-        raise ParameterError("k_max must be non-negative")
-    xs = np.sort(x)
-    _check_sorted_finite(xs)
-    ecdf = np.searchsorted(xs, x, side="right") / len(x)
-    ks = np.arange(k_max + 1)
-    betas = np.mean(x[:, None] * ecdf[:, None] ** ks[None, :], axis=0)
-    return PwmVector(betas)
+    return _one_sample_pwms(data, k_max, "plugin")
 
 
 def sample_pwm_unbiased(data, k_max: int) -> PwmVector:
@@ -140,43 +194,7 @@ def sample_pwm_unbiased(data, k_max: int) -> PwmVector:
     versions share the same limit distribution, so the nonparametric
     covariance machinery applies to either.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise DataError("sample PWMs require a 1-D sample of length >= 2")
-    if k_max < 0:
-        raise ParameterError("k_max must be non-negative")
-    xs = np.sort(x)
-    _check_sorted_finite(xs)
-    n = len(xs)
-    if k_max >= n:
-        raise ParameterError(f"PWM order {k_max} needs a sample larger than {k_max}")
-    idx = np.arange(1, n + 1, dtype=float)
-    betas = np.empty(k_max + 1)
-    weights = np.ones(n)
-    betas[0] = xs.mean()
-    for k in range(1, k_max + 1):
-        weights = weights * (idx - k) / (n - k)
-        betas[k] = float(np.mean(weights * xs))
-    return PwmVector(betas)
-
-
-def lmoments_from_pwm(pwm: PwmVector) -> tuple[float, float, float]:
-    """First three L-moments from beta_0..beta_2."""
-    if pwm.order < 3:
-        raise ParameterError("L-moments need PWMs up to order 2")
-    b0, b1, b2 = pwm[0], pwm[1], pwm[2]
-    return b0, 2 * b1 - b0, 6 * b2 - 6 * b1 + b0
-
-
-def tlmoments_from_pwm(pwm: PwmVector) -> tuple[float, float, float]:
-    """First three (0,1)-trimmed L-moments from beta_0..beta_3."""
-    if pwm.order < 4:
-        raise ParameterError("trimmed L-moments need PWMs up to order 3")
-    b0, b1, b2, b3 = pwm[0], pwm[1], pwm[2], pwm[3]
-    t1 = 2 * b0 - 2 * b1
-    t2 = 1.5 * (4 * b1 - b0 - 3 * b2)
-    t3 = (2.0 / 3.0) * (36 * b2 - 18 * b1 + 2 * b0 - 20 * b3)
-    return t1, t2, t3
+    return _one_sample_pwms(data, k_max, "unbiased")
 
 
 # --------------------------------------------------------------------------

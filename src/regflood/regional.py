@@ -19,13 +19,7 @@ from scipy.special import chdtrc
 
 from .errors import DataError, NumericError, ParameterError
 from .gev import GevParams
-from .moments import (
-    _check_sorted_finite,
-    _moment_method,
-    gev_fit_gradient,
-    sample_pwm,
-    sample_pwm_unbiased,
-)
+from .moments import PwmVector, _moment_method, _ranked_block, gev_fit_gradient
 
 __all__ = [
     "SiteSeries",
@@ -46,21 +40,12 @@ __all__ = [
 # Shape covariances with a condition number above this trigger the fallback.
 MAX_CONDITION = 1e12
 
-# PWM estimator used for the parameter fits.  The influence-row
+# PWM estimators for the parameter fits.  The influence-row
 # covariance machinery below always follows the plug-in construction it
 # is defined for; the fits default to the unbiased order-statistic
 # version, whose vanishing O(1/n) bias is what keeps interval coverage
 # near nominal at realistic record lengths (both share one limit law).
-_PWM_FNS = {"unbiased": sample_pwm_unbiased, "plugin": sample_pwm}
-
-
-def _pwm_fn(name: str):
-    try:
-        return _PWM_FNS[name]
-    except KeyError:
-        raise ParameterError(
-            f"unknown PWM estimator {name!r}; use 'unbiased' or 'plugin'"
-        ) from None
+_PWM_ESTIMATORS = ("unbiased", "plugin")
 
 
 @dataclass(frozen=True)
@@ -204,19 +189,7 @@ def zhat_vectors(series, K: int) -> np.ndarray:
         raise DataError("influence rows require a 1-D series of length >= 2")
     if K < 1:
         raise ParameterError("K must be >= 1")
-    n = len(x)
-    xs = np.sort(x)
-    _check_sorted_finite(xs)
-    ecdf_x = np.searchsorted(xs, x, side="right") / n
-    ecdf_s = np.searchsorted(xs, xs, side="right") / n
-    out = np.empty((n, K))
-    out[:, 0] = x
-    pos = np.searchsorted(xs, x, side="left")
-    for k in range(1, K):
-        v = xs * ecdf_s ** (k - 1)
-        suffix = np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]])
-        out[:, k] = x * ecdf_x**k + (k / n) * suffix[pos]
-    return out
+    return _ranked_block([x], K)[:, 0]
 
 
 def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
@@ -226,8 +199,9 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     site by site: block (j, l) holds rows ``j*K:(j+1)*K`` and columns
     ``l*K:(l+1)*K``.  It is ``min(r_j, r_l)/(r_j*r_l)`` times the
     empirical covariance of the sites' influence rows over their
-    overlapping years, with ``r_j = n_j/n``.  Each overlap group's rows
-    are stacked and centred once, and the blocks of its late-starting
+    overlapping years, with ``r_j = n_j/n``.  The rows of all sites come
+    from one ranking of the padded scheme; each overlap group's rows are
+    sliced from it and centred once, and the blocks of its late-starting
     sites against the whole group are one stacked product.  The matrix
     is exactly symmetric but not necessarily positive semi-definite:
     finite-sample estimates can have negative eigenvalues, which the
@@ -235,21 +209,23 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     """
     if K < 1:
         raise ParameterError("K must be >= 1")
-    r, offsets = scheme.ratios, scheme.offsets
-    zhats = [zhat_vectors(s.values, K) for s in scheme.sites]
+    r = scheme.ratios
+    zhats = _ranked_block([s.values for s in scheme.sites], K)
 
     def columns(sites):
         return (sites[:, None] * K + np.arange(K)).ravel()
 
     matrix = np.empty((scheme.d * K, scheme.d * K))
     for start, group, late in scheme.overlap_groups():
-        z = np.hstack([zhats[j][start - offsets[j] :] for j in group])
+        # C order, so the centring adds each column's years one by one (the
+        # strided copy that indexing makes would sum a K = 1 column pairwise)
+        z = np.ascontiguousarray(zhats[start:, group])
         z = z - z.mean(axis=0)
         m = len(z)
         # one K x K product per (late, group) pair: one 2-D product can round
         # the blocks differently, as BLAS picks kernels by size; indexing copies
         # the late sites, keeping A.T @ A off the symmetric rank-k path
-        by_site = z.reshape(m, len(group), K).transpose(1, 0, 2)
+        by_site = z.transpose(1, 0, 2)
         cov = by_site[late].transpose(0, 2, 1)[:, None] @ by_site[None] / (m - 1)
         r_late, r_group = r[group[late]], r[group]
         scale = np.minimum.outer(r_late, r_group) / np.outer(r_late, r_group)
@@ -397,22 +373,31 @@ def regional_shape(
     """
     spec = _moment_method(method)
     K, d = spec.order, scheme.d
-    pwm_from = _pwm_fn(pwm_estimator)
-    xi_hats, grads, pwms = np.empty(d), np.empty((d, K)), []
-    for j, site in enumerate(scheme.sites):
+    if pwm_estimator not in _PWM_ESTIMATORS:
+        raise ParameterError(
+            f"unknown PWM estimator {pwm_estimator!r}; use 'unbiased' or 'plugin'"
+        )
+    for site in scheme.sites:
         if np.all(site.values == site.values[0]):
             raise DataError(
                 f"site {site.site_id!r}: all values are equal; its shape cannot be estimated"
             )
+        if pwm_estimator == "unbiased" and site.length < K:
+            raise NumericError(
+                f"shape estimation failed at site {site.site_id!r}: "
+                f"PWM order {K - 1} needs a sample larger than {K - 1}"
+            )
+    betas = _ranked_block([site.values for site in scheme.sites], K, pwm_estimator)
+    pwms = tuple(map(PwmVector, betas))
+    xi_hats, grads = np.empty(d), np.empty((d, K))
+    for j, (site, pwm) in enumerate(zip(scheme.sites, pwms)):
         try:
-            pwm = pwm_from(site.values, K - 1)
             xi_hats[j] = spec.shape(pwm)
             grads[j] = spec.shape_gradient(pwm)
         except Exception as exc:
             raise NumericError(
                 f"shape estimation failed at site {site.site_id!r}: {exc}"
             ) from exc
-        pwms.append(pwm)
     cov = sigma_r_hat(scheme, K)
     blocks = cov.reshape(d, K, d, K).transpose(0, 2, 1, 3)
     sigma = (grads[:, None, None] @ blocks @ grads[None, :, :, None])[:, :, 0, 0]
@@ -434,7 +419,7 @@ def regional_shape(
             "method": method,
         },
         n=scheme.n,
-        pwms=tuple(pwms),
+        pwms=pwms,
         shape_gradients=grads,
         pwm_covariance=cov,
     )

@@ -22,7 +22,7 @@ from scipy.special import stdtr, stdtrit
 from .errors import DataError, DomainError, NumericError, ParameterError, RegfloodError
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
 from .ingest import SeasonalSchemes
-from .regional import _PWM_FNS, ObservationScheme, fit_gev_regional
+from .regional import _PWM_ESTIMATORS, ObservationScheme, fit_gev_regional
 from .tail import DEPENDENCE_METHODS, regional_tail_fit, seasonal_weissman_quantile
 from .twocomp import fit_seasonal_regional
 
@@ -47,7 +47,7 @@ ESTIMATOR_NAMES = ("W", "L", "TL", "sW", "sL", "sTL")
 _SEASONAL_ONLY = ("sW", "sL", "sTL")
 # ScenarioConfig.method_options: the keys and the values each may take
 _METHOD_OPTIONS = {
-    "pwm_estimator": tuple(_PWM_FNS),
+    "pwm_estimator": _PWM_ESTIMATORS,
     "dependence_method": DEPENDENCE_METHODS,
 }
 

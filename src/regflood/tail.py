@@ -15,13 +15,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DataError, DomainError, NumericError, ParameterError
 from .gev import brentq
-from .moments import _check_sorted_finite
 from .regional import ObservationScheme, _pool_weights, fallback_weights
-from .twocomp import QuantileInterval
+from .twocomp import QuantileInterval, _interval_z
 
 __all__ = [
     "hill",
@@ -71,7 +69,8 @@ def _excess_threshold(data, k) -> tuple[np.ndarray, int, float]:
     n = len(x)
     if not 2 <= k < n:
         raise ParameterError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
-    _check_sorted_finite(x)
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):  # NaN sorts last
+        raise DataError("sample values must be finite")
     threshold = x[n - k - 1]
     if threshold <= 0:
         raise DomainError(
@@ -444,11 +443,10 @@ class RegionalTailFit:
     def interval(self, site_id: str, p: float, alpha: float) -> QuantileInterval:
         """Quantile q at a site with its delta-method interval q (1 -+ z s |log r|),
         r = k_j / (n_j (1-p)), s^2 = gamma^2/k_1 * w' Sigma w (site 1 the reference)."""
-        if not 0.0 < alpha < 1.0:
-            raise ParameterError("alpha must lie strictly between 0 and 1")
+        z = _interval_z(alpha)
         q_hat, ratio = _power_tail_quantile(*self._site_tail(site_id), p)
         s = math.sqrt(self.gamma**2 / self.k[0] * float(self.weights @ self.sigma @ self.weights))
-        rel_half = ndtri(1.0 - alpha / 2.0) * s * abs(math.log(ratio))
+        rel_half = z * s * abs(math.log(ratio))
         return QuantileInterval(q_hat, q_hat * (1.0 - rel_half), q_hat * (1.0 + rel_half), alpha)
 
 

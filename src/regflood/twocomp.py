@@ -174,17 +174,24 @@ def _twocomp_variance_at(fit: SeasonalFit, p: float, qp: float) -> float:
 
 def twocomp_quantile_ci(fit: SeasonalFit, p: float, alpha: float) -> QuantileInterval:
     """Asymptotic (1 - alpha) confidence interval for the annual quantile."""
+    z = _interval_z(alpha)
+    qp = twocomp_quantile(fit.model, p)
+    return _normal_interval(qp, _twocomp_variance_at(fit, p, qp), fit.n, alpha, z)
+
+
+def _interval_z(alpha: float) -> float:
+    """The normal quantile z_(1-alpha/2) of a two-sided (1 - alpha) interval;
+    every interval of the package reads its level here."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly between 0 and 1")
-    qp = twocomp_quantile(fit.model, p)
-    return _normal_interval(qp, _twocomp_variance_at(fit, p, qp), fit.n, alpha)
+    return ndtri(1.0 - alpha / 2.0)
 
 
 def _normal_interval(
-    estimate: float, variance: float, n: int, alpha: float
+    estimate: float, variance: float, n: int, alpha: float, z: float
 ) -> QuantileInterval:
-    """``estimate -/+ z_(1-alpha/2) sqrt(variance / n)``."""
-    half = ndtri(1.0 - alpha / 2.0) * math.sqrt(variance) / math.sqrt(n)
+    """``estimate -/+ z sqrt(variance / n)`` with ``z = _interval_z(alpha)``."""
+    half = z * math.sqrt(variance) / math.sqrt(n)
     return QuantileInterval(estimate, estimate - half, estimate + half, alpha)
 
 
@@ -202,8 +209,7 @@ def gev_quantile_ci(
     fit: RegionalGevFit, p: float, alpha: float
 ) -> QuantileInterval:
     """Asymptotic (1 - alpha) interval for a single-GEV regional quantile."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie strictly between 0 and 1")
+    z = _interval_z(alpha)
     qp = float(gev_quantile(fit.theta, p))
     variance = gev_quantile_variance(fit.theta, fit.covariance, p)
-    return _normal_interval(qp, variance, fit.n_effective, alpha)
+    return _normal_interval(qp, variance, fit.n_effective, alpha, z)

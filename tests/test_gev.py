@@ -21,7 +21,6 @@ from regflood.gev import (
     gev_quantile_gradient,
     kl_project_gev,
     twocomp_cdf,
-    twocomp_evi,
     twocomp_pdf,
     twocomp_quantile,
 )
@@ -111,16 +110,21 @@ class TestGevQuantile:
     def test_overflow_is_a_numeric_error(self):
         heavy, p = GevParams(0, 1, 20.0), 1 - 1e-16
         wide = TwoComponentGev(GevParams(0, 1e300, 0.99), GevParams(0, 1, 0.1))
+        # 1e306 * expm1(6) overflows even when divided by xi first
+        broad, q = GevParams(0, 1e307, 10.0), math.exp(-math.exp(-0.6))
         for call in (lambda: gev_quantile(heavy, p), lambda: gev_quantile(heavy, np.array([p])),
-                     lambda: gev_quantile_gradient(heavy, p), lambda: twocomp_quantile(wide, p)):
+                     lambda: gev_quantile_gradient(heavy, p), lambda: twocomp_quantile(wide, p),
+                     lambda: gev_quantile(broad, q), lambda: gev_quantile(broad, np.array([q]))):
             with pytest.raises(NumericError, match="overflows"):
                 call()
 
     @pytest.mark.parametrize("params, p", [(GevParams(0, 1e-300, 20.0), 1 - 1e-16),
-                                           (GevParams(3.0, 1e-300, -200.0), 1e-300)],
-                             ids=["upper-tail", "lower-tail"])
+                                           (GevParams(3.0, 1e-300, -200.0), 1e-300),
+                                           (GevParams(0, 1e307, 10.0), math.exp(-math.exp(-0.5)))],
+                             ids=["upper-tail", "lower-tail", "scale-product"])
     def test_overflowing_intermediate_with_a_finite_quantile(self, params, p):
-        # y**(-xi) exceeds the float range, sigma/xi * y**(-xi) does not
+        # y**(-xi), or sigma * expm1(t) before the division by xi, exceeds the
+        # float range; sigma/xi * y**(-xi) does not
         import mpmath
 
         with mpmath.workdps(50):
@@ -239,12 +243,6 @@ class TestTwoComponent:
             h = 1e-6
             fd = (twocomp_cdf(MODEL, x + h) - twocomp_cdf(MODEL, x - h)) / (2 * h)
             assert twocomp_pdf(MODEL, x) == pytest.approx(fd, rel=1e-6)
-
-    def test_evi(self):
-        assert twocomp_evi(MODEL) == 0.4
-        assert twocomp_evi(TwoComponentGev(STD_HEAVY, STD_HEAVY)) == 0.2
-        with pytest.raises(DomainError):
-            twocomp_evi(TwoComponentGev(GevParams(0, 1, 0.3), GevParams(0, 1, -0.1)))
 
     @given(
         p=st.floats(0.01, 0.999),
@@ -411,6 +409,20 @@ class TestKlProjection:
             kl_project_gev(
                 lambda x: 2.0 * gev_pdf(STD_HEAVY, x), STD_HEAVY.support()
             )
+
+    @pytest.mark.parametrize("target, mass", [(GevParams(0.0, 1e-300, 0.2), 1.0),
+                                              (GevParams(0.0, 1e300, 0.2), 1.0),
+                                              (GevParams(0.0, 1.0, 0.99), 1.0),
+                                              (GevParams(0.0, 1.0, -0.99), 1.0),
+                                              (GevParams(0.0, 1.0, 0.2), 2.0)],
+                             ids=["sigma-1e-300", "sigma-1e300", "xi-0.99", "xi-minus-0.99",
+                                  "mass-2"])
+    def test_extreme_target_gives_finite_params_or_package_error(self, target, mass):
+        try:
+            proj = kl_project_gev(lambda x: mass * gev_pdf(target, x), target.support())
+        except RegfloodError:
+            return
+        assert all(math.isfinite(v) for v in (proj.mu, proj.sigma, proj.xi)) and proj.sigma > 0
 
 
 def _outcome(call):

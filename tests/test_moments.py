@@ -18,13 +18,11 @@ from regflood.moments import (
     gev_from_lmoments,
     gev_from_tlmoments,
     gev_fit_gradient,
-    lmoments_from_pwm,
     pwm_of_gev,
     sample_pwm,
     sample_pwm_unbiased,
     shape_gradient_lmoments,
     shape_gradient_tlmoments,
-    tlmoments_from_pwm,
 )
 from regflood.regional import zhat_vectors
 from regflood.tail import (
@@ -121,72 +119,38 @@ class TestSamplePwm:
 
 
 class TestMomentMaps:
-    def test_uniform_pwms(self):
-        # beta_k of U(0,1) is 1/((k+1)(k+2)) * (k+1) = 1/(k+2)
-        pwm = PwmVector([0.5, 1 / 3, 0.25])
-        l1, l2, l3 = lmoments_from_pwm(pwm)
-        assert l1 == pytest.approx(0.5)
-        assert l2 == pytest.approx(1 / 6)
-        assert l3 == pytest.approx(0.0, abs=1e-15)
-
     def test_linearity_and_shift(self):
-        # shifting a distribution by c moves its PWMs by c/(k+1); the
-        # moment maps must then move lambda_1 only
-        base_pwm = exact_pwms(GevParams(2, 1, 0.2))
+        # shifting a distribution by c moves its PWMs by c/(k+1); both
+        # recovery maps must then move the location only
+        theta = GevParams(2, 1, 0.2)
+        base_pwm = exact_pwms(theta)
         c = 5.0
         shifted_pwm = PwmVector(base_pwm.values + c / np.arange(1, 5))
-        base = np.array(lmoments_from_pwm(base_pwm))
-        shifted = np.array(lmoments_from_pwm(shifted_pwm))
-        assert shifted[0] == pytest.approx(base[0] + c)
-        assert shifted[1] == pytest.approx(base[1])
-        assert shifted[2] == pytest.approx(base[2])
-        base_t = np.array(tlmoments_from_pwm(base_pwm))
-        shifted_t = np.array(tlmoments_from_pwm(shifted_pwm))
-        assert shifted_t[0] == pytest.approx(base_t[0] + c)
-        np.testing.assert_allclose(shifted_t[1:], base_t[1:], rtol=1e-9)
+        for recover in (gev_from_lmoments, gev_from_tlmoments):
+            base, shifted = recover(base_pwm), recover(shifted_pwm)
+            assert shifted.mu == pytest.approx(base.mu + c)
+            assert shifted.sigma == pytest.approx(base.sigma)
+            assert shifted.xi == pytest.approx(base.xi)
         # positive scaling is exact even for plug-in sample PWMs
         rng = np.random.default_rng(3)
         data = rng.gamma(3, size=60)
-        scaled_t = np.array(tlmoments_from_pwm(sample_pwm(3.0 * data, 3)))
-        samp_t = np.array(tlmoments_from_pwm(sample_pwm(data, 3)))
-        np.testing.assert_allclose(scaled_t, 3.0 * samp_t, rtol=1e-10)
+        np.testing.assert_allclose(
+            sample_pwm(3.0 * data, 3).values, 3.0 * sample_pwm(data, 3).values, rtol=1e-13
+        )
 
     def test_point_mass_trimmed_scale_vanishes(self):
-        # all plug-in PWMs of a constant sample equal the constant
+        # all plug-in PWMs of a constant sample equal the constant, so its
+        # second trimmed L-moment is zero and the trimmed fit refuses it
         pwm = sample_pwm(np.full(6, 4.2), 3)
         np.testing.assert_allclose(pwm.values, 4.2, rtol=1e-14)
-        _, t2, _ = tlmoments_from_pwm(pwm)
-        assert t2 == pytest.approx(0.0, abs=1e-12)
-
-    def test_trimmed_matches_integral_definition(self):
-        # independent oracle: order-statistic expectations by quadrature.
-        # With the largest of the involved order statistics trimmed,
-        # lambda_1 = E[X_{1:2}] and lambda_2 = (E[X_{2:3}] - E[X_{1:3}])/2,
-        # i.e. quantile integrals against 2(1-u) resp. 1.5(1-u)(3u-1).
-        params = GevParams(1, 2, 0.2)
-
-        def quantile_moment(weight_fn):
-            val, _ = integrate.quad(
-                lambda u: gev_quantile(params, u) * weight_fn(u),
-                0,
-                1,
-                epsabs=1e-12,
-                limit=300,
-            )
-            return val
-
-        t1_int = quantile_moment(lambda u: 2 * (1 - u))
-        t2_int = quantile_moment(lambda u: 1.5 * (1 - u) * (3 * u - 1))
-        pwm = exact_pwms(params)
-        t1, t2, _ = tlmoments_from_pwm(pwm)
-        assert t1 == pytest.approx(t1_int, abs=1e-8)
-        assert t2 == pytest.approx(t2_int, abs=1e-8)
+        with pytest.raises(DataError, match="second trimmed L-moment"):
+            gev_from_tlmoments(pwm)
 
     def test_insufficient_order(self):
         with pytest.raises(ParameterError):
-            lmoments_from_pwm(PwmVector([1.0, 0.5]))
+            gev_from_lmoments(PwmVector([1.0, 0.5]))
         with pytest.raises(ParameterError):
-            tlmoments_from_pwm(PwmVector([1.0, 0.5, 0.4]))
+            gev_from_tlmoments(PwmVector([1.0, 0.5, 0.4]))
 
 
 class TestGevFromLmoments:

@@ -582,3 +582,113 @@ def test_degenerate_input_gives_finite_estimates_or_package_errors(
             except RegfloodError:
                 continue
             assert np.all(np.isfinite(values)), (label, values)
+
+
+# --------------------------------------------------------------------------
+# Per-site oracle for the one-ranking kernel: each site sorted and ranked on
+# its own with np.sort and searchsorted, as the sample functions once were
+# --------------------------------------------------------------------------
+
+
+def _per_site_pwm(x, k_max):
+    xs = np.sort(x)
+    ecdf = np.searchsorted(xs, x, side="right") / len(x)
+    ks = np.arange(k_max + 1)
+    return np.mean(x[:, None] * ecdf[:, None] ** ks[None, :], axis=0)
+
+
+def _per_site_pwm_unbiased(x, k_max):
+    xs = np.sort(x)
+    n = len(xs)
+    idx = np.arange(1, n + 1, dtype=float)
+    betas = np.empty(k_max + 1)
+    weights = np.ones(n)
+    betas[0] = xs.mean()
+    for k in range(1, k_max + 1):
+        weights = weights * (idx - k) / (n - k)
+        betas[k] = float(np.mean(weights * xs))
+    return betas
+
+
+def _per_site_zhat(x, K):
+    n = len(x)
+    xs = np.sort(x)
+    ecdf_x = np.searchsorted(xs, x, side="right") / n
+    ecdf_s = np.searchsorted(xs, xs, side="right") / n
+    out = np.empty((n, K))
+    out[:, 0] = x
+    pos = np.searchsorted(xs, x, side="left")
+    for k in range(1, K):
+        v = xs * ecdf_s ** (k - 1)
+        suffix = np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]])
+        out[:, k] = x * ecdf_x**k + (k / n) * suffix[pos]
+    return out
+
+
+def _per_site_block(samples, K, pwm_estimator=None):
+    """The kernel's result assembled site by site from the references above."""
+    if pwm_estimator is not None:
+        per_site = {"plugin": _per_site_pwm, "unbiased": _per_site_pwm_unbiased}[pwm_estimator]
+        return np.array([per_site(np.asarray(x), K - 1) for x in samples])
+    n = max(len(x) for x in samples)
+    rows = np.zeros((n, len(samples), K))
+    for j, x in enumerate(samples):
+        rows[n - len(x):, j] = _per_site_zhat(np.asarray(x), K)
+    return rows
+
+
+def _oracle_scheme(seed):
+    """A staggered scheme of 1-14 sites rounded to one decimal (ties), the first
+    opening with a run of four equal values; every third has a 2-year late site."""
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(1, 15)), int(rng.integers(6, 90))
+    offsets = [0] + rng.integers(0, n - 5, size=d - 1).tolist()
+    if d > 1 and seed % 3 == 0:
+        offsets[-1] = n - 2
+    values = [np.round(gev_quantile(GevParams(2, 1, 0.2), rng.uniform(size=n - a)), 1)
+              for a in offsets]
+    values[0][:4] = values[0][0]
+    return ObservationScheme(
+        tuple(SiteSeries(f"s{j}", a, v) for j, (a, v) in enumerate(zip(offsets, values)))
+    )
+
+
+def _fit_outcome(scheme, target, method, pwm_estimator):
+    """The fit's shape system and estimate, or the package error it raised."""
+    try:
+        fit = fit_gev_regional(scheme, target, method, pwm_estimator)
+    except RegfloodError as exc:
+        return type(exc), str(exc)
+    shape = fit.shape
+    return (np.array([p.values for p in shape.pwms]), shape.pwm_covariance,
+            shape.diagnostics["sigma_tail"], np.array(astuple(fit.theta)), fit.covariance)
+
+
+def test_one_ranking_matches_per_site_sorts_bit_for_bit(monkeypatch):
+    for seed in range(200):
+        scheme = _oracle_scheme(seed)
+        target = scheme.site_ids[seed % scheme.d]
+        for method in ("L", "TL"):
+            for pwm_estimator in ("plugin", "unbiased"):
+                got = _fit_outcome(scheme, target, method, pwm_estimator)
+                with monkeypatch.context() as patch:
+                    patch.setattr(regional_module, "_ranked_block", _per_site_block)
+                    expected = _fit_outcome(scheme, target, method, pwm_estimator)
+                assert len(got) == len(expected), (seed, method, pwm_estimator)
+                for a, b in zip(got, expected):
+                    np.testing.assert_array_equal(a, b, err_msg=f"{seed} {method} {pwm_estimator}")
+
+
+def test_one_column_calls_match_per_site_sorts_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for i in range(600):
+        n, K = int(rng.integers(2, 300)), int(rng.integers(1, 6))
+        x = gev_quantile(GevParams(2, 1, 0.2), rng.uniform(size=n))
+        if i % 2:
+            x = np.round(x, i % 3)
+        np.testing.assert_array_equal(sample_pwm(x, K - 1).values, _per_site_pwm(x, K - 1))
+        np.testing.assert_array_equal(zhat_vectors(x, K), _per_site_zhat(x, K))
+        if K <= n:
+            np.testing.assert_array_equal(
+                sample_pwm_unbiased(x, K - 1).values, _per_site_pwm_unbiased(x, K - 1)
+            )
