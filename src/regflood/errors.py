@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its integer-count check.
 
 The CLI maps these classes onto exit codes, so raising the right class
 matters more than the message wording.
@@ -27,3 +27,15 @@ class NumericError(RegfloodError, RuntimeError):
 
 class HomogeneityError(RegfloodError):
     """The region failed an enforced homogeneity check."""
+
+
+def _integer(value, name: str, error=ParameterError) -> int:
+    """``value`` as an int, as ``int()`` reads it, except that a fractional, NaN or
+    infinite number raises ``error`` instead of being truncated (2.0 passes)."""
+    try:
+        as_int = int(value)
+        if isinstance(value, str) or as_int == value:
+            return as_int
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError
+from .errors import DomainError, NumericError, ParameterError, RegfloodError
 
 __all__ = [
     "GUMBEL_SHAPE_EPS",
@@ -455,17 +455,31 @@ def _quadrature_grid(lo: float, hi: float, n_segments: int, nodes_per_segment: i
 def _effective_bounds(density, support, floor: float) -> tuple[float, float]:
     """Truncate an (possibly unbounded) support where the density is tiny.
 
-    Unbounded ends are located by probing a dyadic ladder of offsets for
-    non-negligible density and then doubling outward until the density
-    stays below the floor; the density must therefore be visible on some
-    ladder point (true for any unimodal model at realistic scales).
+    Unbounded ends are searched outward from one anchor: the finite end
+    of the support if there is one, else 0 or the nearest point of the
+    dyadic ladder +-2^j where the density is visible.  The density must
+    therefore be visible on some ladder point (true for any unimodal model
+    at realistic scales).
     """
     lo, hi = float(support[0]), float(support[1])
+    if math.isinf(lo) and math.isinf(hi):
+        anchor = _visible_point(density, floor)
+    else:
+        anchor = hi if math.isinf(lo) else lo
     if math.isinf(hi):
-        hi = _density_edge(density, 0.0 if math.isinf(lo) else lo, 1.0, floor)
+        hi = _density_edge(density, anchor, 1.0, floor)
     if math.isinf(lo):
-        lo = _density_edge(density, 0.0 if hi > 0 else hi, -1.0, floor)
+        lo = _density_edge(density, anchor, -1.0, floor)
     return lo, hi
+
+
+def _visible_point(density, floor: float) -> float:
+    """0 if the density shows above the floor there, else the nearest ladder point
+    +-2^j (j = -20..59, + before -) where it does."""
+    for x in [0.0] + [sign * 2.0**j for j in range(-20, 60) for sign in (1.0, -1.0)]:
+        if density(x) > floor:
+            return x
+    raise ParameterError("density not detectable above the truncation floor on the line")
 
 
 def _density_edge(density, anchor: float, step: float, floor: float) -> float:
@@ -489,16 +503,13 @@ def _density_edge(density, anchor: float, step: float, floor: float) -> float:
     return edge
 
 
-def kl_project_gev(
-    target_density,
-    target_support: tuple[float, float],
-    init: GevParams | None = None,
-) -> GevParams:
+def kl_project_gev(target_density, target_support: tuple[float, float]) -> GevParams:
     """Project a density onto the GEV family in Kullback-Leibler distance.
 
     Minimizes KL(f || g_theta) over theta by numerical quadrature of the
-    cross-entropy integral and derivative-free minimization.  The target
-    support is truncated where the density falls below 1e-12.
+    cross-entropy integral and derivative-free minimization from a
+    moment-matched start.  The target support is truncated where the
+    density falls below 1e-12.
 
     Parameters
     ----------
@@ -507,8 +518,6 @@ def kl_project_gev(
         1e-6 (checked by quadrature).
     target_support : (float, float)
         Interval on which ``f`` lives; either end may be infinite.
-    init : GevParams, optional
-        Starting point; a moment-matched GEV is used when omitted.
 
     Returns
     -------
@@ -529,9 +538,7 @@ def kl_project_gev(
     active = f_vals > _KL_DENSITY_FLOOR
     wf = weights * f_vals
 
-    if init is None:
-        init = _moment_matched_init(nodes, wf)
-    theta0 = init.as_array()
+    theta0 = _moment_matched_init(nodes, wf).as_array()
 
     def objective(theta: np.ndarray) -> float:
         mu, sigma, xi = theta
@@ -591,7 +598,7 @@ def _moment_matched_init(nodes: np.ndarray, wf: np.ndarray) -> GevParams:
     betas = [float(np.sum(wf * nodes * cdf**k)) for k in range(3)]
     try:
         return gev_from_lmoments(PwmVector(np.array(betas)))
-    except Exception:
+    except RegfloodError:
         mean = betas[0]
         sd = math.sqrt(max(float(np.sum(wf * (nodes - mean) ** 2)), 1e-12))
         return GevParams(mean - 0.45 * sd, 0.78 * sd, 0.1)

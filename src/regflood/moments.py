@@ -4,9 +4,9 @@ Two recovery routes are provided: the classical one based on the first
 three L-moments and a trimmed variant based on the first three
 (0,1)-trimmed L-moments, which damps the influence of the largest
 observation.  Both express the moments through PWMs ``beta_0..beta_K``
-and invert an equation system for (mu, sigma, xi); the shape equation is
-solved by a fitted polynomial by default, with exact numerical inversion
-available behind a flag for validation.  Sample PWMs, and the influence
+and invert an equation system for (mu, sigma, xi); the shape is a fitted
+polynomial in one moment ratio per route, and that ratio, checked once,
+also feeds the analytic shape gradient.  Sample PWMs, and the influence
 rows behind their covariance, come from one stable ranking of all sites
 of a region at once.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .errors import DataError, NumericError, ParameterError
-from .gev import GevParams, brentq, gev_quantile
+from .errors import DataError, NumericError, ParameterError, _integer
+from .gev import GevParams, gev_quantile
 
 __all__ = [
     "PwmVector",
@@ -76,6 +76,7 @@ def pwm_of_gev(params: GevParams, k: int) -> float:
     ``quantile(u) * u**k`` over (0, 1) to absolute tolerance 1e-10 and is
     independent of the closed-form recovery equations it validates.
     """
+    k = _integer(k, "PWM order")
     if k < 0:
         raise ParameterError("PWM order must be a non-negative integer")
     if params.xi >= 1:
@@ -170,6 +171,7 @@ def _one_sample_pwms(data, k_max: int, pwm_estimator: str) -> PwmVector:
     x = np.asarray(data, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise DataError("sample PWMs require a 1-D sample of length >= 2")
+    k_max = _integer(k_max, "k_max")
     if k_max < 0:
         raise ParameterError("k_max must be non-negative")
     return PwmVector(_ranked_block([x], k_max + 1, pwm_estimator)[0])
@@ -202,98 +204,77 @@ def sample_pwm_unbiased(data, k_max: int) -> PwmVector:
 # --------------------------------------------------------------------------
 
 
-def _h_l(b0: float, b1: float, b2: float) -> float:
-    try:
-        return (2 * b1 - b0) / (3 * b2 - b0) - _L_OFFSET
-    except ZeroDivisionError:
+def _ratio(num: float, den: float, offset: float, name: str) -> tuple[float, float, float]:
+    """``num``, ``den`` and ``num / den - offset`` of a shape ratio, checked:
+    ``num`` and ``den`` finite and ``den`` nonzero."""
+    if den == 0:
+        raise DataError(f"degenerate sample: {name} shape ratio has a zero denominator")
+    if not (math.isfinite(num) and math.isfinite(den)):
         raise DataError(
-            "degenerate sample: L-moment shape ratio has a zero denominator"
-        ) from None
+            f"{name} shape ratio {num:.6g}/{den:.6g} has a non-finite numerator or denominator"
+        )
+    return num, den, num / den - offset
 
 
-def _h_tl(b0: float, b1: float, b2: float, b3: float) -> float:
+def _ratio_l(pwm: PwmVector) -> tuple[float, float, float]:
+    """The L-moment shape ratio (2b1 - b0)/(3b2 - b0), as :func:`_ratio` gives it."""
+    if pwm.order < 3:
+        raise ParameterError("shape recovery needs PWMs up to order 2")
+    b0, b1, b2 = pwm[0], pwm[1], pwm[2]
+    return _ratio(2 * b1 - b0, 3 * b2 - b0, _L_OFFSET, "L-moment")
+
+
+def _ratio_tl(pwm: PwmVector) -> tuple[float, float, float]:
+    """The trimmed shape ratio (4b1 - b0 - 3b2)/(9b2 - b0 - 8b3), as :func:`_ratio` gives it."""
+    if pwm.order < 4:
+        raise ParameterError("shape recovery needs PWMs up to order 3")
+    b0, b1, b2, b3 = pwm[0], pwm[1], pwm[2], pwm[3]
+    return _ratio(4 * b1 - b0 - 3 * b2, 9 * b2 - b0 - 8 * b3, _TL_OFFSET, "trimmed L-moment")
+
+
+def _squared(den: float) -> float:
+    """``den**2`` of a shape gradient, which must neither overflow nor underflow to 0."""
     try:
-        return (4 * b1 - b0 - 3 * b2) / (9 * b2 - b0 - 8 * b3) - _TL_OFFSET
-    except ZeroDivisionError:
-        raise DataError(
-            "degenerate sample: trimmed L-moment shape ratio has a zero denominator"
-        ) from None
+        square = den**2
+    except OverflowError:
+        square = math.inf
+    if not 0 < square < math.inf:
+        raise NumericError(
+            f"shape gradient: the squared ratio denominator of {den:.6g} "
+            "is out of floating-point range"
+        )
+    return square
 
 
 def shape_from_lmoments(pwm: PwmVector) -> float:
     """Polynomial shape approximation from the L-moment ratio."""
-    if pwm.order < 3:
-        raise ParameterError("shape recovery needs PWMs up to order 2")
-    h = _h_l(pwm[0], pwm[1], pwm[2])
+    h = _ratio_l(pwm)[2]
     return -7.859 * h - 2.9554 * h * h
 
 
 def shape_from_tlmoments(pwm: PwmVector) -> float:
     """Polynomial shape approximation from the trimmed-L-moment ratio."""
-    if pwm.order < 4:
-        raise ParameterError("shape recovery needs PWMs up to order 3")
-    h = _h_tl(pwm[0], pwm[1], pwm[2], pwm[3])
+    h = _ratio_tl(pwm)[2]
     return -8.567394 * h + 0.675969 * h * h
 
 
 def shape_gradient_lmoments(pwm: PwmVector) -> np.ndarray:
     """Analytic gradient of the L-route shape estimate in (b0, b1, b2)."""
-    b0, b1, b2 = pwm[0], pwm[1], pwm[2]
-    num = 2 * b1 - b0
-    den = 3 * b2 - b0
-    h = num / den - _L_OFFSET
+    num, den, h = _ratio_l(pwm)
     dpoly = -7.859 - 2 * 2.9554 * h
-    grad_h = np.array([(num - den) / den**2, 2.0 / den, -3.0 * num / den**2])
+    den2 = _squared(den)
+    grad_h = np.array([(num - den) / den2, 2.0 / den, -3.0 * num / den2])
     return dpoly * grad_h
 
 
 def shape_gradient_tlmoments(pwm: PwmVector) -> np.ndarray:
     """Analytic gradient of the TL-route shape estimate in (b0..b3)."""
-    b0, b1, b2, b3 = pwm[0], pwm[1], pwm[2], pwm[3]
-    num = 4 * b1 - b0 - 3 * b2
-    den = 9 * b2 - b0 - 8 * b3
-    h = num / den - _TL_OFFSET
+    num, den, h = _ratio_tl(pwm)
     dpoly = -8.567394 + 2 * 0.675969 * h
     grad_num = np.array([-1.0, 4.0, -3.0, 0.0])
     grad_den = np.array([-1.0, 0.0, 9.0, -8.0])
-    grad_h = (den * grad_num - num * grad_den) / den**2
+    grad_h = (den * grad_num - num * grad_den) / _squared(den)
     return dpoly * grad_h
-
-
-def _solve_shape_l(b0: float, b1: float, b2: float) -> float:
-    """Exact shape from the untrimmed ratio equation by root finding."""
-    rhs = (3 * b2 - b0) / (2 * b1 - b0)
-
-    def lhs(xi: float) -> float:
-        if abs(xi) < 1e-9:
-            return math.log(3) / math.log(2)
-        return (3.0**xi - 1.0) / (2.0**xi - 1.0)
-
-    lo, hi = -10.0, 1.0 - 1e-10
-    if (lhs(lo) - rhs) * (lhs(hi) - rhs) > 0:
-        raise NumericError(f"moment ratio {rhs:.6g} has no shape solution in ({lo}, 1)")
-    return float(brentq(lambda s: lhs(s) - rhs, lo, hi, xtol=1e-13))
-
-
-def _solve_shape_tl(b0: float, b1: float, b2: float, b3: float) -> float:
-    """Exact shape from the trimmed ratio equation by root finding."""
-    rhs = 2.0 * (18 * b2 - 9 * b1 + b0 - 10 * b3) / (4 * b1 - b0 - 3 * b2)
-
-    def lhs(xi: float) -> float:
-        if abs(xi) < 1e-9:
-            return (19 * math.log(2) - 12 * math.log(3)) / (
-                math.log(3) - 2 * math.log(2)
-            )
-        return (5 * 4.0**xi - 12 * 3.0**xi + 9 * 2.0**xi - 2.0) / (
-            3.0**xi - 2.0 ** (xi + 1) + 1.0
-        )
-
-    lo, hi = -5.0, 1.0 - 1e-10
-    if (lhs(lo) - rhs) * (lhs(hi) - rhs) > 0:
-        raise NumericError(
-            f"trimmed moment ratio {rhs:.6g} has no shape solution in ({lo}, 1)"
-        )
-    return float(brentq(lambda s: lhs(s) - rhs, lo, hi, xtol=1e-13))
 
 
 # --------------------------------------------------------------------------
@@ -301,21 +282,19 @@ def _solve_shape_tl(b0: float, b1: float, b2: float, b3: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def gev_from_lmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
+def gev_from_lmoments(pwm: PwmVector) -> GevParams:
     """GEV parameters from PWMs via the L-moment equation system.
 
     Parameters
     ----------
     pwm : PwmVector
         PWMs of order >= 3 (beta_0, beta_1, beta_2, ...).
-    exact_shape : bool
-        Solve the shape ratio equation numerically instead of using the
-        default polynomial approximation (validation aid).
 
     Raises
     ------
     DataError
-        If the implied second L-moment is not positive.
+        If the implied second L-moment is not positive, or the shape
+        ratio has a zero or non-finite denominator or numerator.
     NumericError
         If the recovered shape reaches the Gamma-function pole at 1.
     """
@@ -325,7 +304,7 @@ def gev_from_lmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
     lam2 = 2 * b1 - b0
     if not lam2 > 0:  # also rejects NaN
         raise DataError(f"degenerate sample: second L-moment {lam2:.6g} is not positive")
-    xi = _solve_shape_l(b0, b1, b2) if exact_shape else shape_from_lmoments(pwm)
+    xi = shape_from_lmoments(pwm)
     if xi >= 1:
         raise NumericError(f"recovered shape {xi:.4f} >= 1: mean is infinite")
     if abs(xi) < _FIT_GUMBEL_EPS:
@@ -337,7 +316,7 @@ def gev_from_lmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
     return GevParams(float(mu), float(sigma), float(xi))
 
 
-def gev_from_tlmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
+def gev_from_tlmoments(pwm: PwmVector) -> GevParams:
     """GEV parameters from PWMs via the (0,1)-trimmed equation system.
 
     Same contract as :func:`gev_from_lmoments` but based on beta_0..beta_3
@@ -352,7 +331,7 @@ def gev_from_tlmoments(pwm: PwmVector, exact_shape: bool = False) -> GevParams:
         raise DataError(
             f"degenerate sample: second trimmed L-moment {lam2_t:.6g} is not positive"
         )
-    xi = _solve_shape_tl(b0, b1, b2, b3) if exact_shape else shape_from_tlmoments(pwm)
+    xi = shape_from_tlmoments(pwm)
     if xi >= 1:
         raise NumericError(f"recovered shape {xi:.4f} >= 1: mean is infinite")
     scale_num = 4 * b1 - b0 - 3 * b2
@@ -397,7 +376,9 @@ def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
 
     The shape row is analytic (it drives the regional variance and is
     cross-checked by finite differences in the tests); the location and
-    scale rows use central differences of the full recovery map.
+    scale rows use central differences of the full recovery map, with a
+    step of 1e-6 times the PWM moved (times the largest PWM for a zero
+    one), so the gradient scales with the data's units.
 
     Returns
     -------
@@ -412,7 +393,7 @@ def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
     out = np.empty((3, k_needed))
     out[2] = spec.shape_gradient(PwmVector(base))
     for k in range(k_needed):
-        h = 1e-6 * max(1.0, abs(base[k]))
+        h = 1e-6 * abs(base[k]) or 1e-6 * np.abs(base).max()
         up, dn = base.copy(), base.copy()
         up[k] += h
         dn[k] -= h

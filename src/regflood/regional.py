@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, RegfloodError, _integer
 from .gev import GevParams
 from .moments import PwmVector, _moment_method, _ranked_block, gev_fit_gradient
 
@@ -69,8 +69,10 @@ class SiteSeries:
             )
         if not np.all(np.isfinite(vals)):
             raise DataError(f"site {self.site_id!r}: series values must be finite")
-        if self.offset < 0:
+        offset = _integer(self.offset, f"site {self.site_id!r}: offset", DataError)
+        if offset < 0:
             raise DataError(f"site {self.site_id!r}: negative offset")
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -168,7 +170,7 @@ class ObservationScheme:
     def subset(self, site_ids) -> "ObservationScheme":
         """Scheme restricted to the given sites (order preserved)."""
         keep = [self.sites[self.site_index(sid)] for sid in site_ids]
-        shift = min(s.offset for s in keep)
+        shift = min((s.offset for s in keep), default=0)
         return ObservationScheme(
             tuple(SiteSeries(s.site_id, s.offset - shift, s.values) for s in keep)
         )
@@ -187,6 +189,7 @@ def zhat_vectors(series, K: int) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise DataError("influence rows require a 1-D series of length >= 2")
+    K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
     return _ranked_block([x], K)[:, 0]
@@ -207,6 +210,7 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     finite-sample estimates can have negative eigenvalues, which the
     shape weighting handles with its fallback.
     """
+    K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
     r = scheme.ratios
@@ -394,7 +398,7 @@ def regional_shape(
         try:
             xi_hats[j] = spec.shape(pwm)
             grads[j] = spec.shape_gradient(pwm)
-        except Exception as exc:
+        except RegfloodError as exc:
             raise NumericError(
                 f"shape estimation failed at site {site.site_id!r}: {exc}"
             ) from exc
@@ -471,7 +475,7 @@ def fit_gev_regional(
     shape = regional_shape(scheme, method, pwm_estimator)
     try:
         local = spec.recover(shape.pwms[t])
-    except Exception as exc:
+    except RegfloodError as exc:
         raise NumericError(
             f"moment fit failed at target site {target_site!r}: {exc}"
         ) from exc

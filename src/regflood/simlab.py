@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .errors import DataError, DomainError, NumericError, ParameterError, RegfloodError
+from .errors import DataError, DomainError, NumericError, ParameterError, RegfloodError, _integer
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
 from .ingest import SeasonalSchemes
 from .regional import _PWM_ESTIMATORS, ObservationScheme, fit_gev_regional
@@ -50,18 +50,6 @@ _METHOD_OPTIONS = {
     "pwm_estimator": _PWM_ESTIMATORS,
     "dependence_method": DEPENDENCE_METHODS,
 }
-
-
-def _integer(value, name: str, error=ParameterError) -> int:
-    """``value`` as an int, as ``int()`` reads it, except that a fractional, NaN or
-    infinite number raises ``error`` instead of being truncated (2.0 passes)."""
-    try:
-        as_int = int(value)
-        if isinstance(value, str) or as_int == value:
-            return as_int
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{name} must be an integer, got {value!r}")
 
 
 # --------------------------------------------------------------------------

@@ -372,14 +372,21 @@ class TestBrentq:
 class TestKlProjection:
     def test_family_member_is_fixed_point(self):
         target = GevParams(1.0, 2.0, 0.25)
-        proj = kl_project_gev(
-            lambda x: gev_pdf(target, x),
-            target.support(),
-            init=GevParams(0.8, 1.5, 0.15),
-        )
+        proj = kl_project_gev(lambda x: gev_pdf(target, x), target.support())
         assert proj.mu == pytest.approx(target.mu, abs=5e-3)
         assert proj.sigma == pytest.approx(target.sigma, abs=5e-3)
         assert proj.xi == pytest.approx(target.xi, abs=5e-3)
+
+    @pytest.mark.parametrize("target", [GevParams(5.0, 1.0, -0.2), GevParams(135.0, 20.0, -0.05),
+                                        GevParams(135.0, 20.0, 0.0), GevParams(-2000.0, 20.0, 0.0)],
+                             ids=["bounded-above", "bounded-above-far", "gumbel-far",
+                                  "gumbel-far-left"])
+    def test_far_family_member_is_fixed_point(self, target):
+        # the density is invisible at and left of 0 for the first three, at and right
+        # of 0 for the last; the searches used to start at 0 and report "density not
+        # detectable"
+        proj = kl_project_gev(lambda x: gev_pdf(target, x), target.support())
+        np.testing.assert_allclose(proj.as_array(), target.as_array(), rtol=1e-5, atol=1e-6)
 
     def test_product_target_published_minimizer(self):
         proj = kl_project_gev(lambda x: twocomp_pdf(MODEL, x), (-1.0, math.inf))

@@ -3,14 +3,16 @@
 import math
 import warnings
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import gamma as gamma_fn
 
-from regflood.errors import DataError, ParameterError, RegfloodError
+from regflood import moments
+from regflood.errors import DataError, NumericError, ParameterError, RegfloodError
 from regflood.gev import GevParams, gev_quantile
 from regflood.ingest import MonthlyTable, seasonal_maxima
 from regflood.moments import (
@@ -21,10 +23,12 @@ from regflood.moments import (
     pwm_of_gev,
     sample_pwm,
     sample_pwm_unbiased,
+    shape_from_lmoments,
+    shape_from_tlmoments,
     shape_gradient_lmoments,
     shape_gradient_tlmoments,
 )
-from regflood.regional import zhat_vectors
+from regflood.regional import ObservationScheme, sigma_r_hat, zhat_vectors
 from regflood.tail import (
     hill,
     pickands_cfg,
@@ -46,6 +50,35 @@ def closed_form_pwm(params: GevParams, k: int) -> float:
 
 def exact_pwms(params: GevParams, order: int = 4) -> PwmVector:
     return PwmVector([closed_form_pwm(params, k) for k in range(order)])
+
+
+def exact_shape_l(pwm: PwmVector) -> float:
+    """Reference shape: the root of the L-moment ratio equation
+    (3^xi - 1)/(2^xi - 1) = (3b2 - b0)/(2b1 - b0)."""
+    b0, b1, b2 = pwm[0], pwm[1], pwm[2]
+    rhs = (3 * b2 - b0) / (2 * b1 - b0)
+
+    def lhs(xi):
+        if abs(xi) < 1e-9:
+            return math.log(3) / math.log(2)
+        return (3.0**xi - 1.0) / (2.0**xi - 1.0)
+
+    return optimize.brentq(lambda xi: lhs(xi) - rhs, -10.0, 1.0 - 1e-10, xtol=1e-13)
+
+
+def exact_shape_tl(pwm: PwmVector) -> float:
+    """Reference shape: the root of the (0,1)-trimmed ratio equation."""
+    b0, b1, b2, b3 = pwm[0], pwm[1], pwm[2], pwm[3]
+    rhs = 2.0 * (18 * b2 - 9 * b1 + b0 - 10 * b3) / (4 * b1 - b0 - 3 * b2)
+
+    def lhs(xi):
+        if abs(xi) < 1e-9:
+            return (19 * math.log(2) - 12 * math.log(3)) / (math.log(3) - 2 * math.log(2))
+        return (5 * 4.0**xi - 12 * 3.0**xi + 9 * 2.0**xi - 2.0) / (
+            3.0**xi - 2.0 ** (xi + 1) + 1.0
+        )
+
+    return optimize.brentq(lambda xi: lhs(xi) - rhs, -5.0, 1.0 - 1e-10, xtol=1e-13)
 
 
 class TestPwmOfGev:
@@ -172,9 +205,12 @@ class TestGevFromLmoments:
         fit = gev_from_lmoments(pwm)
         assert abs(fit.xi - xi) <= 0.0009
 
-    def test_exact_inversion_recovers(self):
+    def test_exact_inversion_recovers(self, monkeypatch):
+        # with the exact shape in place of the polynomial, the location and
+        # scale equations invert the closed-form PWMs to rounding level
+        monkeypatch.setattr(moments, "shape_from_lmoments", exact_shape_l)
         pwm = exact_pwms(GevParams(2, 1, 0.3), order=3)
-        fit = gev_from_lmoments(pwm, exact_shape=True)
+        fit = gev_from_lmoments(pwm)
         assert fit.xi == pytest.approx(0.3, abs=1e-10)
         assert fit.sigma == pytest.approx(1.0, abs=1e-9)
         assert fit.mu == pytest.approx(2.0, abs=1e-9)
@@ -239,9 +275,10 @@ class TestGevFromTlmoments:
         assert fit.sigma == pytest.approx(1.0, abs=0.01)
         assert fit.mu == pytest.approx(2.0, abs=0.01)
 
-    def test_exact_inversion_recovers(self):
+    def test_exact_inversion_recovers(self, monkeypatch):
+        monkeypatch.setattr(moments, "shape_from_tlmoments", exact_shape_tl)
         for theta in [GevParams(2, 1, 0.2), GevParams(1.5, 1, 0.4), GevParams(0, 1, -0.2)]:
-            fit = gev_from_tlmoments(exact_pwms(theta), exact_shape=True)
+            fit = gev_from_tlmoments(exact_pwms(theta))
             assert fit.xi == pytest.approx(theta.xi, abs=1e-9)
             assert fit.sigma == pytest.approx(theta.sigma, abs=1e-8)
             assert fit.mu == pytest.approx(theta.mu, abs=1e-8)
@@ -250,7 +287,8 @@ class TestGevFromTlmoments:
     def test_polynomial_close_to_exact_inversion(self, xi):
         pwm = exact_pwms(GevParams(0, 1, xi))
         approx = gev_from_tlmoments(pwm).xi
-        exact = gev_from_tlmoments(pwm, exact_shape=True).xi
+        exact = exact_shape_tl(pwm)
+        assert exact == pytest.approx(xi, abs=1e-9)
         assert abs(approx - exact) <= 0.01
 
     def test_gumbel_limit_branch(self):
@@ -324,11 +362,10 @@ class TestGradients:
 
 
 @pytest.mark.parametrize("recover", [gev_from_lmoments, gev_from_tlmoments])
-@pytest.mark.parametrize("exact_shape", [False, True])
-def test_infinite_pwms_rejected(recover, exact_shape):
-    # inf - inf leaves a NaN second (trimmed) L-moment, which must not reach the solver
+def test_infinite_pwms_rejected(recover):
+    # inf - inf leaves a NaN second (trimmed) L-moment, which must not reach the shape map
     with pytest.raises(DataError, match="not positive"):
-        recover(PwmVector(np.array([np.inf] * 4)), exact_shape=exact_shape)
+        recover(PwmVector(np.array([np.inf] * 4)))
 
 
 @given(
@@ -382,6 +419,86 @@ def test_vanishing_shape_ratio_denominator_rejected():
         gev_from_tlmoments(pwm)
 
 
+# each method's shape, shape gradient and parameter recovery maps
+_METHOD_MAPS = {
+    "L": (shape_from_lmoments, shape_gradient_lmoments, gev_from_lmoments),
+    "TL": (shape_from_tlmoments, shape_gradient_tlmoments, gev_from_tlmoments),
+}
+
+
+def _as_values(result):
+    """A map's result (float, array or GevParams) as a float array."""
+    return np.asarray(astuple(result) if isinstance(result, GevParams) else result, dtype=float)
+
+
+def _pwm_maps():
+    """Every public map of a PwmVector in the moments module, as (method, label, call)."""
+    for method, fns in _METHOD_MAPS.items():
+        for fn in fns:
+            yield method, fn.__name__, fn
+        yield method, f"gev_fit_gradient {method}", partial(gev_fit_gradient, method=method)
+
+
+_GEV_PWMS = exact_pwms(GevParams(2, 1, 0.2)).values
+PWM_BATTERY = {
+    # 3b2 - b0 = 0 and 9b2 - b0 - 8b3 = 0, both numerators positive
+    "zero-denominator": ([3.0, 2.0, 1.0, 0.75], DataError),
+    "too-short": ([1.0, 0.5], ParameterError),
+    "nan": ([np.nan, 0.6, 0.4, 0.3], DataError),
+    "inf": ([np.inf, 2.0, 1.0, 0.5], DataError),
+    "scale-1e-300": (1e-300 * _GEV_PWMS, None),
+    "scale-1e300": (1e300 * _GEV_PWMS, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PWM_BATTERY))
+def test_pwm_maps_give_finite_values_or_package_errors(case):
+    # degenerate PWM vectors reach every map; the shape gradients used to divide by
+    # a squared denominator that underflows to 0 (a bare ZeroDivisionError) or
+    # overflows (a bare OverflowError)
+    values, error = PWM_BATTERY[case]
+    pwm = PwmVector(np.array(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, label, call in _pwm_maps():
+            if error is not None:
+                with pytest.raises(error):
+                    call(pwm)
+                continue
+            try:
+                result = _as_values(call(pwm))
+            except RegfloodError as exc:
+                # only the gradients' squared denominator leaves the float range
+                assert isinstance(exc, NumericError) and "floating-point range" in str(exc), label
+                continue
+            assert np.all(np.isfinite(result)), (label, result)
+
+
+def test_shape_and_gradient_share_one_ratio_check():
+    # the gradient raises what the shape raises, not a bare Python error
+    for pwm in (PwmVector([3.0, 2.0, 1.0, 0.75]), PwmVector([1.0, 0.5, np.nan, 0.2])):
+        for shape, gradient, _ in _METHOD_MAPS.values():
+            with pytest.raises(DataError) as from_shape:
+                shape(pwm)
+            with pytest.raises(DataError) as from_gradient:
+                gradient(pwm)
+            assert str(from_gradient.value) == str(from_shape.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: sample_pwm(np.arange(1.0, 9.0), k).values,
+    lambda k: sample_pwm_unbiased(np.arange(1.0, 9.0), k).values,
+    lambda k: zhat_vectors(np.arange(1.0, 9.0), k),
+    lambda k: sigma_r_hat(ObservationScheme.from_matrix(np.arange(1.0, 17.0).reshape(8, 2)), k),
+    lambda k: pwm_of_gev(GevParams(0, 1, 0.1), k),
+], ids=["sample_pwm", "sample_pwm_unbiased", "zhat_vectors", "sigma_r_hat", "pwm_of_gev"])
+def test_orders_must_be_integers(call):
+    # 2.5 used to give 4 PWMs, or a bare TypeError; an integral float is its int
+    np.testing.assert_array_equal(call(2.0), call(2))
+    with pytest.raises(ParameterError, match="must be an integer, got 2.5"):
+        call(2.5)
+
+
 def _degenerate_sample(seed, n, scale, decimals, constant, bad):
     """n x 12 GEV draws with the degeneracies asked for: rounding ties, a constant
     first column, an overall scale and one non-finite ``bad`` value in it."""
@@ -412,11 +529,10 @@ def _sample_calls(x, gamma):
         ("tail_dependence_empirical", lambda: tail_dependence_empirical(pairs, k, 1.0, 0.5)),
     ]
     for pwm_fn in (sample_pwm, sample_pwm_unbiased):
-        for recover, order in ((gev_from_lmoments, 2), (gev_from_tlmoments, 3)):
-            for exact in (False, True):
-                calls.append((f"{recover.__name__} {pwm_fn.__name__} exact={exact}",
-                              lambda f=pwm_fn, r=recover, o=order, e=exact:
-                              astuple(r(f(sample, o), exact_shape=e))))
+        for method, name, fn in _pwm_maps():
+            calls.append((f"{name} {pwm_fn.__name__}",
+                          lambda f=pwm_fn, m=fn, o={"L": 2, "TL": 3}[method]:
+                          _as_values(m(f(sample, o)))))
 
     def aggregated():
         # one site observed in every month of n calendar years, x[i, m] in month m + 1

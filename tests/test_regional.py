@@ -74,6 +74,19 @@ class TestScheme:
         with pytest.raises(DataError, match="site 'site2'.*finite"):
             ObservationScheme.from_matrix(data)
 
+    def test_offset_must_be_an_integer(self):
+        # an integral float becomes an int; a fractional one used to pass and
+        # then break slicing in the tail lane with a bare TypeError
+        site = SiteSeries("b", 2.0, np.ones(5))
+        assert site.offset == 2 and isinstance(site.offset, int)
+        for bad in (2.5, np.nan, "two"):
+            with pytest.raises(DataError, match="site 'b': offset must be an integer"):
+                SiteSeries("b", bad, np.ones(5))
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(DataError, match="at least one site"):
+            make_scheme(d=2).subset([])
+
     @pytest.mark.parametrize("ids", [["a"], ["a", "b"], ["a", "b", "c", "d"]])
     def test_from_matrix_needs_one_id_per_column(self, ids):
         with pytest.raises(DataError, match=f"{len(ids)} site ids for 3 columns"):
@@ -396,13 +409,13 @@ class TestRegionalShape:
             with pytest.raises(DataError, match="site 'site2'"):
                 call()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_shape_covariance_rejected(self):
-        # the shape gradients overflow at this scale
+        # the shape gradients would overflow at this scale: the square of their
+        # ratio denominator underflows to 0, which the gradient itself reports
         scheme = ObservationScheme.from_matrix(_gumbel_region() * 1e-300)
         for call in (regional_shape, homogeneity_test, sigma_tail_hat,
                      lambda s: fit_gev_regional(s, "site1")):
-            with pytest.raises(NumericError, match="not finite"):
+            with pytest.raises(NumericError, match="site 'site1'.*floating-point range"):
                 call(scheme)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -493,6 +506,18 @@ class TestFitGevRegional:
     def test_missing_site(self):
         with pytest.raises(DataError):
             fit_gev_regional(make_scheme(d=2), "ghost", "L")
+
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1e3])
+    def test_covariance_follows_the_data_units(self, method, scale):
+        # (mu, sigma) carry the data's units and xi none, so scaling the data by
+        # s scales the covariance by D = diag(s, s, 1) on both sides; a step of
+        # fixed size for small PWMs broke this below s = 1
+        data = gev_quantile(GevParams(2, 1, 0.2), np.random.default_rng(0).uniform(size=(60, 5)))
+        base = fit_gev_regional(ObservationScheme.from_matrix(data), "site1", method)
+        moved = fit_gev_regional(ObservationScheme.from_matrix(scale * data), "site1", method)
+        units = np.diag([scale, scale, 1.0])
+        np.testing.assert_allclose(moved.covariance, units @ base.covariance @ units, rtol=1e-6)
 
     def test_one_pwm_covariance_per_fit(self, monkeypatch):
         calls = []
