@@ -29,13 +29,15 @@ class HomogeneityError(RegfloodError):
     """The region failed an enforced homogeneity check."""
 
 
-def _integer(value, name: str, error=ParameterError) -> int:
-    """``value`` as an int, as ``int()`` reads it, except that a fractional, NaN or
-    infinite number raises ``error`` instead of being truncated (2.0 passes)."""
-    try:
-        as_int = int(value)
-        if isinstance(value, str) or as_int == value:
-            return as_int
-    except (TypeError, ValueError, OverflowError):
-        pass
+def _integer(value, name: str, error=ParameterError, text: bool = False) -> int:
+    """``value`` as an int: an integral number (2.0 reads as 2), or with ``text``
+    a string that ``int()`` reads (a scenario file's "12").  A fractional, NaN
+    or infinite number, a bool or any other string raises ``error``."""
+    if not isinstance(value, bool) and (text or not isinstance(value, str)):
+        try:
+            as_int = int(value)
+            if isinstance(value, str) or as_int == value:
+                return as_int
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise error(f"{name} must be an integer, got {value!r}")

@@ -452,6 +452,10 @@ def _quadrature_grid(lo: float, hi: float, n_segments: int, nodes_per_segment: i
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+# Offsets 2^j probed for a visible density around an anchor.
+_PROBE_LADDER = [2.0**j for j in range(-20, 60)]
+
+
 def _effective_bounds(density, support, floor: float) -> tuple[float, float]:
     """Truncate an (possibly unbounded) support where the density is tiny.
 
@@ -475,8 +479,8 @@ def _effective_bounds(density, support, floor: float) -> tuple[float, float]:
 
 def _visible_point(density, floor: float) -> float:
     """0 if the density shows above the floor there, else the nearest ladder point
-    +-2^j (j = -20..59, + before -) where it does."""
-    for x in [0.0] + [sign * 2.0**j for j in range(-20, 60) for sign in (1.0, -1.0)]:
+    +-2^j (+ before -) where it does."""
+    for x in [0.0] + [sign * b for b in _PROBE_LADDER for sign in (1.0, -1.0)]:
         if density(x) > floor:
             return x
     raise ParameterError("density not detectable above the truncation floor on the line")
@@ -487,8 +491,8 @@ def _density_edge(density, anchor: float, step: float, floor: float) -> float:
     left for -1 (``anchor + (-b)`` is ``anchor - b`` exactly, so both ends probe
     the same points)."""
     probe = None
-    for j in range(-20, 60):
-        x = anchor + step * 2.0**j
+    for b in _PROBE_LADDER:
+        x = anchor + step * b
         if density(x) > floor:
             probe = x
     if probe is None:

@@ -377,8 +377,8 @@ def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
     The shape row is analytic (it drives the regional variance and is
     cross-checked by finite differences in the tests); the location and
     scale rows use central differences of the full recovery map, with a
-    step of 1e-6 times the PWM moved (times the largest PWM for a zero
-    one), so the gradient scales with the data's units.
+    step of 1e-6 times the larger of the PWM moved and the L-scale
+    2 beta_1 - beta_0 (of the largest PWM if both are 0).
 
     Returns
     -------
@@ -392,8 +392,9 @@ def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
     base = pwm.values[:k_needed].copy()
     out = np.empty((3, k_needed))
     out[2] = spec.shape_gradient(PwmVector(base))
+    spread = abs(2 * base[1] - base[0])
     for k in range(k_needed):
-        h = 1e-6 * abs(base[k]) or 1e-6 * np.abs(base).max()
+        h = 1e-6 * max(abs(base[k]), spread) or 1e-6 * np.abs(base).max()
         up, dn = base.copy(), base.copy()
         up[k] += h
         dn[k] -= h

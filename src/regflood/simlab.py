@@ -311,7 +311,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise DataError(f"scenario file {path} must hold a JSON object")
 
     def integer(value, name):
-        return _integer(value, f"scenario file {path}: {name}", DataError)
+        return _integer(value, f"scenario file {path}: {name}", DataError, text=True)
 
     try:
         d = integer(raw["d"], "d")

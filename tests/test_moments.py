@@ -356,6 +356,37 @@ class TestGradients:
             fd = (tu - td) / (2 * h)
             np.testing.assert_allclose(grad[:, i], fd, rtol=1e-4, atol=1e-8)
 
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    def test_full_map_gradient_matches_fd_at_zero_mean(self, method):
+        # beta_0, the mean, is 1e-13 while the spread is 1: a step of 1e-6 times
+        # beta_0 alone vanished in 2 b1 - b0 and left the location column 0
+        xi = 0.4
+        pwm = exact_pwms(GevParams(1e-13 - (gamma_fn(1 - xi) - 1) / xi, 1, xi))
+        assert 0 < pwm[0] < 1e-12
+        k = 3 if method == "L" else 4
+        fit_fn = gev_from_lmoments if method == "L" else gev_from_tlmoments
+        grad = gev_fit_gradient(pwm, method)
+        for i in range(k):
+            up = pwm.values[:k].copy()
+            dn = pwm.values[:k].copy()
+            up[i] += 1e-6
+            dn[i] -= 1e-6
+            fd = (fit_fn(PwmVector(up)).as_array() - fit_fn(PwmVector(dn)).as_array()) / 2e-6
+            np.testing.assert_allclose(grad[:, i], fd, rtol=1e-4, atol=1e-8)
+
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    @pytest.mark.parametrize("shift", ["mean-1e-13", 1e2])
+    def test_gradient_ignores_a_shift_of_the_data(self, method, shift):
+        # adding c to the data adds c/(k+1) to beta_k and c to mu only, so the
+        # gradient at the shifted PWMs is the gradient at the original ones (up to
+        # the central differences' error, which grows with the step, 1e-6 |beta_k|)
+        pwm = exact_pwms(GevParams(1.5, 1, 0.4))
+        c = 1e-13 - pwm[0] if shift == "mean-1e-13" else shift
+        moved = PwmVector(pwm.values + c / np.arange(1, 5))
+        np.testing.assert_allclose(
+            gev_fit_gradient(moved, method), gev_fit_gradient(pwm, method), rtol=1e-4, atol=1e-8
+        )
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError, match="unknown moment method"):
             gev_fit_gradient(exact_pwms(GevParams(1.5, 1, 0.4)), "X")
@@ -458,12 +489,14 @@ def test_pwm_maps_give_finite_values_or_package_errors(case):
     # overflows (a bare OverflowError)
     values, error = PWM_BATTERY[case]
     pwm = PwmVector(np.array(values))
+    raised = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _, label, call in _pwm_maps():
             if error is not None:
-                with pytest.raises(error):
+                with pytest.raises(error) as info:
                     call(pwm)
+                raised[label] = str(info.value)
                 continue
             try:
                 result = _as_values(call(pwm))
@@ -472,17 +505,10 @@ def test_pwm_maps_give_finite_values_or_package_errors(case):
                 assert isinstance(exc, NumericError) and "floating-point range" in str(exc), label
                 continue
             assert np.all(np.isfinite(result)), (label, result)
-
-
-def test_shape_and_gradient_share_one_ratio_check():
-    # the gradient raises what the shape raises, not a bare Python error
-    for pwm in (PwmVector([3.0, 2.0, 1.0, 0.75]), PwmVector([1.0, 0.5, np.nan, 0.2])):
+    if error is DataError:
+        # one ratio check serves both: the gradient raises what the shape raises
         for shape, gradient, _ in _METHOD_MAPS.values():
-            with pytest.raises(DataError) as from_shape:
-                shape(pwm)
-            with pytest.raises(DataError) as from_gradient:
-                gradient(pwm)
-            assert str(from_gradient.value) == str(from_shape.value)
+            assert raised[gradient.__name__] == raised[shape.__name__]
 
 
 @pytest.mark.parametrize("call", [
@@ -495,8 +521,9 @@ def test_shape_and_gradient_share_one_ratio_check():
 def test_orders_must_be_integers(call):
     # 2.5 used to give 4 PWMs, or a bare TypeError; an integral float is its int
     np.testing.assert_array_equal(call(2.0), call(2))
-    with pytest.raises(ParameterError, match="must be an integer, got 2.5"):
-        call(2.5)
+    for bad in (2.5, "2", True):
+        with pytest.raises(ParameterError, match=f"must be an integer, got {bad!r}"):
+            call(bad)
 
 
 def _degenerate_sample(seed, n, scale, decimals, constant, bad):

@@ -76,10 +76,11 @@ class TestScheme:
 
     def test_offset_must_be_an_integer(self):
         # an integral float becomes an int; a fractional one used to pass and
-        # then break slicing in the tail lane with a bare TypeError
+        # then break slicing in the tail lane with a bare TypeError; a string or a
+        # bool is not a count
         site = SiteSeries("b", 2.0, np.ones(5))
         assert site.offset == 2 and isinstance(site.offset, int)
-        for bad in (2.5, np.nan, "two"):
+        for bad in (2.5, np.nan, "two", "2", True):
             with pytest.raises(DataError, match="site 'b': offset must be an integer"):
                 SiteSeries("b", bad, np.ones(5))
 
