@@ -25,7 +25,6 @@ __all__ = [
     "gev_pdf",
     "gev_quantile",
     "gev_cdf_jacobian",
-    "gev_quantile_gradient",
     "twocomp_cdf",
     "twocomp_pdf",
     "twocomp_quantile",
@@ -243,23 +242,6 @@ def gev_cdf_jacobian(params: GevParams, x: float) -> np.ndarray:
     return jac
 
 
-def gev_quantile_gradient(params: GevParams, p: float) -> np.ndarray:
-    """Gradient of the p-quantile with respect to (mu, sigma, xi).
-
-    Follows from implicit differentiation of G(q(theta)) = p, giving
-    -J(q)/g(q); used for delta-method variances of single-GEV quantiles.
-    """
-    q = gev_quantile(params, p)
-    dens = gev_pdf(params, q)
-    if dens <= 0:
-        raise NumericError(f"density vanished at the {p}-quantile of {params}")
-    with np.errstate(over="ignore"):
-        grad = -gev_cdf_jacobian(params, q) / dens
-    if not np.isfinite(grad).all():
-        raise NumericError(f"the {p}-quantile gradient of {params} overflows the float range")
-    return grad
-
-
 _BRENT_RTOL = 4 * float(np.finfo(float).eps)
 
 
@@ -367,7 +349,9 @@ def twocomp_quantile(model: TwoComponentGev, p: float) -> float:
     p) and the larger of the component sqrt(p)-quantiles is an upper
     bound (both factors are at least sqrt(p) there).  The root is found
     by the in-package Brent solver :func:`brentq`, which takes the same
-    iterates as SciPy's ``brentq``.
+    iterates as SciPy's ``brentq``.  Its absolute tolerance is 1e-13
+    times the bracket's magnitude, capped at 1e-13, so a bracket of small
+    magnitude is searched to a proportionally finer tolerance.
 
     Raises
     ------
@@ -405,7 +389,10 @@ def twocomp_quantile(model: TwoComponentGev, p: float) -> float:
             f"upper bracket invalidated by rounding: F({hi:.6g}) - p = {res_hi:.3e}"
         )
     try:
-        root = brentq(residual, lo, hi, xtol=1e-13, maxiter=_QUANTILE_MAX_ITER)
+        # a fixed 1e-13 stops a bracket of scale 1e-7 or below short of the
+        # residual tolerance; lo < hi, so the magnitude is positive
+        xtol = 1e-13 * min(1.0, max(abs(lo), abs(hi)))
+        root = brentq(residual, lo, hi, xtol=xtol, maxiter=_QUANTILE_MAX_ITER)
     except (ValueError, RuntimeError) as exc:
         raise NumericError(
             f"product-quantile inversion failed for p={p} on bracket "

@@ -246,16 +246,24 @@ def _squared(den: float) -> float:
     return square
 
 
+def _finite_shape(xi: float, h: float) -> float:
+    """A polynomial shape, which a ratio ``h`` beyond about 1e154 in magnitude
+    overflows."""
+    if not math.isfinite(xi):
+        raise NumericError(f"shape ratio {h:.6g} puts the shape out of floating-point range")
+    return xi
+
+
 def shape_from_lmoments(pwm: PwmVector) -> float:
     """Polynomial shape approximation from the L-moment ratio."""
     h = _ratio_l(pwm)[2]
-    return -7.859 * h - 2.9554 * h * h
+    return _finite_shape(-7.859 * h - 2.9554 * h * h, h)
 
 
 def shape_from_tlmoments(pwm: PwmVector) -> float:
     """Polynomial shape approximation from the trimmed-L-moment ratio."""
     h = _ratio_tl(pwm)[2]
-    return -8.567394 * h + 0.675969 * h * h
+    return _finite_shape(-8.567394 * h + 0.675969 * h * h, h)
 
 
 def shape_gradient_lmoments(pwm: PwmVector) -> np.ndarray:

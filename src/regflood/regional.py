@@ -208,35 +208,40 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     sites against the whole group are one stacked product.  The matrix
     is exactly symmetric but not necessarily positive semi-definite:
     finite-sample estimates can have negative eigenvalues, which the
-    shape weighting handles with its fallback.
+    shape weighting handles with its fallback.  Data whose scale
+    overflows the matrix raise :class:`NumericError`.
     """
     K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
     r = scheme.ratios
-    zhats = _ranked_block([s.values for s in scheme.sites], K)
 
     def columns(sites):
         return (sites[:, None] * K + np.arange(K)).ravel()
 
     matrix = np.empty((scheme.d * K, scheme.d * K))
-    for start, group, late in scheme.overlap_groups():
-        # C order, so the centring adds each column's years one by one (the
-        # strided copy that indexing makes would sum a K = 1 column pairwise)
-        z = np.ascontiguousarray(zhats[start:, group])
-        z = z - z.mean(axis=0)
-        m = len(z)
-        # one K x K product per (late, group) pair: one 2-D product can round
-        # the blocks differently, as BLAS picks kernels by size; indexing copies
-        # the late sites, keeping A.T @ A off the symmetric rank-k path
-        by_site = z.transpose(1, 0, 2)
-        cov = by_site[late].transpose(0, 2, 1)[:, None] @ by_site[None] / (m - 1)
-        r_late, r_group = r[group[late]], r[group]
-        scale = np.minimum.outer(r_late, r_group) / np.outer(r_late, r_group)
-        block = (scale[:, :, None, None] * cov).transpose(0, 2, 1, 3).reshape(len(late) * K, -1)
-        rows, cols = columns(group[late]), columns(group)
-        matrix[np.ix_(rows, cols)] = block
-        matrix[np.ix_(cols, rows)] = block.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below speaks
+        zhats = _ranked_block([s.values for s in scheme.sites], K)
+        for start, group, late in scheme.overlap_groups():
+            # C order, so the centring adds each column's years one by one (the
+            # strided copy that indexing makes would sum a K = 1 column pairwise)
+            z = np.ascontiguousarray(zhats[start:, group])
+            z = z - z.mean(axis=0)
+            m = len(z)
+            # one K x K product per (late, group) pair: one 2-D product can round
+            # the blocks differently, as BLAS picks kernels by size; indexing copies
+            # the late sites, keeping A.T @ A off the symmetric rank-k path
+            by_site = z.transpose(1, 0, 2)
+            cov = by_site[late].transpose(0, 2, 1)[:, None] @ by_site[None] / (m - 1)
+            r_late, r_group = r[group[late]], r[group]
+            scale = np.minimum.outer(r_late, r_group) / np.outer(r_late, r_group)
+            block = (scale[:, :, None, None] * cov).transpose(0, 2, 1, 3)
+            block = block.reshape(len(late) * K, -1)
+            rows, cols = columns(group[late]), columns(group)
+            matrix[np.ix_(rows, cols)] = block
+            matrix[np.ix_(cols, rows)] = block.T
+    if not np.isfinite(matrix).all():
+        raise NumericError("PWM covariance is not finite: the data's scale overflows it")
     return matrix
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataError, DomainError, NumericError, ParameterError
 from .gev import brentq
 from .regional import ObservationScheme, _pool_weights, fallback_weights
-from .twocomp import QuantileInterval, _interval_z
+from .twocomp import QuantileInterval, _interval
 
 __all__ = [
     "hill",
@@ -443,11 +443,9 @@ class RegionalTailFit:
     def interval(self, site_id: str, p: float, alpha: float) -> QuantileInterval:
         """Quantile q at a site with its delta-method interval q (1 -+ z s |log r|),
         r = k_j / (n_j (1-p)), s^2 = gamma^2/k_1 * w' Sigma w (site 1 the reference)."""
-        z = _interval_z(alpha)
         q_hat, ratio = _power_tail_quantile(*self._site_tail(site_id), p)
         s = math.sqrt(self.gamma**2 / self.k[0] * float(self.weights @ self.sigma @ self.weights))
-        rel_half = z * s * abs(math.log(ratio))
-        return QuantileInterval(q_hat, q_hat * (1.0 - rel_half), q_hat * (1.0 + rel_half), alpha)
+        return _interval(q_hat, q_hat * s * abs(math.log(ratio)), alpha)
 
 
 def regional_tail_fit(

@@ -22,7 +22,6 @@ from .gev import (
     gev_cdf_jacobian,
     gev_pdf,
     gev_quantile,
-    gev_quantile_gradient,
     twocomp_quantile,
 )
 from .regional import ObservationScheme, RegionalGevFit, fit_gev_regional
@@ -125,18 +124,51 @@ def _season_correlation(
     return corr if math.isfinite(corr) else None
 
 
-def _jacobian_total(theta: GevParams, x: float) -> np.ndarray:
-    """Parameter Jacobian of the cdf extended by its limits.
+def _quantile_variance(parts, q: float) -> float:
+    """Delta-method variance of ``sqrt(n) * (q_hat - q)`` at the quantile ``q``
+    of a product of GEV cdfs, one ``(theta, covariance)`` pair per factor.
 
-    Outside the support the cdf is locally constant (0 or 1), so all
-    parameter derivatives vanish; the variance formula needs this total
-    extension because the product quantile can escape the support of a
-    bounded-tail component.
+    Implicit differentiation of prod_c G_c(q) = p gives factor c's gradient
+    -P_c J_c(q) / f(q): P_c the product of the other factors' cdfs, J_c the
+    cdf Jacobian, zero outside factor c's support (where its cdf is flat and
+    the product quantile can lie), and f = sum_c g_c P_c the product density.
+    The factors are fitted independently, so the variance sums
+    grad' Sigma_c grad over them.  A single GEV is the one-factor product.
     """
-    lo, hi = theta.support()
-    if lo < x < hi:
-        return gev_cdf_jacobian(theta, x)
-    return np.zeros(3)
+    cdfs = [gev_cdf(theta, q) for theta, _ in parts]
+    others = [math.prod(cdfs[:c] + cdfs[c + 1:]) for c in range(len(parts))]
+    dens = sum(gev_pdf(theta, q) * other for (theta, _), other in zip(parts, others))
+    if not dens > 0:
+        raise NumericError(
+            f"product density vanished at q={q:.6g}; the quantile escaped "
+            "every component's effective support"
+        )
+    variance = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (theta, sigma), other in zip(parts, others):
+            lo, hi = theta.support()
+            if lo < q < hi:
+                grad = -other * gev_cdf_jacobian(theta, q) / dens
+                variance += float(grad @ np.asarray(sigma, dtype=float) @ grad)
+    if not math.isfinite(variance):
+        raise NumericError(
+            f"the quantile variance at q={q:.6g} is {variance}: a covariance is not "
+            "finite or its product with the gradient overflows the float range"
+        )
+    return max(variance, 0.0)
+
+
+def _interval(q: float, sd: float, alpha: float) -> QuantileInterval:
+    """The (1 - alpha) normal interval ``q -/+ z_(1-alpha/2) sd``; every
+    interval of the package is formed here."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError("alpha must lie strictly between 0 and 1")
+    # Python floats overflow to inf silently; the check below speaks
+    q, half = float(q), float(ndtri(1.0 - alpha / 2.0)) * float(sd)
+    lower, upper = q - half, q + half
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise NumericError(f"the interval {q:.6g} -/+ {half:.6g} leaves the float range")
+    return QuantileInterval(q, lower, upper, alpha)
 
 
 def twocomp_quantile_variance(fit: SeasonalFit, p: float) -> float:
@@ -149,67 +181,27 @@ def twocomp_quantile_variance(fit: SeasonalFit, p: float) -> float:
     with J the parameter Jacobian of the cdf and g the density; this is
     the delta-method variance of sqrt(n) * (q_hat - q).
     """
-    return _twocomp_variance_at(fit, p, twocomp_quantile(fit.model, p))
-
-
-def _twocomp_variance_at(fit: SeasonalFit, p: float, qp: float) -> float:
-    """:func:`twocomp_quantile_variance` at its already inverted quantile ``qp``."""
-    cdf_w = gev_cdf(fit.theta_w, qp)
-    cdf_s = gev_cdf(fit.theta_s, qp)
-    dens_w = gev_pdf(fit.theta_w, qp)
-    dens_s = gev_pdf(fit.theta_s, qp)
-    denom = (dens_w * cdf_s + cdf_w * dens_s) ** 2
-    if denom < 1e-300:
-        raise NumericError(
-            f"product density vanished at q_{p}={qp:.6g}; the quantile escaped "
-            "both components' effective support"
-        )
-    jac_w = _jacobian_total(fit.theta_w, qp)
-    jac_s = _jacobian_total(fit.theta_s, qp)
-    num = cdf_s**2 * (jac_w @ fit.sigma_w @ jac_w) + cdf_w**2 * (
-        jac_s @ fit.sigma_s @ jac_s
-    )
-    return max(float(num / denom), 0.0)
+    parts = [(fit.theta_w, fit.sigma_w), (fit.theta_s, fit.sigma_s)]
+    return _quantile_variance(parts, twocomp_quantile(fit.model, p))
 
 
 def twocomp_quantile_ci(fit: SeasonalFit, p: float, alpha: float) -> QuantileInterval:
     """Asymptotic (1 - alpha) confidence interval for the annual quantile."""
-    z = _interval_z(alpha)
     qp = twocomp_quantile(fit.model, p)
-    return _normal_interval(qp, _twocomp_variance_at(fit, p, qp), fit.n, alpha, z)
-
-
-def _interval_z(alpha: float) -> float:
-    """The normal quantile z_(1-alpha/2) of a two-sided (1 - alpha) interval;
-    every interval of the package reads its level here."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie strictly between 0 and 1")
-    return ndtri(1.0 - alpha / 2.0)
-
-
-def _normal_interval(
-    estimate: float, variance: float, n: int, alpha: float, z: float
-) -> QuantileInterval:
-    """``estimate -/+ z sqrt(variance / n)`` with ``z = _interval_z(alpha)``."""
-    half = z * math.sqrt(variance) / math.sqrt(n)
-    return QuantileInterval(estimate, estimate - half, estimate + half, alpha)
+    variance = _quantile_variance([(fit.theta_w, fit.sigma_w), (fit.theta_s, fit.sigma_s)], qp)
+    return _interval(qp, math.sqrt(variance) / math.sqrt(fit.n), alpha)
 
 
 def gev_quantile_variance(theta: GevParams, sigma: np.ndarray, p: float) -> float:
-    """Delta-method variance of a single-GEV quantile estimator.
-
-    Degenerate case of the product-model formula with one component
-    removed; used for the annual one-component fits.
-    """
-    grad = gev_quantile_gradient(theta, p)
-    return max(float(grad @ np.asarray(sigma, dtype=float) @ grad), 0.0)
+    """Delta-method variance of a single-GEV quantile estimator: the
+    one-factor product, used for the annual one-component fits."""
+    return _quantile_variance([(theta, sigma)], gev_quantile(theta, p))
 
 
 def gev_quantile_ci(
     fit: RegionalGevFit, p: float, alpha: float
 ) -> QuantileInterval:
     """Asymptotic (1 - alpha) interval for a single-GEV regional quantile."""
-    z = _interval_z(alpha)
     qp = float(gev_quantile(fit.theta, p))
-    variance = gev_quantile_variance(fit.theta, fit.covariance, p)
-    return _normal_interval(qp, variance, fit.n_effective, alpha, z)
+    variance = _quantile_variance([(fit.theta, fit.covariance)], qp)
+    return _interval(qp, math.sqrt(variance) / math.sqrt(fit.n_effective), alpha)

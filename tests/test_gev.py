@@ -18,13 +18,20 @@ from regflood.gev import (
     gev_cdf_jacobian,
     gev_pdf,
     gev_quantile,
-    gev_quantile_gradient,
     kl_project_gev,
     twocomp_cdf,
     twocomp_pdf,
     twocomp_quantile,
 )
+from regflood.regional import RegionalGevFit
 from regflood.simlab import BlockMaxMargin, blockmax_cdf, blockmax_quantile
+from regflood.twocomp import (
+    SeasonalFit,
+    gev_quantile_ci,
+    gev_quantile_variance,
+    twocomp_quantile_ci,
+    twocomp_quantile_variance,
+)
 
 STD_HEAVY = GevParams(2.0, 1.0, 0.2)
 STD_SUMMER = GevParams(1.5, 1.0, 0.4)
@@ -113,7 +120,8 @@ class TestGevQuantile:
         # 1e306 * expm1(6) overflows even when divided by xi first
         broad, q = GevParams(0, 1e307, 10.0), math.exp(-math.exp(-0.6))
         for call in (lambda: gev_quantile(heavy, p), lambda: gev_quantile(heavy, np.array([p])),
-                     lambda: gev_quantile_gradient(heavy, p), lambda: twocomp_quantile(wide, p),
+                     lambda: _gev_variance_and_interval(heavy, p),
+                     lambda: twocomp_quantile(wide, p),
                      lambda: gev_quantile(broad, q), lambda: gev_quantile(broad, np.array([q]))):
             with pytest.raises(NumericError, match="overflows"):
                 call()
@@ -253,6 +261,22 @@ class TestTwoComponent:
     def test_quantile_round_trip_property(self, p, w, s):
         q = twocomp_quantile(TwoComponentGev(w, s), p)
         assert twocomp_cdf(TwoComponentGev(w, s), q) == pytest.approx(p, abs=1e-9)
+
+    def test_quantile_is_scale_equivariant(self):
+        # an absolute solver tolerance of 1e-13 stopped brackets of scale 1e-7 and
+        # below short of the 1e-10 residual ("did not converge")
+        unit = TwoComponentGev(GevParams(0, 1, 0.3), GevParams(0, 1, 0.1))
+        q_unit = twocomp_quantile(unit, 0.99)
+        for e in range(-300, 7):
+            s = 10.0**e
+            model = TwoComponentGev(GevParams(0, s, 0.3), GevParams(0, s, 0.1))
+            q = twocomp_quantile(model, 0.99)
+            assert q / s == pytest.approx(q_unit, rel=1e-12), e
+            assert abs(twocomp_cdf(model, q) - 0.99) <= 1e-15, e
+        tiny = TwoComponentGev(*(GevParams(1e-9 * g.mu, 1e-9 * g.sigma, g.xi)
+                                 for g in (STD_HEAVY, STD_SUMMER)))
+        assert twocomp_quantile(tiny, 0.99) == pytest.approx(
+            1e-9 * twocomp_quantile(MODEL, 0.99), rel=1e-12)
 
 
 def _solve(solver, f, a, b, **kwargs):
@@ -432,6 +456,19 @@ class TestKlProjection:
         assert all(math.isfinite(v) for v in (proj.mu, proj.sigma, proj.xi)) and proj.sigma > 0
 
 
+def _gev_variance_and_interval(params, p):
+    """A single GEV's quantile variance and interval bounds at unit covariance."""
+    ci = gev_quantile_ci(RegionalGevFit(params, np.eye(3), 50, None, params), p, 0.05)
+    return gev_quantile_variance(params, np.eye(3), p), ci.lower, ci.upper
+
+
+def _twocomp_variance_and_interval(model, p):
+    """A product model's quantile variance and interval bounds at unit covariances."""
+    fit = SeasonalFit(model.winter, model.summer, np.eye(3), np.eye(3), 50)
+    ci = twocomp_quantile_ci(fit, p, 0.05)
+    return twocomp_quantile_variance(fit, p), ci.lower, ci.upper
+
+
 def _outcome(call):
     """``call()`` as a float array, or the class of the package error it raised."""
     try:
@@ -491,11 +528,14 @@ def test_degenerate_parameters_give_finite_values_or_package_errors(
             for values in (np.array(entries), whole):
                 np.testing.assert_array_equal(np.isnan(values), np.isnan(xs), f.__name__)
                 assert np.all(np.isfinite(values[~np.isnan(xs)])), (f.__name__, dist, xs, values)
-        # quantiles on both paths, Jacobians and gradients: finite or a package error
+        # quantiles on both paths, Jacobians, and quantile variances and intervals:
+        # finite or a package error
         calls = [(f, dist, p) for p in levels + [np.array(levels)]
                  for f, dist in [(gev_quantile, params), (blockmax_quantile, margin)]]
         calls += [(f, dist, p) for p in levels
-                  for f, dist in [(gev_quantile_gradient, params), (twocomp_quantile, model)]]
+                  for f, dist in [(_gev_variance_and_interval, params),
+                                  (twocomp_quantile, model),
+                                  (_twocomp_variance_and_interval, model)]]
         calls += [(gev_cdf_jacobian, params, x) for x in xs]
         for f, dist, arg in calls:
             value = _outcome(lambda: f(dist, arg))

@@ -479,6 +479,10 @@ PWM_BATTERY = {
     "inf": ([np.inf, 2.0, 1.0, 0.5], DataError),
     "scale-1e-300": (1e-300 * _GEV_PWMS, None),
     "scale-1e300": (1e300 * _GEV_PWMS, None),
+    # finite, nonzero num and den whose ratio overflows: the shape used to be -inf
+    # (L) or nan (TL); a 3-vector has no trimmed ratio
+    "ratio-overflow": ([0.0, 1e300, 1e-300, 0.0], NumericError),
+    "ratio-overflow-L": ([0.0, 1e300, 1e-300], {"L": NumericError, "TL": ParameterError}),
 }
 
 
@@ -487,12 +491,13 @@ def test_pwm_maps_give_finite_values_or_package_errors(case):
     # degenerate PWM vectors reach every map; the shape gradients used to divide by
     # a squared denominator that underflows to 0 (a bare ZeroDivisionError) or
     # overflows (a bare OverflowError)
-    values, error = PWM_BATTERY[case]
+    values, errors = PWM_BATTERY[case]
     pwm = PwmVector(np.array(values))
     raised = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _, label, call in _pwm_maps():
+        for method, label, call in _pwm_maps():
+            error = errors.get(method) if isinstance(errors, dict) else errors
             if error is not None:
                 with pytest.raises(error) as info:
                     call(pwm)
@@ -505,7 +510,7 @@ def test_pwm_maps_give_finite_values_or_package_errors(case):
                 assert isinstance(exc, NumericError) and "floating-point range" in str(exc), label
                 continue
             assert np.all(np.isfinite(result)), (label, result)
-    if error is DataError:
+    if errors is DataError:
         # one ratio check serves both: the gradient raises what the shape raises
         for shape, gradient, _ in _METHOD_MAPS.values():
             assert raised[gradient.__name__] == raised[shape.__name__]

@@ -419,14 +419,16 @@ class TestRegionalShape:
             with pytest.raises(NumericError, match="site 'site1'.*floating-point range"):
                 call(scheme)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_scale_overflows_the_shape_covariance(self):
-        # finite data can still overflow the PWM covariance (from 1e153 here);
-        # from 1e155 on the site's own shape fit overflows first
+        # finite data can still overflow the PWM covariance (from 1e153 here), which
+        # sigma_r_hat used to return with inf entries and an overflow warning; from
+        # 1e155 on the site's own shape fit overflows first
         for scale, message in ((1e153, "not finite"), (1e300, "site 'site1'")):
             scheme = ObservationScheme.from_matrix(_gumbel_region() * scale)
             with pytest.raises(NumericError, match=message):
                 regional_shape(scheme)
+            with pytest.raises(NumericError, match="PWM covariance is not finite"):
+                sigma_r_hat(scheme, 4)
 
     def test_regional_variance_not_worse(self):
         # homogeneous region: pooling should not increase the spread of

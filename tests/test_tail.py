@@ -513,8 +513,9 @@ class TestWeissmanCi:
         var = fit.gamma**2 / k[0] * (fit.weights @ fit.sigma @ fit.weights)
         half = norm.ppf(1 - alpha / 2) * math.sqrt(var) * math.log(20 / (200 * (1 - p)))
         assert ci.estimate == q
-        assert ci.lower == pytest.approx(q * (1 - half), rel=1e-12)
-        assert ci.upper == pytest.approx(q * (1 + half), rel=1e-12)
+        # the shared q -/+ z (q s |log r|) keeps the relative form q (1 -/+ z s |log r|)
+        assert ci.lower == pytest.approx(q * (1 - half), rel=1e-15)
+        assert ci.upper == pytest.approx(q * (1 + half), rel=1e-15)
 
     @pytest.mark.parametrize(
         "weights", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0], [0.5, 0.4, 0.0]]

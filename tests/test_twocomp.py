@@ -1,11 +1,12 @@
 """Seasonal product-model inference tests: variance formula and intervals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from regflood.errors import ParameterError
+from regflood.errors import NumericError, ParameterError
 from regflood.gev import (
     GevParams,
     TwoComponentGev,
@@ -14,7 +15,7 @@ from regflood.gev import (
     gev_quantile,
     twocomp_quantile,
 )
-from regflood.regional import ObservationScheme, SiteSeries
+from regflood.regional import ObservationScheme, RegionalGevFit, SiteSeries
 from regflood.twocomp import (
     SeasonalFit,
     fit_seasonal_regional,
@@ -109,6 +110,39 @@ class TestVariance:
         jac_s = gev_cdf_jacobian(THETA_S, q)
         expected = float(jac_s @ SIGMA_S @ jac_s) / gev_pdf(THETA_S, q) ** 2
         assert var == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [1e-100, 1e100, 1e150, 1e200, 1e300])
+    def test_variance_follows_the_data_scale(self, a):
+        # x -> a x with covariances D Sigma D, D = diag(a, a, 1) / sqrt(a), scales
+        # the variance by a; from a = 1e150 the squared product density underflowed
+        # the old 1e-300 floor although the density itself is positive
+        root = math.sqrt(a)
+        d = np.diag([root, root, 1.0 / root])
+        w, s = (GevParams(a * t.mu, a * t.sigma, t.xi) for t in (THETA_W, THETA_S))
+        fit = SeasonalFit(w, s, d @ SIGMA_W @ d, d @ SIGMA_S @ d, 100)
+        assert twocomp_quantile_variance(fit, 0.99) == pytest.approx(
+            a * twocomp_quantile_variance(make_fit(), 0.99), rel=1e-9
+        )
+        assert gev_quantile_variance(w, d @ SIGMA_W @ d, 0.99) == pytest.approx(
+            a * gev_quantile_variance(THETA_W, SIGMA_W, 0.99), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), 1e308 * np.eye(3)],
+                             ids=["nan", "1e308"])
+    def test_non_finite_variance_is_a_numeric_error(self, bad):
+        # a NaN covariance used to give the interval 15.7 [nan, nan], and 1e308 a
+        # bare RuntimeWarning from the overflowing product
+        calls = [lambda: gev_quantile_variance(THETA_W, bad, 0.99),
+                 lambda: gev_quantile_ci(RegionalGevFit(THETA_W, bad, 100, None, THETA_W),
+                                         0.99, 0.05)]
+        for fit in (make_fit(sw=bad, ss=bad), make_fit(ss=bad)):
+            calls += [lambda fit=fit: twocomp_quantile_variance(fit, 0.99),
+                      lambda fit=fit: twocomp_quantile_ci(fit, 0.99, 0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(NumericError, match="variance .* is (nan|inf)"):
+                    call()
 
 
 class TestInterval:
