@@ -105,6 +105,7 @@ def pwm_of_gev(params: GevParams, k: int) -> float:
     return float(value)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite check at the end speaks
 def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarray:
     """Sample PWMs or influence rows of samples ending in the same year, from one
     stable ranking of the n x d block that pads them at the start.
@@ -114,7 +115,8 @@ def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarr
     n x d x K array of plug-in influence rows (see ``zhat_vectors``): entry
     (t, j) is year t of the block, which holds no data before sample j
     starts.  Tied values share the ecdf value #{obs <= x}/n_j.  The
-    one-sample calls are the public sample functions.
+    one-sample calls are the public sample functions.  Data whose scale
+    overflows the sums raise :class:`NumericError`.
     """
     lengths = np.array([len(x) for x in samples])
     n, d = int(lengths.max()), len(samples)
@@ -142,8 +144,8 @@ def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarr
         ecdf_x = np.empty_like(ecdf)
         np.put_along_axis(ecdf_x, order, ecdf, axis=0)
         x = np.where(real, block, 0.0)
-        return (x[:, :, None] * ecdf_x[:, :, None] ** np.arange(K)).sum(axis=0) / lengths[:, None]
-    if pwm_estimator == "unbiased":
+        out = (x[:, :, None] * ecdf_x[:, :, None] ** np.arange(K)).sum(axis=0) / lengths[:, None]
+    elif pwm_estimator == "unbiased":
         # b_k averages x_(i) * C(i-1, k)/C(n-1, k); a row-wise mean over each
         # sample's sorted values keeps the pairwise sum of a one-sample mean
         rank = (years + 1 - pad).astype(float)
@@ -152,19 +154,23 @@ def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarr
             weights = weights * (rank - k) / (lengths - k)
             terms.append(weights * xs)
         by_sample = np.stack(terms).transpose(2, 0, 1).copy()
-        return np.array([t[:, a:].mean(axis=1) for t, a in zip(by_sample, pad)])
-    # x F(x)**k plus k/n_j times the sum of x_l F(x_l)**(k-1) over x_l >= x,
-    # a suffix sum from the first of x's ties in sorted order
-    first = np.maximum.accumulate(np.where(starts[:-1], years, 0), axis=0)
-    ranked = np.empty((n, d, K))
-    ranked[:, :, 0] = xs
-    for k in range(1, K):
-        v = xs * ecdf ** (k - 1)
-        suffix = np.cumsum(v[::-1], axis=0)[::-1]
-        ranked[:, :, k] = xs * ecdf**k + (k / lengths) * np.take_along_axis(suffix, first, axis=0)
-    rows = np.empty_like(ranked)
-    np.put_along_axis(rows, order[:, :, None], ranked, axis=0)
-    return rows
+        out = np.array([t[:, a:].mean(axis=1) for t, a in zip(by_sample, pad)])
+    else:
+        # x F(x)**k plus k/n_j times the sum of x_l F(x_l)**(k-1) over x_l >= x,
+        # a suffix sum from the first of x's ties in sorted order
+        first = np.maximum.accumulate(np.where(starts[:-1], years, 0), axis=0)
+        ranked = np.empty((n, d, K))
+        ranked[:, :, 0] = xs
+        for k in range(1, K):
+            v = xs * ecdf ** (k - 1)
+            suffix = np.cumsum(v[::-1], axis=0)[::-1]
+            tail = np.take_along_axis(suffix, first, axis=0)
+            ranked[:, :, k] = xs * ecdf**k + (k / lengths) * tail
+        out = np.empty_like(ranked)
+        np.put_along_axis(out, order[:, :, None], ranked, axis=0)
+    if not np.isfinite(out).all():
+        raise NumericError("the data's scale overflows the sample PWMs or their influence rows")
+    return out
 
 
 def _one_sample_pwms(data, k_max: int, pwm_estimator: str) -> PwmVector:
@@ -200,172 +206,147 @@ def sample_pwm_unbiased(data, k_max: int) -> PwmVector:
 
 
 # --------------------------------------------------------------------------
-# Shape recovery
+# Shape and parameter recovery
 # --------------------------------------------------------------------------
 
 
-def _ratio(num: float, den: float, offset: float, name: str) -> tuple[float, float, float]:
-    """``num``, ``den`` and ``num / den - offset`` of a shape ratio, checked:
-    ``num`` and ``den`` finite and ``den`` nonzero."""
-    if den == 0:
-        raise DataError(f"degenerate sample: {name} shape ratio has a zero denominator")
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise DataError(
-            f"{name} shape ratio {num:.6g}/{den:.6g} has a non-finite numerator or denominator"
-        )
-    return num, den, num / den - offset
+def _l_terms(b):
+    """Numerator (the L-scale) and denominator of the L shape ratio."""
+    return 2 * b[1] - b[0], 3 * b[2] - b[0]
 
 
-def _ratio_l(pwm: PwmVector) -> tuple[float, float, float]:
-    """The L-moment shape ratio (2b1 - b0)/(3b2 - b0), as :func:`_ratio` gives it."""
-    if pwm.order < 3:
-        raise ParameterError("shape recovery needs PWMs up to order 2")
-    b0, b1, b2 = pwm[0], pwm[1], pwm[2]
-    return _ratio(2 * b1 - b0, 3 * b2 - b0, _L_OFFSET, "L-moment")
+def _l_ratio_gradient(num, den, den2):
+    return (num - den) / den2, 2.0 / den, -3.0 * num / den2
 
 
-def _ratio_tl(pwm: PwmVector) -> tuple[float, float, float]:
-    """The trimmed shape ratio (4b1 - b0 - 3b2)/(9b2 - b0 - 8b3), as :func:`_ratio` gives it."""
-    if pwm.order < 4:
-        raise ParameterError("shape recovery needs PWMs up to order 3")
-    b0, b1, b2, b3 = pwm[0], pwm[1], pwm[2], pwm[3]
-    return _ratio(4 * b1 - b0 - 3 * b2, 9 * b2 - b0 - 8 * b3, _TL_OFFSET, "trimmed L-moment")
-
-
-def _squared(den: float) -> float:
-    """``den**2`` of a shape gradient, which must neither overflow nor underflow to 0."""
-    try:
-        square = den**2
-    except OverflowError:
-        square = math.inf
-    if not 0 < square < math.inf:
-        raise NumericError(
-            f"shape gradient: the squared ratio denominator of {den:.6g} "
-            "is out of floating-point range"
-        )
-    return square
-
-
-def _finite_shape(xi: float, h: float) -> float:
-    """A polynomial shape, which a ratio ``h`` beyond about 1e154 in magnitude
-    overflows."""
-    if not math.isfinite(xi):
-        raise NumericError(f"shape ratio {h:.6g} puts the shape out of floating-point range")
-    return xi
-
-
-def shape_from_lmoments(pwm: PwmVector) -> float:
-    """Polynomial shape approximation from the L-moment ratio."""
-    h = _ratio_l(pwm)[2]
-    return _finite_shape(-7.859 * h - 2.9554 * h * h, h)
-
-
-def shape_from_tlmoments(pwm: PwmVector) -> float:
-    """Polynomial shape approximation from the trimmed-L-moment ratio."""
-    h = _ratio_tl(pwm)[2]
-    return _finite_shape(-8.567394 * h + 0.675969 * h * h, h)
-
-
-def shape_gradient_lmoments(pwm: PwmVector) -> np.ndarray:
-    """Analytic gradient of the L-route shape estimate in (b0, b1, b2)."""
-    num, den, h = _ratio_l(pwm)
-    dpoly = -7.859 - 2 * 2.9554 * h
-    den2 = _squared(den)
-    grad_h = np.array([(num - den) / den2, 2.0 / den, -3.0 * num / den2])
-    return dpoly * grad_h
-
-
-def shape_gradient_tlmoments(pwm: PwmVector) -> np.ndarray:
-    """Analytic gradient of the TL-route shape estimate in (b0..b3)."""
-    num, den, h = _ratio_tl(pwm)
-    dpoly = -8.567394 + 2 * 0.675969 * h
-    grad_num = np.array([-1.0, 4.0, -3.0, 0.0])
-    grad_den = np.array([-1.0, 0.0, 9.0, -8.0])
-    grad_h = (den * grad_num - num * grad_den) / _squared(den)
-    return dpoly * grad_h
-
-
-# --------------------------------------------------------------------------
-# Full parameter recovery
-# --------------------------------------------------------------------------
-
-
-def gev_from_lmoments(pwm: PwmVector) -> GevParams:
-    """GEV parameters from PWMs via the L-moment equation system.
-
-    Parameters
-    ----------
-    pwm : PwmVector
-        PWMs of order >= 3 (beta_0, beta_1, beta_2, ...).
-
-    Raises
-    ------
-    DataError
-        If the implied second L-moment is not positive, or the shape
-        ratio has a zero or non-finite denominator or numerator.
-    NumericError
-        If the recovered shape reaches the Gamma-function pole at 1.
-    """
-    if pwm.order < 3:
-        raise ParameterError("L-moment recovery needs PWMs up to order 2")
-    b0, b1, b2 = pwm[0], pwm[1], pwm[2]
-    lam2 = 2 * b1 - b0
-    if not lam2 > 0:  # also rejects NaN
-        raise DataError(f"degenerate sample: second L-moment {lam2:.6g} is not positive")
-    xi = shape_from_lmoments(pwm)
-    if xi >= 1:
-        raise NumericError(f"recovered shape {xi:.4f} >= 1: mean is infinite")
+def _l_location_scale(b, xi: float):
+    """L-route (mu, sigma) at shape ``xi``."""
+    lam2 = _l_terms(b)[0]
     if abs(xi) < _FIT_GUMBEL_EPS:
         sigma = lam2 / math.log(2)
-        mu = b0 - EULER_GAMMA * sigma
-    else:
-        sigma = lam2 * xi / (gamma_fn(1 - xi) * (2.0**xi - 1.0))
-        mu = b0 + sigma * (1.0 - gamma_fn(1 - xi)) / xi
-    return GevParams(float(mu), float(sigma), float(xi))
+        return b[0] - EULER_GAMMA * sigma, sigma
+    g = float(gamma_fn(1 - xi))
+    sigma = lam2 * xi / (g * (2.0**xi - 1.0))
+    return b[0] + sigma * (1.0 - g) / xi, sigma
 
 
-def gev_from_tlmoments(pwm: PwmVector) -> GevParams:
-    """GEV parameters from PWMs via the (0,1)-trimmed equation system.
+def _tl_terms(b):
+    """Numerator (2/3 of the trimmed L-scale) and denominator of the trimmed shape ratio."""
+    return 4 * b[1] - b[0] - 3 * b[2], 9 * b[2] - b[0] - 8 * b[3]
 
-    Same contract as :func:`gev_from_lmoments` but based on beta_0..beta_3
-    and the trimmed moments; near xi = 0 the scale/location equations use
-    their analytic limits (the raw expressions are 0/0 at the Gamma pole).
-    """
-    if pwm.order < 4:
-        raise ParameterError("trimmed recovery needs PWMs up to order 3")
-    b0, b1, b2, b3 = pwm[0], pwm[1], pwm[2], pwm[3]
-    lam2_t = 1.5 * (4 * b1 - b0 - 3 * b2)
-    if not lam2_t > 0:  # also rejects NaN
-        raise DataError(
-            f"degenerate sample: second trimmed L-moment {lam2_t:.6g} is not positive"
-        )
-    xi = shape_from_tlmoments(pwm)
-    if xi >= 1:
-        raise NumericError(f"recovered shape {xi:.4f} >= 1: mean is infinite")
-    scale_num = 4 * b1 - b0 - 3 * b2
+
+def _tl_ratio_gradient(num, den, den2):
+    # (d num, d den) / d beta_k, k = 0..3
+    return [(den * a - num * c) / den2 for a, c in ((-1, -1), (4, 0), (-3, 9), (0, -8))]
+
+
+def _tl_location_scale(b, xi: float):
+    """Trimmed-route (mu, sigma) at shape ``xi``."""
+    scale_num = _tl_terms(b)[0]
     if abs(xi) < _FIT_GUMBEL_EPS:
         sigma = scale_num / math.log(4.0 / 3.0)
-        mu = 2 * (b0 - b1) + sigma * (math.log(2) - EULER_GAMMA)
-    else:
-        g = gamma_fn(-xi)
-        sigma = scale_num / (g * (3.0**xi - 2.0 ** (xi + 1) + 1.0))
-        mu = 2 * (b0 - b1) + sigma / xi - sigma * g * (2.0**xi - 2.0)
-    return GevParams(float(mu), float(sigma), float(xi))
+        return 2 * (b[0] - b[1]) + sigma * (math.log(2) - EULER_GAMMA), sigma
+    g = float(gamma_fn(-xi))
+    sigma = scale_num / (g * (3.0**xi - 2.0 ** (xi + 1) + 1.0))
+    return 2 * (b[0] - b[1]) + sigma / xi - sigma * g * (2.0**xi - 2.0), sigma
 
 
 @dataclass(frozen=True)
 class _MomentMethod:
-    """PWM order K and the shape, shape-gradient and recovery maps of a method."""
+    """One recovery route through the PWMs b = beta_0..beta_{K-1}.
+
+    The shape is the polynomial ``poly[0] h + poly[1] h**2`` in the ratio ``h =
+    num/den - offset`` of ``terms(b)``, whose gradient in b is ``ratio_gradient(num,
+    den, den**2)``; the second (trimmed) L-moment, ``moment``, is ``factor * num``.
+    ``location_scale(b, xi)`` is (mu, sigma) at shape ``xi``: linear in b, so b may
+    hold arrays, and near xi = 0 it takes its equations' limits (0/0 there).
+    """
 
     order: int
-    shape: Callable[[PwmVector], float]
-    shape_gradient: Callable[[PwmVector], np.ndarray]
-    recover: Callable[[PwmVector], GevParams]
+    moment: str
+    label: str
+    terms: Callable
+    offset: float
+    ratio_gradient: Callable
+    poly: tuple[float, float]
+    factor: float
+    location_scale: Callable
+
+    def _pwms(self, pwm: PwmVector, what: str) -> list[float]:
+        """b as floats, whose arithmetic overflows to inf without a warning."""
+        if pwm.order < self.order:
+            raise ParameterError(f"{what} needs PWMs up to order {self.order - 1}")
+        return pwm.values[: self.order].tolist()
+
+    def _ratio(self, num: float, den: float) -> float:
+        """``h``, checked: ``num`` and ``den`` finite and ``den`` nonzero."""
+        if den == 0:
+            raise DataError(f"degenerate sample: {self.moment} shape ratio has a zero denominator")
+        if not (math.isfinite(num) and math.isfinite(den)):
+            raise DataError(
+                f"{self.moment} shape ratio {num:.6g}/{den:.6g} "
+                "has a non-finite numerator or denominator"
+            )
+        return num / den - self.offset
+
+    def _shape(self, h: float) -> float:
+        """The polynomial shape, which a ratio beyond about 1e154 in magnitude overflows."""
+        xi = self.poly[0] * h + self.poly[1] * h * h
+        if not math.isfinite(xi):
+            raise NumericError(f"shape ratio {h:.6g} puts the shape out of floating-point range")
+        return xi
+
+    def shape(self, pwm: PwmVector) -> float:
+        """Polynomial shape approximation from the route's (trimmed) L-moment ratio."""
+        return self._shape(self._ratio(*self.terms(self._pwms(pwm, "shape recovery"))))
+
+    def shape_gradient(self, pwm: PwmVector) -> np.ndarray:
+        """Analytic gradient of the shape estimate in beta_0..beta_{K-1}, K = 3 (L) or 4 (TL)."""
+        num, den = self.terms(self._pwms(pwm, "shape recovery"))
+        h = self._ratio(num, den)
+        try:
+            den2 = den**2
+        except OverflowError:
+            den2 = math.inf
+        if not 0 < den2 < math.inf:
+            raise NumericError(
+                f"shape gradient: the squared ratio denominator of {den:.6g} "
+                "is out of floating-point range"
+            )
+        dpoly = self.poly[0] + 2 * self.poly[1] * h
+        grad = [dpoly * g for g in self.ratio_gradient(num, den, den2)]
+        if not all(map(math.isfinite, grad)):
+            raise NumericError(f"shape gradient at ratio {h:.6g} is out of floating-point range")
+        return np.array(grad)
+
+    def recover(self, pwm: PwmVector) -> GevParams:
+        """GEV parameters from the PWMs via the route's equation system: the L-moment one
+        from beta_0..beta_2, or the (0,1)-trimmed one from beta_0..beta_3.
+
+        Raises :class:`DataError` if the second (trimmed) L-moment is not
+        positive or the shape ratio has a zero or non-finite numerator or
+        denominator, :class:`NumericError` if the shape reaches the Gamma-function
+        pole at 1 or the shape, location or scale leaves the floating-point range.
+        """
+        b = self._pwms(pwm, self.label)
+        num, den = self.terms(b)
+        lam2 = self.factor * num
+        if not lam2 > 0:  # also rejects NaN
+            raise DataError(f"degenerate sample: second {self.moment} {lam2:.6g} is not positive")
+        xi = self._shape(self._ratio(num, den))
+        if xi >= 1:
+            raise NumericError(f"recovered shape {xi:.4f} >= 1: mean is infinite")
+        mu, sigma = self.location_scale(b, xi)
+        if not (math.isfinite(mu) and 0 < sigma < math.inf):
+            raise NumericError(f"location {mu:.6g}, scale {sigma:.6g} out of floating-point range")
+        return GevParams(mu, sigma, xi)
 
 
 _MOMENT_METHODS = {
-    "L": _MomentMethod(3, shape_from_lmoments, shape_gradient_lmoments, gev_from_lmoments),
-    "TL": _MomentMethod(4, shape_from_tlmoments, shape_gradient_tlmoments, gev_from_tlmoments),
+    "L": _MomentMethod(3, "L-moment", "L-moment recovery", _l_terms, _L_OFFSET,
+                       _l_ratio_gradient, (-7.859, -2.9554), 1.0, _l_location_scale),
+    "TL": _MomentMethod(4, "trimmed L-moment", "trimmed recovery", _tl_terms, _TL_OFFSET,
+                        _tl_ratio_gradient, (-8.567394, 0.675969), 1.5, _tl_location_scale),
 }
 
 
@@ -379,35 +360,43 @@ def _moment_method(method: str) -> _MomentMethod:
         ) from None
 
 
+# the public maps of each route
+shape_from_lmoments = _MOMENT_METHODS["L"].shape
+shape_from_tlmoments = _MOMENT_METHODS["TL"].shape
+shape_gradient_lmoments = _MOMENT_METHODS["L"].shape_gradient
+shape_gradient_tlmoments = _MOMENT_METHODS["TL"].shape_gradient
+gev_from_lmoments = _MOMENT_METHODS["L"].recover
+gev_from_tlmoments = _MOMENT_METHODS["TL"].recover
+
+
 def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
-    """Gradient of the (mu, sigma, xi) recovery map in the PWMs.
+    """Gradient of the (mu, sigma, xi) recovery map in the PWMs, a 3 x K matrix
+    (K = 3 for ``method='L'``, 4 for ``'TL'``).
 
-    The shape row is analytic (it drives the regional variance and is
-    cross-checked by finite differences in the tests); the location and
-    scale rows use central differences of the full recovery map, with a
-    step of 1e-6 times the larger of the PWM moved and the L-scale
-    2 beta_1 - beta_0 (of the largest PWM if both are 0).
-
-    Returns
-    -------
-    numpy.ndarray
-        3 x K matrix, K = 3 for ``method='L'`` and 4 for ``method='TL'``.
+    The shape row is the analytic shape gradient.  At a fixed shape the location
+    and scale are linear in the PWMs, so their rows are that map at the K unit
+    vectors plus its derivative in the shape (a central difference of step 1e-4)
+    times the shape row.  A shape within the step of the pole at 1 raises
+    :class:`NumericError`.
     """
     spec = _moment_method(method)
-    k_needed = spec.order
-    if pwm.order < k_needed:
-        raise ParameterError(f"method {method!r} needs PWMs up to order {k_needed - 1}")
-    base = pwm.values[:k_needed].copy()
-    out = np.empty((3, k_needed))
-    out[2] = spec.shape_gradient(PwmVector(base))
-    spread = abs(2 * base[1] - base[0])
-    for k in range(k_needed):
-        h = 1e-6 * max(abs(base[k]), spread) or 1e-6 * np.abs(base).max()
-        up, dn = base.copy(), base.copy()
-        up[k] += h
-        dn[k] -= h
-        theta_up = spec.recover(PwmVector(up)).as_array()
-        theta_dn = spec.recover(PwmVector(dn)).as_array()
-        out[0, k] = (theta_up[0] - theta_dn[0]) / (2 * h)
-        out[1, k] = (theta_up[1] - theta_dn[1]) / (2 * h)
+    K = spec.order
+    if pwm.order < K:
+        raise ParameterError(f"method {method!r} needs PWMs up to order {K - 1}")
+    xi = spec.recover(pwm).xi
+    # a point in 0 < |xi| < _FIT_GUMBEL_EPS reads the limit equations, exact only
+    # at 0; twice the step clears that band
+    step = 1e-4
+    if any(0 < abs(xi + s) < _FIT_GUMBEL_EPS for s in (-step, step)):
+        step = 2e-4
+    if xi + step >= 1:
+        raise NumericError(f"recovered shape {xi:.6f} is within {step:g} of the pole at 1")
+    b = pwm.values[:K].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below speaks
+        out = np.array([*spec.location_scale(np.eye(K), xi), spec.shape_gradient(pwm)])
+        up = spec.location_scale(b, xi + step)
+        dn = spec.location_scale(b, xi - step)
+        out[:2] += np.outer(np.subtract(up, dn) / (2 * step), out[2])
+    if not np.isfinite(out).all():
+        raise NumericError("fit gradient is out of floating-point range")
     return out

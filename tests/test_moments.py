@@ -1,6 +1,8 @@
 """PWM, (trimmed) L-moment and parameter-recovery tests."""
 
 import math
+import pickle
+import re
 import warnings
 from dataclasses import astuple
 from functools import partial
@@ -79,6 +81,50 @@ def exact_shape_tl(pwm: PwmVector) -> float:
         )
 
     return optimize.brentq(lambda xi: lhs(xi) - rhs, -5.0, 1.0 - 1e-10, xtol=1e-13)
+
+
+def location_scale(method: str, pwm: PwmVector, xi: float) -> tuple[float, float]:
+    """(mu, sigma) of a route's recovery equations at the shape ``xi``."""
+    spec = moments._moment_method(method)
+    return spec.location_scale(pwm.values[: spec.order], xi)
+
+
+def pwms_with_shape(method: str, xi: float) -> PwmVector:
+    """PWMs whose polynomial shape is ``xi``: the shape ratio's denominator is 1
+    and its numerator the ratio, from the small root h of a h + c h**2 = xi."""
+    spec = moments._moment_method(method)
+    a, c = spec.poly
+    ratio = -2 * xi / (math.sqrt(a * a + 4 * c * xi) - a) + spec.offset
+    if method == "L":  # 2b1 - b0 = ratio, 3b2 - b0 = 1
+        return PwmVector([0.0, ratio / 2, 1 / 3])
+    return PwmVector([0.0, ratio / 4, 0.0, -1 / 8])  # 4b1 - b0 - 3b2, 9b2 - b0 - 8b3
+
+
+def reference_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
+    """Richardson-extrapolated central differences of the recovery, stepped by
+    1e-4 times the L-scale 2 b1 - b0."""
+    fit = gev_from_lmoments if method == "L" else gev_from_tlmoments
+    b = pwm.values[: 3 if method == "L" else 4]
+
+    def central(h):
+        steps = h * np.eye(len(b))
+        return np.array([
+            fit(PwmVector(b + e)).as_array() - fit(PwmVector(b - e)).as_array() for e in steps
+        ]).T / (2 * h)
+
+    h = 1e-4 * (2 * b[1] - b[0])
+    return (4 * central(h / 2) - central(h)) / 3
+
+
+def assert_fit_gradient_close(pwm: PwmVector, method: str, tol: float = 1e-5) -> None:
+    """The location and scale rows within ``tol`` of the reference, relative to
+    each row's largest entry; the shape row is the analytic shape gradient."""
+    grad, ref = gev_fit_gradient(pwm, method), reference_fit_gradient(pwm, method)
+    for row in (0, 1):
+        err = np.abs(grad[row] - ref[row]).max() / np.abs(ref[row]).max()
+        assert err <= tol, (row, grad[row], ref[row])
+    shape_gradient = shape_gradient_lmoments if method == "L" else shape_gradient_tlmoments
+    np.testing.assert_array_equal(grad[2], shape_gradient(pwm))
 
 
 class TestPwmOfGev:
@@ -205,15 +251,15 @@ class TestGevFromLmoments:
         fit = gev_from_lmoments(pwm)
         assert abs(fit.xi - xi) <= 0.0009
 
-    def test_exact_inversion_recovers(self, monkeypatch):
-        # with the exact shape in place of the polynomial, the location and
+    def test_exact_inversion_recovers(self):
+        # at the exact shape in place of the polynomial, the location and
         # scale equations invert the closed-form PWMs to rounding level
-        monkeypatch.setattr(moments, "shape_from_lmoments", exact_shape_l)
         pwm = exact_pwms(GevParams(2, 1, 0.3), order=3)
-        fit = gev_from_lmoments(pwm)
-        assert fit.xi == pytest.approx(0.3, abs=1e-10)
-        assert fit.sigma == pytest.approx(1.0, abs=1e-9)
-        assert fit.mu == pytest.approx(2.0, abs=1e-9)
+        xi = exact_shape_l(pwm)
+        assert xi == pytest.approx(0.3, abs=1e-10)
+        mu, sigma = location_scale("L", pwm, xi)
+        assert sigma == pytest.approx(1.0, abs=1e-9)
+        assert mu == pytest.approx(2.0, abs=1e-9)
 
     def test_scale_equivariance_on_samples(self):
         # positive scaling leaves the empirical cdf untouched, so the
@@ -275,13 +321,14 @@ class TestGevFromTlmoments:
         assert fit.sigma == pytest.approx(1.0, abs=0.01)
         assert fit.mu == pytest.approx(2.0, abs=0.01)
 
-    def test_exact_inversion_recovers(self, monkeypatch):
-        monkeypatch.setattr(moments, "shape_from_tlmoments", exact_shape_tl)
+    def test_exact_inversion_recovers(self):
         for theta in [GevParams(2, 1, 0.2), GevParams(1.5, 1, 0.4), GevParams(0, 1, -0.2)]:
-            fit = gev_from_tlmoments(exact_pwms(theta))
-            assert fit.xi == pytest.approx(theta.xi, abs=1e-9)
-            assert fit.sigma == pytest.approx(theta.sigma, abs=1e-8)
-            assert fit.mu == pytest.approx(theta.mu, abs=1e-8)
+            pwm = exact_pwms(theta)
+            xi = exact_shape_tl(pwm)
+            assert xi == pytest.approx(theta.xi, abs=1e-9)
+            mu, sigma = location_scale("TL", pwm, xi)
+            assert sigma == pytest.approx(theta.sigma, abs=1e-8)
+            assert mu == pytest.approx(theta.mu, abs=1e-8)
 
     @pytest.mark.parametrize("xi", [-0.4, -0.2, -0.05, 0.1, 0.3, 0.5])
     def test_polynomial_close_to_exact_inversion(self, xi):
@@ -358,8 +405,8 @@ class TestGradients:
 
     @pytest.mark.parametrize("method", ["L", "TL"])
     def test_full_map_gradient_matches_fd_at_zero_mean(self, method):
-        # beta_0, the mean, is 1e-13 while the spread is 1: a step of 1e-6 times
-        # beta_0 alone vanished in 2 b1 - b0 and left the location column 0
+        # beta_0, the mean, is 1e-13 while the spread is 1: a difference step of
+        # 1e-6 times beta_0 alone vanished in 2 b1 - b0 and left the location column 0
         xi = 0.4
         pwm = exact_pwms(GevParams(1e-13 - (gamma_fn(1 - xi) - 1) / xi, 1, xi))
         assert 0 < pwm[0] < 1e-12
@@ -378,8 +425,7 @@ class TestGradients:
     @pytest.mark.parametrize("shift", ["mean-1e-13", 1e2])
     def test_gradient_ignores_a_shift_of_the_data(self, method, shift):
         # adding c to the data adds c/(k+1) to beta_k and c to mu only, so the
-        # gradient at the shifted PWMs is the gradient at the original ones (up to
-        # the central differences' error, which grows with the step, 1e-6 |beta_k|)
+        # gradient at the shifted PWMs is the gradient at the original ones
         pwm = exact_pwms(GevParams(1.5, 1, 0.4))
         c = 1e-13 - pwm[0] if shift == "mean-1e-13" else shift
         moved = PwmVector(pwm.values + c / np.arange(1, 5))
@@ -387,16 +433,65 @@ class TestGradients:
             gev_fit_gradient(moved, method), gev_fit_gradient(pwm, method), rtol=1e-4, atol=1e-8
         )
 
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    @pytest.mark.parametrize("ratio", [1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("xi", [-0.2, 0.4])
+    def test_location_scale_rows_on_shifted_data(self, method, ratio, xi):
+        # a mean 1e3-1e5 times the spread (water levels above a datum): a step
+        # of 1e-6 times the mean outran the curvature, which follows the spread,
+        # and moved the location and scale rows by up to 0.69
+        rng = np.random.default_rng(int(ratio) + int(10 * xi))
+        data = gev_quantile(GevParams(0, 1, xi), rng.uniform(size=60))
+        pwm = sample_pwm_unbiased(data + ratio, 3)
+        assert_fit_gradient_close(pwm, method)
+
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    def test_no_refit_to_fail(self, method):
+        # an L-scale of 0.04 under a mean of 1e5: the 2K refits stepped 0.1 and
+        # drove the L-scale below 0, raising though the fit itself succeeds
+        pwm = exact_pwms(GevParams(1e5, 0.05, 0.2))
+        assert 2 * pwm[1] - pwm[0] == pytest.approx(0.04, abs=0.005)
+        assert_fit_gradient_close(pwm, method)
+
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    @pytest.mark.parametrize("xi", [0.0, 1e-4 + 5e-7, 1e-4 - 5e-7, -1e-4 + 5e-7, -1e-4 - 5e-7])
+    def test_shape_difference_keeps_out_of_the_gumbel_band(self, method, xi):
+        # at xi_hat +- 1e-4 within 1e-6 of 0, but not 0, the limit equations
+        # read the map to O(1e-6) only, which a step of 1e-4 turned into a 2.6e-3
+        # error in the rows
+        pwm = pwms_with_shape(method, xi)
+        assert moments._moment_method(method).shape(pwm) == pytest.approx(xi, abs=1e-15)
+        assert_fit_gradient_close(pwm, method)
+
+    @pytest.mark.parametrize("method", ["L", "TL"])
+    def test_shape_next_to_the_pole_rejected(self, method):
+        # the fit stands, but the shape difference would cross the pole at 1
+        pwm = pwms_with_shape(method, 1 - 5e-5)
+        assert moments._moment_method(method).recover(pwm).xi < 1
+        with pytest.raises(NumericError, match="pole at 1"):
+            gev_fit_gradient(pwm, method)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError, match="unknown moment method"):
             gev_fit_gradient(exact_pwms(GevParams(1.5, 1, 0.4)), "X")
 
 
-@pytest.mark.parametrize("recover", [gev_from_lmoments, gev_from_tlmoments])
+@pytest.mark.parametrize("recover", [gev_from_lmoments, gev_from_tlmoments],
+                         ids=["gev_from_lmoments", "gev_from_tlmoments"])
 def test_infinite_pwms_rejected(recover):
     # inf - inf leaves a NaN second (trimmed) L-moment, which must not reach the shape map
     with pytest.raises(DataError, match="not positive"):
         recover(PwmVector(np.array([np.inf] * 4)))
+
+
+def test_public_maps_pickle():
+    # the public maps are methods of the route records, which hold only named functions
+    pwm = exact_pwms(GevParams(1.5, 1, 0.2))
+    for fns in _METHOD_MAPS.values():
+        for fn in fns:
+            np.testing.assert_array_equal(
+                _as_values(pickle.loads(pickle.dumps(fn))(pwm)), _as_values(fn(pwm))
+            )
 
 
 @given(
@@ -466,7 +561,7 @@ def _pwm_maps():
     """Every public map of a PwmVector in the moments module, as (method, label, call)."""
     for method, fns in _METHOD_MAPS.items():
         for fn in fns:
-            yield method, fn.__name__, fn
+            yield method, f"{fn.__name__} {method}", fn
         yield method, f"gev_fit_gradient {method}", partial(gev_fit_gradient, method=method)
 
 
@@ -483,6 +578,9 @@ PWM_BATTERY = {
     # (L) or nan (TL); a 3-vector has no trimmed ratio
     "ratio-overflow": ([0.0, 1e300, 1e-300, 0.0], NumericError),
     "ratio-overflow-L": ([0.0, 1e300, 1e-300], {"L": NumericError, "TL": ParameterError}),
+    # finite shapes (-1.3e306 L, 1.3e305 TL) whose gradients and recoveries overflow:
+    # they used to warn, and the L recovery to raise ParameterError for a NaN scale
+    "huge-shape": ([0.0, 1e150, 1e-3, 0.0], None),
 }
 
 
@@ -506,14 +604,18 @@ def test_pwm_maps_give_finite_values_or_package_errors(case):
             try:
                 result = _as_values(call(pwm))
             except RegfloodError as exc:
-                # only the gradients' squared denominator leaves the float range
-                assert isinstance(exc, NumericError) and "floating-point range" in str(exc), label
+                # a map may leave the float range; the huge TL shape is past the pole
+                assert isinstance(exc, NumericError), label
+                allowed = "floating-point range"
+                if case == "huge-shape":
+                    allowed += "|mean is infinite"
+                assert re.search(allowed, str(exc)), label
                 continue
             assert np.all(np.isfinite(result)), (label, result)
     if errors is DataError:
         # one ratio check serves both: the gradient raises what the shape raises
-        for shape, gradient, _ in _METHOD_MAPS.values():
-            assert raised[gradient.__name__] == raised[shape.__name__]
+        for method in _METHOD_MAPS:
+            assert raised[f"shape_gradient {method}"] == raised[f"shape {method}"]
 
 
 @pytest.mark.parametrize("call", [

@@ -430,6 +430,22 @@ class TestRegionalShape:
             with pytest.raises(NumericError, match="PWM covariance is not finite"):
                 sigma_r_hat(scheme, 4)
 
+    def test_overflowing_pwms_raise_numeric_error(self):
+        # finite data near the float limit overflow the PWM sums themselves: the
+        # sample PWMs, influence rows and regional shape came back non-finite or
+        # raised only after a bare overflow warning
+        data = _gumbel_region() * 1e307
+        scheme = ObservationScheme.from_matrix(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: sample_pwm(data[:, 0], 3),
+                         lambda: sample_pwm_unbiased(data[:, 0], 3),
+                         lambda: zhat_vectors(data[:, 0], 4),
+                         lambda: regional_shape(scheme, "TL", "plugin"),
+                         lambda: regional_shape(scheme)):
+                with pytest.raises(NumericError, match="overflows the sample PWMs"):
+                    call()
+
     def test_regional_variance_not_worse(self):
         # homogeneous region: pooling should not increase the spread of
         # the shape estimate compared to single-site estimation
