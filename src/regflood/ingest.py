@@ -88,7 +88,7 @@ class SeasonDefinition:
 
     def __post_init__(self):
         for m in (self.winter_start, self.winter_end):
-            if not isinstance(m, (int, np.integer)):
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
                 raise ParameterError(f"month {m!r} is not an integer")
             if not 1 <= m <= 12:
                 raise ParameterError(f"month {m} outside 1..12")

@@ -324,8 +324,9 @@ class _MomentMethod:
         from beta_0..beta_2, or the (0,1)-trimmed one from beta_0..beta_3.
 
         Raises :class:`DataError` if the second (trimmed) L-moment is not
-        positive or the shape ratio has a zero or non-finite numerator or
-        denominator, :class:`NumericError` if the shape reaches the Gamma-function
+        positive, the PWMs are all equal (a constant sample's plug-in PWMs) or the
+        shape ratio has a zero or non-finite numerator or denominator,
+        :class:`NumericError` if the shape reaches the Gamma-function
         pole at 1 or the shape, location or scale leaves the floating-point range.
         """
         b = self._pwms(pwm, self.label)
@@ -333,6 +334,8 @@ class _MomentMethod:
         lam2 = self.factor * num
         if not lam2 > 0:  # also rejects NaN
             raise DataError(f"degenerate sample: second {self.moment} {lam2:.6g} is not positive")
+        if min(b) == max(b):  # tied values share Fhat = 1: the L-skewness reads 1
+            raise DataError(f"degenerate sample: all PWMs equal {b[0]:.6g}, as for a constant")
         xi = self._shape(self._ratio(num, den))
         if xi >= 1:
             raise NumericError(f"recovered shape {xi:.4f} >= 1: mean is infinite")

@@ -29,7 +29,6 @@ __all__ = [
     "sigma_tail_hat",
     "optimal_weights",
     "fallback_weights",
-    "covariance_is_valid",
     "regional_shape",
     "RegionalShapeResult",
     "homogeneity_test",
@@ -282,20 +281,6 @@ def _pool_weights(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, 
     return raw / raw.sum(), "optimal", float(eigs.min())
 
 
-def covariance_is_valid(sigma: np.ndarray) -> bool:
-    """True when a covariance estimate is usable for optimal weighting.
-
-    Requires strictly positive eigenvalues and a condition number below
-    ``MAX_CONDITION``; finite-sample estimates occasionally fail this
-    (negative eigenvalues), in which case length-proportional weights
-    are used instead.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        return False
-    return _eigenvalues_valid(np.linalg.eigvalsh(0.5 * (sigma + sigma.T)))
-
-
 def optimal_weights(sigma: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
     """Variance-minimizing weights summing to one.
 
@@ -357,7 +342,7 @@ class RegionalShapeResult:
         contrast = np.eye(d - 1, d) - np.eye(d - 1, d, k=1)
         diffs = contrast @ xi_hats
         inner = contrast @ self.diagnostics["sigma_tail"] @ contrast.T
-        if not covariance_is_valid(inner):
+        if not _eigenvalues_valid(np.linalg.eigvalsh(0.5 * (inner + inner.T))):
             raise NumericError(
                 "contrast covariance is singular; drop duplicated or perfectly "
                 "dependent sites before testing homogeneity"

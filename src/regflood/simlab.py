@@ -75,10 +75,13 @@ def gumbel_copula_sample(theta: float, d: int, rng: np.random.Generator, size: i
     stable variate, pushed through the generator inverse.  ``theta = 1``
     yields exact independence.
     """
-    if not theta >= 1.0:
-        raise ParameterError(f"dependence parameter must be >= 1, got {theta}")
+    if not 1.0 <= theta < math.inf:  # also rejects NaN
+        raise ParameterError(f"dependence parameter must be finite and >= 1, got {theta}")
+    d, size = _integer(d, "dimension"), _integer(size, "sample size")
     if d < 1:
         raise ParameterError("dimension must be >= 1")
+    if size < 0:
+        raise ParameterError(f"sample size must be >= 0, got {size}")
     if theta == 1.0:
         return rng.uniform(size=(size, d))
     alpha = 1.0 / theta
@@ -100,7 +103,7 @@ def khoudraji_sample(theta1: float, theta2: float, c, rng: np.random.Generator, 
     d = len(c)
     v = gumbel_copula_sample(theta1, d, rng, size=size)
     w = gumbel_copula_sample(theta2, d, rng, size=size)
-    u = np.empty((size, d))
+    u = np.empty_like(v)
     for j in range(d):
         if c[j] == 0.0:
             u[:, j] = w[:, j]
@@ -170,16 +173,8 @@ class BlockMaxMargin:
         return float(stdtrit(self.dof, 1.0 - 1.0 / (2.0 * self.b)))
 
 
-@dataclass(frozen=True)
-class SeasonalMargins:
-    """Product-model margins: one GEV per season."""
-
-    winter: GevParams
-    summer: GevParams
-
-    @property
-    def model(self) -> TwoComponentGev:
-        return TwoComponentGev(self.winter, self.summer)
+# product-model margins, one GEV per season: the model itself
+SeasonalMargins = TwoComponentGev
 
 
 def blockmax_cdf(margin: BlockMaxMargin, x):
@@ -248,7 +243,7 @@ class ScenarioConfig:
     d: int
     n: int
     p: float
-    margins: BlockMaxMargin | SeasonalMargins
+    margins: BlockMaxMargin | TwoComponentGev
     copula: CopulaSpec
     estimators: tuple[str, ...]
     replications: int
@@ -292,7 +287,7 @@ class ScenarioConfig:
     def true_quantile(self) -> float:
         if isinstance(self.margins, BlockMaxMargin):
             return float(blockmax_quantile(self.margins, self.p))
-        return twocomp_quantile(self.margins.model, self.p)
+        return twocomp_quantile(self.margins, self.p)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -322,7 +317,7 @@ def load_scenario(path) -> ScenarioConfig:
                 integer(marg["b"], "b"),
             )
         elif marg["type"] == "seasonal":
-            margins = SeasonalMargins(
+            margins = TwoComponentGev(
                 GevParams(*map(float, marg["winter"])),
                 GevParams(*map(float, marg["summer"])),
             )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericError, ParameterError
+from .errors import DataError, DomainError, NumericError, ParameterError, _integer
 from .gev import brentq
 from .regional import ObservationScheme, _pool_weights, fallback_weights
 from .twocomp import QuantileInterval, _interval
@@ -40,6 +40,13 @@ __all__ = [
 PICKANDS_T_GRID = np.linspace(0.0, 1.0, 201)
 # the estimated dependence methods of TailDependence.from_scheme
 DEPENDENCE_METHODS = ("empirical", "pickands_cfg")
+
+
+def _check_dependence_method(method) -> None:
+    if method not in DEPENDENCE_METHODS:
+        raise ParameterError(
+            f"unknown dependence method {method!r}; use one of {DEPENDENCE_METHODS}"
+        )
 
 
 def _tail_lengths(k) -> np.ndarray:
@@ -102,8 +109,9 @@ def default_k(n: int, d: int) -> int:
     tail; shrinking with d trades local tail data against the bias
     reduction from pooling many sites.
     """
-    if not 3 <= n < math.inf:  # also rejects NaN
-        raise ParameterError(f"need a finite n >= 3 observations, got {n}")
+    n, d = _integer(n, "n"), _integer(d, "d")
+    if not n >= 3:
+        raise ParameterError(f"need n >= 3 observations, got {n}")
     if not d >= 1:
         raise ParameterError(f"need d >= 1 sites, got {d}")
     k = math.floor(2.0 * n ** (2.0 / 3.0) / d ** (1.0 / 3.0))
@@ -201,22 +209,18 @@ def tail_dependence_empirical(pairs, k: int, x: float, y: float) -> float:
     min(x, y) for comonotone pairs and to 0 under independence.
     """
     arr = _finite_pairs(pairs)
-    if arr.shape[0] < 2:
+    m = arr.shape[0]
+    if m < 2:
         raise DataError("need an (m x 2) array of paired observations, m >= 2")
+    k = _integer(k, "k")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    return _joint_top_share(*_ordinal_ranks(arr).T, k, x, y)
-
-
-def _joint_top_share(r: np.ndarray, s: np.ndarray, k: int, x: float, y: float) -> float:
-    """:func:`tail_dependence_empirical` from precomputed within-pair ranks."""
     if not (x >= 0 and y >= 0):  # also rejects NaN
         raise DomainError("tail copula arguments must be non-negative")
     if x == 0 or y == 0:
         return 0.0
-    m = len(r)
-    joint = np.sum((r > m - k * x) & (s > m - k * y))
-    return float(joint / k)
+    r, s = _ordinal_ranks(arr).T
+    return float(np.sum((r > m - k * x) & (s > m - k * y)) / k)
 
 
 def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
@@ -290,10 +294,7 @@ class TailDependence:
         The ``pickands_cfg`` method estimates a dependence-function table
         on ``PICKANDS_T_GRID`` for each pair; ``matrix`` interpolates in it.
         """
-        if method not in DEPENDENCE_METHODS:
-            raise ParameterError(
-                f"unknown dependence method {method!r}; use one of {DEPENDENCE_METHODS}"
-            )
+        _check_dependence_method(method)
         d = scheme.d
         ks = _as_k_vector(scheme, k)
         if method == "pickands_cfg":
@@ -367,10 +368,7 @@ class TailConfig:
             if not np.all(np.isfinite(w)) or abs(w.sum() - 1.0) > 1e-12:
                 raise ParameterError("weights must be finite and sum to 1")
             object.__setattr__(self, "weights", w)
-        if self.dependence_method not in DEPENDENCE_METHODS:
-            raise ParameterError(
-                f"unknown dependence method {self.dependence_method!r}"
-            )
+        _check_dependence_method(self.dependence_method)
 
 
 def _as_k_vector(scheme: ObservationScheme, k) -> np.ndarray:

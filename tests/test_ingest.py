@@ -348,7 +348,9 @@ class TestSeasonDefinition:
             1999, 2000, 2001
         ]
 
-    @pytest.mark.parametrize("months", [(10.5, 3), (10, float("nan")), ("10", 3)])
+    @pytest.mark.parametrize(
+        "months", [(10.5, 3), (10, float("nan")), ("10", 3), (True, 4), (10, np.True_)]
+    )
     def test_non_integer_month_rejected(self, months):
         with pytest.raises(ParameterError, match="not an integer"):
             SeasonDefinition(*months)

@@ -545,6 +545,17 @@ def test_vanishing_shape_ratio_denominator_rejected():
         gev_from_tlmoments(pwm)
 
 
+def test_l_recovery_refuses_a_constant_plugin_sample():
+    # tied values share Fhat = 1, so a constant sample's plug-in PWMs are all equal
+    # and its L-skewness is 1; 19 ties and one larger value (0.81) still fit
+    for c in (4.2, 1e-300, 0.1, 7e300):
+        for n in (2, 20, 101):
+            with pytest.raises(DataError, match="all PWMs equal"):
+                gev_from_lmoments(sample_pwm(np.full(n, c), 2))
+    fit = gev_from_lmoments(sample_pwm(np.append(np.full(19, 4.2), 5.0), 2))
+    assert np.all(np.isfinite(astuple(fit)))
+
+
 # each method's shape, shape gradient and parameter recovery maps
 _METHOD_MAPS = {
     "L": (shape_from_lmoments, shape_gradient_lmoments, gev_from_lmoments),
@@ -581,6 +592,10 @@ PWM_BATTERY = {
     # finite shapes (-1.3e306 L, 1.3e305 TL) whose gradients and recoveries overflow:
     # they used to warn, and the L recovery to raise ParameterError for a NaN scale
     "huge-shape": ([0.0, 1e150, 1e-3, 0.0], None),
+    # a constant sample's plug-in PWMs, with an L-skewness of exactly 1: the L
+    # recovery used to fit GEV(-0.034, 0.093, 0.978); the L shape maps still read it
+    "constant-plugin": ([4.2] * 4, {"recover L": DataError, "gev_fit_gradient L": DataError,
+                                    "TL": DataError}),
 }
 
 
@@ -595,7 +610,7 @@ def test_pwm_maps_give_finite_values_or_package_errors(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for method, label, call in _pwm_maps():
-            error = errors.get(method) if isinstance(errors, dict) else errors
+            error = errors.get(label, errors.get(method)) if isinstance(errors, dict) else errors
             if error is not None:
                 with pytest.raises(error) as info:
                     call(pwm)

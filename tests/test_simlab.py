@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import kendalltau, kstest
 
 from regflood.errors import DataError, DomainError, ParameterError
-from regflood.gev import GevParams, gev_cdf
+from regflood.gev import GevParams, TwoComponentGev, gev_cdf, twocomp_quantile
 from regflood.simlab import (
     ESTIMATOR_NAMES,
     BlockMaxMargin,
@@ -60,9 +60,21 @@ class TestGumbelCopula:
             assert kstest(u[:, j], "uniform").statistic < 0.02
 
     def test_theta_below_one_rejected(self):
-        for theta in (0.9, math.nan):
+        for theta in (0.9, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 gumbel_copula_sample(theta, 2, np.random.default_rng(0), size=1)
+            with pytest.raises(ParameterError):
+                khoudraji_sample(1.5, theta, [0.5, 0.5], np.random.default_rng(0), size=1)
+        # counts: bools, fractions and a negative size used to escape as TypeError
+        # or ValueError; an infinite theta as ZeroDivisionError
+        for d, size in ((True, 1), (2.5, 1), (2, True), (2, 2.5), (2, "2"), (2, -1)):
+            with pytest.raises(ParameterError):
+                gumbel_copula_sample(2.0, d, np.random.default_rng(0), size=size)
+        for size in (True, 2.5, -1):
+            with pytest.raises(ParameterError):
+                khoudraji_sample(1.5, 2.5, [0.5, 0.5], np.random.default_rng(0), size=size)
+        u = khoudraji_sample(1.5, 2.5, [0.5, 0.5], np.random.default_rng(0), size=2.0)
+        assert u.shape == (2, 2)
 
 
 class TestKhoudraji:
@@ -244,7 +256,17 @@ class TestScenario:
         assert not np.allclose(r1.estimates["L"], r2.estimates["L"])
 
     def test_true_quantile_seasonal(self):
-        assert make_config().true_quantile() == pytest.approx(15.692, abs=1e-3)
+        config = make_config()
+        assert config.true_quantile() == pytest.approx(15.692, abs=1e-3)
+        model = TwoComponentGev(GevParams(2, 1, 0.2), GevParams(1.5, 1, 0.4))
+        assert config.true_quantile() == twocomp_quantile(model, config.p)
+
+    def test_two_component_margins_run_a_scenario(self):
+        # the seasonal margins are the product model itself
+        model = TwoComponentGev(GevParams(2, 1, 0.2), GevParams(1.5, 1, 0.4))
+        report = run_scenario(make_config(margins=model, replications=2))
+        assert report.q_true == twocomp_quantile(model, 0.99)
+        assert report.stat("L").n_ok == report.stat("sTL").n_ok == 2
 
     def test_blockmax_iid_reduction(self):
         # degenerate copula and one site: draws must be iid from the margin
@@ -355,7 +377,7 @@ class TestScenarioFile:
         config = load_scenario(path)
         assert config.d == 4
         assert config.replications == 7
-        assert isinstance(config.margins, SeasonalMargins)
+        assert config.margins == TwoComponentGev(GevParams(2, 1, 0.2), GevParams(1.5, 1, 0.4))
         np.testing.assert_allclose(config.copula.c, np.arange(4) / 4)
 
     def test_estimators_must_be_a_list(self, tmp_path):

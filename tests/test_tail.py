@@ -136,7 +136,9 @@ class TestDefaultK:
     def test_validation(self):
         with pytest.raises(ParameterError):
             default_k(2, 1)
-        for n, d in ((math.nan, 10), (math.inf, 10), (30, math.nan)):
+        # a bool or fractional count used to be read as a number (27, 20, 21)
+        for n, d in ((math.nan, 10), (math.inf, 10), (30, math.nan), (50, True), (50, 2.5),
+                     (50.5, 2), ("50", 2)):
             with pytest.raises(ParameterError):
                 default_k(n, d)
 
@@ -225,6 +227,13 @@ class TestTailDependence:
     def test_insufficient_data(self):
         with pytest.raises(DataError):
             tail_dependence_empirical(np.ones((1, 2)), 1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("k", ["3", math.nan, True, 2.5])
+    def test_non_integer_k_rejected(self, k):
+        # these used to raise a bare TypeError or return nan, 0.0 and 0.4
+        pairs = np.random.default_rng(0).uniform(size=(50, 2))
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            tail_dependence_empirical(pairs, k, 1.0, 1.0)
 
     def test_from_scheme_matches_pairwise_reference(self):
         # staggered scheme with ties: the matrix, built from ranks cached
@@ -458,6 +467,19 @@ class TestRegionalGamma:
             TailConfig(k=[10.5, 10, 10])
         assert regional_tail_fit(scheme, k=10.0).gamma == regional_tail_fit(scheme, k=10).gamma
         np.testing.assert_array_equal(TailConfig(k=[10.0, 12.0]).k, [10, 12])
+
+    def test_unknown_dependence_method_rejected_alike(self):
+        scheme = make_tail_scheme(seed=9, d=3, n=200)
+        texts = set()
+        for call in (
+            lambda: TailConfig(k=[10, 10, 10], dependence_method="pickands"),
+            lambda: TailDependence.from_scheme(scheme, 10, "pickands"),
+            lambda: regional_tail_fit(scheme, dependence_method="pickands"),
+        ):
+            with pytest.raises(ParameterError, match="unknown dependence method") as info:
+                call()
+            texts.add(str(info.value))
+        assert len(texts) == 1, texts
 
     @pytest.mark.parametrize("method", ["empirical", "pickands_cfg"])
     def test_read_offs_match_the_standalone_functions(self, method):
