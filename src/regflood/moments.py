@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import DataError, NumericError, ParameterError, _integer
 from .gev import GevParams, gev_quantile
@@ -47,6 +46,94 @@ _TL_OFFSET = (2 * math.log(2) - math.log(3)) / (3 * math.log(3) - 2 * math.log(4
 # |fitted shape| below this switches the scale/location equations to
 # their xi -> 0 limits (the raw equations are 0/0 there)
 _FIT_GUMBEL_EPS = 1e-6
+
+# Cephes ``Gamma`` as SciPy's ``scipy.special.gamma`` evaluates it: a P/Q
+# rational approximation on [2, 3], Stirling's formula above 33 and
+# reflection below -33
+_GAMMA_P = (
+    1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+    4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+    1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+    7.14304917030273074085e-2, 1.00000000000000000320e0,
+)
+_GAMMA_STIRLING = (
+    7.87311395793093628397e-4, -2.29549961613378126380e-4, -2.68132617805781232825e-3,
+    3.47222221605458667310e-3, 8.33333333333482257126e-2,
+)
+_GAMMA_MAX = 171.624376956302725  # Gamma overflows above this
+_STIRLING_POW_SPLIT = 143.01608  # above this x**(x - 0.5) would overflow
+
+
+def _polevl(x: float, coefs) -> float:
+    """Horner evaluation, highest power first."""
+    total = coefs[0]
+    for c in coefs[1:]:
+        total = total * x + c
+    return total
+
+
+def _stirling_gamma(x: float) -> float:
+    """Gamma(x) by Stirling's formula, for 33 < x."""
+    if x >= _GAMMA_MAX:
+        return math.inf
+    w = 1.0 / x
+    w = 1.0 + w * _polevl(w, _GAMMA_STIRLING)
+    y = math.exp(x)
+    if x > _STIRLING_POW_SPLIT:
+        v = math.pow(x, 0.5 * x - 0.25)
+        y = v * (v / y)
+    else:
+        y = math.pow(x, x - 0.5) / y
+    return 2.50662827463100050242 * y * w
+
+
+def gamma_fn(x: float) -> float:
+    """The Gamma function, equal to ``scipy.special.gamma`` bit for bit.
+
+    Poles give NaN at the negative integers and -inf or +inf at -0.0 or
+    +0.0; Gamma(-inf) is NaN.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        return x if x > 0 else math.nan
+    if x == 0.0:
+        return math.copysign(math.inf, x)
+    q = abs(x)
+    if q > 33.0:
+        if x > 0:
+            return _stirling_gamma(x)
+        p = math.floor(q)
+        if p == q:
+            return math.nan
+        sign = 1.0 if int(p) % 2 else -1.0
+        z = q - p
+        if z > 0.5:
+            z = q - (p + 1.0)
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return sign * math.inf
+        return sign * (math.pi / (abs(z) * _stirling_gamma(q)))
+    # shift into [2, 3), keeping the product of the factors in z
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if -1e-9 < x < 1e-9:
+            # next to a pole: Gamma(x) ~ 1/(x (1 + Euler x))
+            if x == 0.0:
+                return math.nan
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 @dataclass(frozen=True)
@@ -225,7 +312,7 @@ def _l_location_scale(b, xi: float):
     if abs(xi) < _FIT_GUMBEL_EPS:
         sigma = lam2 / math.log(2)
         return b[0] - EULER_GAMMA * sigma, sigma
-    g = float(gamma_fn(1 - xi))
+    g = gamma_fn(1 - xi)
     sigma = lam2 * xi / (g * (2.0**xi - 1.0))
     return b[0] + sigma * (1.0 - g) / xi, sigma
 
@@ -246,7 +333,7 @@ def _tl_location_scale(b, xi: float):
     if abs(xi) < _FIT_GUMBEL_EPS:
         sigma = scale_num / math.log(4.0 / 3.0)
         return 2 * (b[0] - b[1]) + sigma * (math.log(2) - EULER_GAMMA), sigma
-    g = float(gamma_fn(-xi))
+    g = gamma_fn(-xi)
     sigma = scale_num / (g * (3.0**xi - 2.0 ** (xi + 1) + 1.0))
     return 2 * (b[0] - b[1]) + sigma / xi - sigma * g * (2.0**xi - 2.0), sigma
 

@@ -12,10 +12,10 @@ test of shape homogeneity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import DataError, NumericError, ParameterError, RegfloodError, _integer
 from .gev import GevParams
@@ -264,6 +264,28 @@ def sigma_tail_hat(
     return diagnostics["xi_by_site"], diagnostics["sigma_tail"]
 
 
+def _chi2_tail(df: int, x: float) -> float:
+    """P(chi-square with integer ``df`` degrees of freedom > x).
+
+    With y = x/2 this is e^-y sum_a y^a / a! over a = 0..df/2 - 1 for even
+    df, and erfc(sqrt(y)) plus the same sum over a = 1/2..(df - 2)/2 for odd
+    df; each term is formed in log space, so no large df overflows.  It
+    is 1 for x <= 0 and NaN for NaN.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    half = 0.5 * (df % 2)
+    terms = [math.erfc(math.sqrt(y))] if half else []
+    for j in range(df // 2):
+        a = j + half
+        terms.append(math.exp(a * log_y - y - math.lgamma(a + 1.0)))
+    return math.fsum(terms)
+
+
 def _eigenvalues_valid(eigs: np.ndarray) -> bool:
     return bool(eigs.min() > 0 and eigs.max() / eigs.min() < MAX_CONDITION)
 
@@ -348,7 +370,7 @@ class RegionalShapeResult:
                 "dependent sites before testing homogeneity"
             )
         stat = float(self.n * diffs @ np.linalg.solve(inner, diffs))
-        return stat, float(chdtrc(d - 1, stat))
+        return stat, _chi2_tail(d - 1, stat)
 
 
 def regional_shape(

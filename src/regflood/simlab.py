@@ -17,7 +17,6 @@ from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from .errors import DataError, DomainError, NumericError, ParameterError, RegfloodError, _integer
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
@@ -170,6 +169,8 @@ class BlockMaxMargin:
 
     @property
     def a_b(self) -> float:
+        from scipy.special import stdtrit  # block-maximum margins only; off the CLI's start-up
+
         return float(stdtrit(self.dof, 1.0 - 1.0 / (2.0 * self.b)))
 
 
@@ -182,6 +183,8 @@ def blockmax_cdf(margin: BlockMaxMargin, x):
 
     A NaN argument gives NaN.
     """
+    from scipy.special import stdtr
+
     x = np.asarray(x, dtype=float)
     # an overflowing z is an infinite one, which the limits below handle
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,6 +202,8 @@ def blockmax_quantile(margin: BlockMaxMargin, p):
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise DomainError("quantile level must lie strictly between 0 and 1")
+    from scipy.special import stdtrit
+
     inner = stdtrit(margin.dof, (p ** (1.0 / margin.b) + 1.0) / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         out = margin.mu + margin.sigma / margin.xi * (inner / margin.a_b - 1.0)

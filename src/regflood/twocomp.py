@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericError, ParameterError
 from .gev import (
@@ -163,8 +163,11 @@ def _interval(q: float, sd: float, alpha: float) -> QuantileInterval:
     interval of the package is formed here."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly between 0 and 1")
+    level = 1.0 - alpha / 2.0
+    # an alpha up to about 1.1e-16 rounds the level to 1, where z is infinite
+    z = NormalDist().inv_cdf(level) if level < 1.0 else math.inf
     # Python floats overflow to inf silently; the check below speaks
-    q, half = float(q), float(ndtri(1.0 - alpha / 2.0)) * float(sd)
+    q, half = float(q), z * float(sd)
     lower, upper = q - half, q + half
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise NumericError(f"the interval {q:.6g} -/+ {half:.6g} leaves the float range")

@@ -462,16 +462,43 @@ def test_weissman_fits_the_tail_once(monthly_csv, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
-    code = (
-        "import sys, regflood.cli; "
-        "print(sorted({'scipy.stats', 'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
-    )
+def _scipy_modules_after(code: str) -> str:
+    """The sorted list of ``scipy`` modules loaded once ``code`` has run in a
+    fresh interpreter, as printed."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import regflood.cli") == "[]"
+
+
+def test_data_commands_load_no_scipy(monthly_csv, tmp_path):
+    # a deferred scipy.special import would pass the import test above and
+    # still cost every command's first fit the SciPy start-up
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "d": 2, "n": 40, "p": 0.99, "estimators": ["W", "L", "TL", "sW", "sTL"],
+        "margins": {"type": "seasonal", "winter": [2, 1, 0.2], "summer": [1.5, 1, 0.4]},
+        "replications": 2, "seed": 7,
+    }))
+    data = ["--data", str(monthly_csv)]
+    runs = [
+        ["fit-gev", *data, "--method", "L"],
+        ["fit-gev", *data, "--method", "TL"],
+        ["fit-two-component", *data],
+        ["weissman", *data],
+        ["regional-tail", *data, "--dependence", "empirical"],
+        ["regional-tail", *data, "--dependence", "pickands_cfg"],
+        *[["return-levels", *data, "--method", m] for m in ("L", "TL", "W", "sL", "sTL")],
+        ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "sim")],
+    ]
+    code = f"from regflood.cli import main\nassert [main(a) for a in {runs!r}] == {[0] * len(runs)}"
+    assert _scipy_modules_after(code) == "[]"
 
 
 @pytest.mark.parametrize("below", ["", "results"], ids=["a-file", "below-a-file"])

@@ -476,6 +476,32 @@ class TestGradients:
             gev_fit_gradient(exact_pwms(GevParams(1.5, 1, 0.4)), "X")
 
 
+def _bits(values) -> np.ndarray:
+    """The values' bit patterns, with every NaN as one pattern."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).view(np.int64)
+
+
+class TestGamma:
+    """The in-package Gamma is scipy.special.gamma, bit for bit."""
+
+    def test_matches_scipy_on_seeded_points(self):
+        xs = np.random.default_rng(2021).uniform(-200.0, 172.0, 1_000_000)
+        ours = [moments.gamma_fn(x) for x in xs.tolist()]
+        np.testing.assert_array_equal(_bits(ours), _bits(gamma_fn(xs)))
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 1.0, 2.0, 3.0, 0.5, -0.5, *(-float(k) for k in range(1, 201)),
+        33.0, -33.0, 33.5, -33.5, np.nextafter(33.0, 34.0), np.nextafter(-33.0, -34.0),
+        1e-9, -1e-9, 9.9e-10, -9.9e-10, 1e-300, -1e-300, 5e-324, -5e-324,
+        np.nextafter(-3.0, 0.0), np.nextafter(-3.0, -4.0), -3.0 + 1e-10, -40.0 + 1e-12,
+        143.01608, 171.6, 171.62437695630272, 171.7, -171.5, -1e6 - 0.5, -1e300, 1e300,
+        math.inf, -math.inf, math.nan,
+    ])
+    def test_matches_scipy_at_the_edges(self, x):
+        assert _bits(moments.gamma_fn(x)) == _bits(gamma_fn(x))
+
+
 @pytest.mark.parametrize("recover", [gev_from_lmoments, gev_from_tlmoments],
                          ids=["gev_from_lmoments", "gev_from_tlmoments"])
 def test_infinite_pwms_rejected(recover):

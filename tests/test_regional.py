@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import chdtrc
 from scipy.stats import chi2, kstest
 
 from regflood.errors import DataError, NumericError, ParameterError, RegfloodError
@@ -509,6 +510,34 @@ class TestHomogeneity:
         fit = fit_gev_regional(scheme, "s3", method)
         assert homogeneity_test(scheme, method) == fit.shape.homogeneity()
         assert fit.shape.n == scheme.n
+
+
+class TestChi2Tail:
+    """The homogeneity p-value's chi-square tail against scipy.special.chdtrc."""
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(400)
+        for df in range(1, 401):
+            xs = np.concatenate([np.linspace(0.0, 3 * df + 50, 25), rng.uniform(0, 3 * df + 50, 5)])
+            ours = [regional_module._chi2_tail(df, x) for x in xs.tolist()]
+            np.testing.assert_allclose(ours, chdtrc(df, xs), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -1.0, -np.inf])
+    def test_no_positive_statistic_gives_one(self, x):
+        assert regional_module._chi2_tail(3, x) == 1.0
+        assert regional_module._chi2_tail(4, x) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 2000])
+    def test_nan_stays_nan(self, df):
+        assert np.isnan(regional_module._chi2_tail(df, np.nan))
+
+    @pytest.mark.parametrize("df", [1, 2, 1999, 2000])
+    def test_large_df_neither_overflows_nor_breaks(self, df):
+        assert regional_module._chi2_tail(df, 2000.0) == pytest.approx(
+            float(chdtrc(df, 2000.0)), rel=1e-12
+        )
+        assert regional_module._chi2_tail(df, 1e6) == 0.0
+        assert regional_module._chi2_tail(df, np.inf) == 0.0
 
 
 class TestFitGevRegional:

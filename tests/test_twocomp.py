@@ -186,6 +186,12 @@ class TestInterval:
         with pytest.raises(ParameterError):
             twocomp_quantile_ci(make_fit(), 0.99, 0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 5e-324])
+    def test_alpha_too_small_for_a_finite_z(self, alpha):
+        # 1 - alpha/2 rounds to 1, where the normal quantile is infinite
+        with pytest.raises(NumericError, match="leaves the float range"):
+            twocomp_quantile_ci(make_fit(), 0.99, alpha)
+
     def test_affine_transform_scales_width(self):
         # x -> a x + b maps (mu, sigma) -> (a mu + b, a sigma) and the
         # moment covariances by the same affine push-forward
