@@ -15,7 +15,7 @@ import csv
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 
 import numpy as np
 
@@ -36,6 +36,8 @@ _HEADER = ["site_id", "year", "month", "flow"]
 # years are held as int64; the margin keeps year + 1 from overflowing
 _YEAR_LIMIT = 2**62
 _CHUNK_ROWS = 1024
+# lines are read in blocks of about this many characters, some 800 rows
+_BLOCK_CHARS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +121,23 @@ def ingest_monthly(path) -> MonthlyTable:
     ``site_id,year,month,flow``.  Blank rows are skipped and site ids
     are stripped of surrounding whitespace.  Malformed rows, empty site
     ids, non-positive flows and duplicate (site, year, month) keys are
-    collected and reported together with their line numbers.  The file
-    is read once, so it may be a pipe.
+    collected and reported together with their line numbers; a NUL
+    character makes the file unreadable.  The file is read once, so it
+    may be a pipe.  Unquoted files take a column route, which converts a
+    block of lines a whole column at a time under the same rules, with
+    the same results and messages as the row-by-row ``csv`` reading that
+    takes over from the first block holding a quote or a row to report.
     """
     try:
         # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write it
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, None)
+            header = next(csv.reader(fh), None)
             if header is not None and [h.strip() for h in header] != _HEADER:
                 raise DataError(
                     f"{path}: expected header {','.join(_HEADER)!r}, "
                     f"got {','.join(header)!r}"
                 )
-            table, problems = _parse_rows(rows)
+            table, problems = _read_rows(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if problems:
@@ -143,17 +148,22 @@ def ingest_monthly(path) -> MonthlyTable:
     return table
 
 
-def _parse_rows(rows) -> tuple[MonthlyTable, dict[int, str]]:
-    """Table of the rows that keep the row rules, and the message of each
-    row that breaks one or repeats an earlier key, by line number.  Each
-    chunk's strings die with the :func:`_parse_chunk` call that reads them."""
+def _read_rows(fh) -> tuple[MonthlyTable, dict[int, str]]:
+    """Table of the rows after the header that keep the row rules, and the
+    message of each row that breaks one or repeats an earlier key, by line
+    number.  Blocks take the column route until one does not; from that
+    block's first line on, ``csv.reader`` reads the rest of the file."""
     codes: dict[str, int] = {}
     problems: dict[int, str] = {}
     columns = [array(code) for code in "qqqqd"]  # line, site code, year, month, flow
-    for start in count(2, _CHUNK_ROWS):  # the header is line 1
-        if not (chunk := list(islice(rows, _CHUNK_ROWS))):
+    blocks = _blocks(fh)
+    start = 2  # the header is line 1
+    for block, text in blocks:
+        if not _take_columns(start, text, codes, columns):
+            rest = chain(block, chain.from_iterable(lines for lines, _ in blocks))
+            _parse_rows(csv.reader(rest), start, codes, problems, columns)
             break
-        _parse_chunk(start, chunk, codes, problems, columns)
+        start += len(block)  # without quotes, a line is a record
     line, site, year, month, flow = (np.frombuffer(c, dtype=c.typecode) for c in columns)
     order = np.lexsort((month, year, site))  # stable: a key's first line sorts first
     repeats = np.all([np.diff(c[order]) == 0 for c in (site, year, month)], axis=0)
@@ -163,13 +173,66 @@ def _parse_rows(rows) -> tuple[MonthlyTable, dict[int, str]]:
     return MonthlyTable(tuple(codes), site, year, month, flow), problems
 
 
+def _blocks(fh):
+    """The lines of ``fh`` in blocks of about ``_BLOCK_CHARS`` characters,
+    each with its text; a NUL character makes the file unreadable."""
+    while block := fh.readlines(_BLOCK_CHARS):
+        if "\x00" in (text := "".join(block)):
+            raise csv.Error("line contains NUL")
+        yield block, text
+
+
+def _take_columns(start, text, codes, columns) -> bool:
+    """Append the rows of a block's ``text`` (from line ``start``) to
+    ``columns`` by whole columns, coding new sites in ``codes``, if every
+    line is a row of four fields that converts and keeps the row rules;
+    say whether it did.  Without quotes a line's fields are its
+    comma-separated pieces, as ``csv.reader`` reads them, so a block with a
+    quote, or a field that may pass the ``csv`` field size limit, is left
+    to it."""
+    if '"' in text or len(text) > csv.field_size_limit():
+        return False
+    text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
+    rows = text.count("\n") + 1
+    # every line's four fields and then a "\n" field: a line of other length shifts them
+    fields = text.replace("\n", ",\n,").split(",")
+    if len(fields) != 5 * rows - 1 or fields[4::5].count("\n") != rows - 1:
+        return False
+    try:
+        year, month = _int_column(fields[1::5]), _int_column(fields[2::5])
+        flow = np.fromiter(map(float, fields[3::5]), float, rows)
+    except (ValueError, OverflowError):
+        return False
+    sids = list(map(str.strip, fields[0::5]))
+    if any(fault.any() for fault, _ in _row_faults(sids, year, month, flow)):
+        return False
+    _append_rows(columns, codes, start + np.arange(rows), sids, year, month, flow)
+    return True
+
+
+def _int_column(strings) -> np.ndarray:
+    """``int()`` of each string as int64, called once per distinct string."""
+    distinct = list(set(strings))
+    value = dict(zip(distinct, map(int, distinct)))
+    return np.fromiter(map(value.__getitem__, strings), np.int64, len(strings))
+
+
+def _parse_rows(rows, start, codes, problems, columns) -> None:
+    """Parse ``csv.reader`` rows from line ``start`` on, a chunk at a time;
+    each chunk's strings die with the :func:`_parse_chunk` call that reads
+    them."""
+    for start in count(start, _CHUNK_ROWS):
+        if not (chunk := list(islice(rows, _CHUNK_ROWS))):
+            break
+        _parse_chunk(start, chunk, codes, problems, columns)
+
+
 def _parse_chunk(start, chunk, codes, problems, columns) -> None:
     """Append the rows of ``chunk`` (from line ``start``) that keep the row
     rules to ``columns``, coding new sites in ``codes``, and put the message
     of every other non-blank row in ``problems``.  A piece of rows that does
     not convert column by column is halved until each row at fault stands
-    alone; the site id, year, month and flow rules then run on the columns
-    of each piece, in that order."""
+    alone; the row rules then run on the columns of each piece."""
     filled = list(map(str.strip, map("".join, chunk)))
     lines = start + np.flatnonzero(np.fromiter(map(bool, filled), bool, len(chunk)))
     pieces = [(lines, list(compress(chunk, filled)))]
@@ -195,23 +258,34 @@ def _parse_chunk(start, chunk, codes, problems, columns) -> None:
                 )
             continue
         sids = list(map(str.strip, sids))
-        empty = np.equal(sids, "") if "" in sids else np.zeros(len(sids), dtype=bool)
         ok = np.ones(len(rows), dtype=bool)
-        for fault, text in (
-            (empty, "empty site id"),
-            ((year < -_YEAR_LIMIT) | (year > _YEAR_LIMIT), "year {year} out of range"),
-            ((month < 1) | (month > 12), "month {month} outside 1..12"),
-            (~(np.isfinite(flow) & (flow > 0)), "flow must be a positive number, got {flow}"),
-        ):
+        for fault, text in _row_faults(sids, year, month, flow):
             for i in np.flatnonzero(fault & ok).tolist():
                 problems[int(lines[i])] = text.format(year=year[i], month=month[i], flow=flows[i])
             ok &= ~fault
         sids = sids if ok.all() else list(compress(sids, ok.tolist()))
-        for sid in dict.fromkeys(sids):
-            codes.setdefault(sid, len(codes))
-        site = np.fromiter(map(codes.__getitem__, sids), np.int64, len(sids))
-        for column, values in zip(columns, (lines[ok], site, year[ok], month[ok], flow[ok])):
-            column.frombytes(values.astype(column.typecode).tobytes())
+        _append_rows(columns, codes, lines[ok], sids, year[ok], month[ok], flow[ok])
+
+
+def _row_faults(sids, year, month, flow):
+    """The row rules on converted columns, in the order they are checked:
+    each rule's fault mask and message template."""
+    empty = np.equal(sids, "") if "" in sids else np.zeros(len(sids), dtype=bool)
+    return (
+        (empty, "empty site id"),
+        ((year < -_YEAR_LIMIT) | (year > _YEAR_LIMIT), "year {year} out of range"),
+        ((month < 1) | (month > 12), "month {month} outside 1..12"),
+        (~(np.isfinite(flow) & (flow > 0)), "flow must be a positive number, got {flow}"),
+    )
+
+
+def _append_rows(columns, codes, lines, sids, year, month, flow) -> None:
+    """Append rows that keep the row rules to ``columns``, coding new sites in ``codes``."""
+    for sid in dict.fromkeys(sids):
+        codes.setdefault(sid, len(codes))
+    site = np.fromiter(map(codes.__getitem__, sids), np.int64, len(sids))
+    for column, values in zip(columns, (lines, site, year, month, flow)):
+        column.frombytes(values.astype(column.typecode).tobytes())
 
 
 @dataclass(frozen=True)

@@ -520,3 +520,15 @@ def test_invalid_rows_from_a_pipe_are_reported_by_line():
     )
     assert result.returncode == EXIT_INPUT
     assert "line 2: month 13 outside 1..12" in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_valid_data_from_a_pipe_gives_the_same_output(monthly_csv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    command = [sys.executable, "-m", "regflood.cli", "fit-gev", "--data"]
+    from_path = subprocess.run(command + [str(monthly_csv)], capture_output=True, text=True,
+                               env=env)
+    from_pipe = subprocess.run(command + ["/dev/stdin"], input=monthly_csv.read_text(),
+                               capture_output=True, text=True, env=env)
+    assert from_path.returncode == from_pipe.returncode == 0
+    assert from_pipe.stdout == from_path.stdout and "quantile estimate" in from_pipe.stdout

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regflood import ingest
 from regflood.errors import DataError, ParameterError
 from regflood.gev import GevParams, gev_quantile
 from regflood.regional import ObservationScheme, SiteSeries
@@ -143,8 +144,8 @@ class TestIngestMessages:
             ingest_monthly(path)
 
     @pytest.mark.parametrize(
-        "row", [b"M\xfcnster,2000,5,1.0", b"A" * 200_000 + b",2000,5,1.0"],
-        ids=["latin1", "oversized-field"],
+        "row", [b"M\xfcnster,2000,5,1.0", b"A" * 200_000 + b",2000,5,1.0", b"A,2000,5,1\x00"],
+        ids=["latin1", "oversized-field", "nul"],
     )
     def test_unreadable_file_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
@@ -156,7 +157,7 @@ class TestIngestMessages:
 def reference_ingest(text):
     """The row rules applied one row at a time: the table's site ids and
     columns as lists, or the expected problem lines."""
-    rows = csv.reader(io.StringIO(text))
+    rows = csv.reader(io.StringIO(text, newline=""))
     next(rows)
     problems, seen, kept = [], set(), []
     for line, row in enumerate(rows, start=2):
@@ -188,6 +189,19 @@ def reference_ingest(text):
     site_ids = tuple(dict.fromkeys(k[0] for k in kept))
     return (site_ids, [site_ids.index(k[0]) for k in kept],
             *([k[c] for k in kept] for c in (1, 2, 3)))
+
+
+def spy_row_by_row(monkeypatch):
+    """The first lines of the chunks that the row-by-row path parses from now on."""
+    starts = []
+    parse_chunk = ingest._parse_chunk
+
+    def spy(start, *args):
+        starts.append(start)
+        parse_chunk(start, *args)
+
+    monkeypatch.setattr(ingest, "_parse_chunk", spy)
+    return starts
 
 
 def ingest_outcome(path):
@@ -241,7 +255,7 @@ class TestIngestReference:
         path.write_text(text, encoding="utf-8")
         assert ingest_outcome(path) == reference_ingest(text)
 
-    def test_bad_rows_in_several_chunks(self, tmp_path):
+    def test_bad_rows_in_several_chunks(self, tmp_path, monkeypatch):
         rows = base_rows(3000)
         for at, row in ((0, "A,2000,13,1"), (1023, "A,2000"), (1024, "S1,1990,1,9.0"),
                         (2047, " ,2000,5,1"), (2048, "A,xx,5,1"), (2999, "A,2000,5,nan")):
@@ -252,6 +266,47 @@ class TestIngestReference:
         assert [line.split(":")[0] for line in outcome] == [
             "line 2", "line 1025", "line 1026", "line 2049", "line 2050", "line 3001"
         ]
+        # clean blocks take the column route up to a quoted field mid-file
+        starts = spy_row_by_row(monkeypatch)
+        rows = base_rows(3000)
+        for at, row in ((1500, '"Q,R",2000,5,1'), (1800, "A,2000,13,1"), (2600, "S0,1990,1,1")):
+            rows[at] = row
+        path = write_csv(tmp_path / "quoted.csv", rows)
+        outcome = ingest_outcome(path)
+        assert outcome == reference_ingest(path.read_text())
+        assert [line.split(":")[0] for line in outcome] == ["line 1802", "line 2602"]
+        assert 2 < starts[0] <= 1502
+
+    def test_clean_file_takes_the_column_route(self, tmp_path, monkeypatch):
+        starts = spy_row_by_row(monkeypatch)
+        path = write_csv(tmp_path / "clean.csv", base_rows(3000))
+        assert len(path.read_text()) > 2 * ingest._BLOCK_CHARS  # several blocks
+        assert ingest_outcome(path) == reference_ingest(path.read_text())
+        assert starts == []
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("end", ["", "last", "blank"], ids=["no-end", "end", "blank-end"])
+    def test_line_endings_across_block_edges(self, tmp_path, monkeypatch, newline, end):
+        starts = spy_row_by_row(monkeypatch)
+        rows = base_rows(3000)
+        for first in (("S0", "S1", "S2", "S3", "S4"),
+                      "line 2902: duplicate record for ('S0', 1990, 1)"):
+            # pad rows so that a newline starts one character before each
+            # multiple of the block size, which for CRLF splits its "\r\n"
+            text = "site_id,year,month,flow" + newline
+            for row in rows:
+                pad = -(len(text) + len(row) + 1) % ingest._BLOCK_CHARS
+                text += " " * pad * (pad < 20) + row + newline
+            assert all(text.startswith(newline, k * ingest._BLOCK_CHARS - 1) for k in (1, 2))
+            text = {"": text.removesuffix(newline), "last": text,
+                    "blank": text + newline + " , " + newline * 2}[end]
+            path = tmp_path / "eol.csv"
+            path.write_bytes(text.encode())
+            outcome = ingest_outcome(path)
+            assert outcome == reference_ingest(text) and outcome[0] == first
+            rows[2900] = "S0,1990,1,1"  # repeats line 2's key
+        # blocks before the blank lines at the end took the column route
+        assert bool(starts) == (end == "blank") and min(starts, default=3) > 2
 
     @pytest.mark.parametrize("rows", [base_rows(30), ["A,2000,13,1.0", "A,2000,5"]],
                              ids=["valid", "invalid"])
