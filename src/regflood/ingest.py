@@ -189,11 +189,15 @@ def _take_columns(start, text, codes, columns) -> bool:
     say whether it did.  Without quotes a line's fields are its
     comma-separated pieces, as ``csv.reader`` reads them, so a block with a
     quote, or a field that may pass the ``csv`` field size limit, is left
-    to it."""
+    to it.  Empty lines are dropped first, each other line keeping its number."""
     if '"' in text or len(text) > csv.field_size_limit():
         return False
     text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
-    rows = text.count("\n") + 1
+    lines = start + np.arange(text.count("\n") + 1)
+    if "\n\n" in text or text[:1] == "\n" or text[-1:] == "\n":
+        kept = text.split("\n")
+        text, lines = "\n".join(filter(None, kept)), lines[list(map(bool, kept))]
+    rows = len(lines)
     # every line's four fields and then a "\n" field: a line of other length shifts them
     fields = text.replace("\n", ",\n,").split(",")
     if len(fields) != 5 * rows - 1 or fields[4::5].count("\n") != rows - 1:
@@ -206,7 +210,7 @@ def _take_columns(start, text, codes, columns) -> bool:
     sids = list(map(str.strip, fields[0::5]))
     if any(fault.any() for fault, _ in _row_faults(sids, year, month, flow)):
         return False
-    _append_rows(columns, codes, start + np.arange(rows), sids, year, month, flow)
+    _append_rows(columns, codes, lines, sids, year, month, flow)
     return True
 
 

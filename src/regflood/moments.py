@@ -200,7 +200,7 @@ def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarr
     With ``pwm_estimator`` ('plugin' or 'unbiased') this is the d x K matrix
     of PWMs beta_0..beta_{K-1}, one row per sample.  Without it, it is the
     n x d x K array of plug-in influence rows (see ``zhat_vectors``): entry
-    (t, j) is year t of the block, which holds no data before sample j
+    (t, j) is year t of the block, which holds zeros before sample j
     starts.  Tied values share the ecdf value #{obs <= x}/n_j.  The
     one-sample calls are the public sample functions.  Data whose scale
     overflows the sums raise :class:`NumericError`.
@@ -253,6 +253,7 @@ def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarr
             suffix = np.cumsum(v[::-1], axis=0)[::-1]
             tail = np.take_along_axis(suffix, first, axis=0)
             ranked[:, :, k] = xs * ecdf**k + (k / lengths) * tail
+        ranked[~real] = 0.0  # the padding sorts first, so its rows stay in place
         out = np.empty_like(ranked)
         np.put_along_axis(out, order[:, :, None], ranked, axis=0)
     if not np.isfinite(out).all():

@@ -150,16 +150,6 @@ class ObservationScheme:
                 f"site {site_id!r} not in scheme (have {self.site_ids})"
             ) from None
 
-    def overlap_groups(self):
-        """Yield ``(start, group, late)`` per distinct offset, in increasing order:
-        ``group`` indexes the sites observed from ``start`` on, ``late`` the
-        positions among them of those starting there.  Each pair of sites is
-        a (late, group) entry of the group of its later start only."""
-        offsets = self.offsets
-        for start in np.unique(offsets):
-            group = np.flatnonzero(offsets <= start)
-            yield int(start), group, np.flatnonzero(offsets[group] == start)
-
     def rows(self, sites, start: int) -> np.ndarray:
         """Common-period rows from ``start`` on, one column per listed site."""
         return np.column_stack(
@@ -202,10 +192,12 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     ``l*K:(l+1)*K``.  It is ``min(r_j, r_l)/(r_j*r_l)`` times the
     empirical covariance of the sites' influence rows over their
     overlapping years, with ``r_j = n_j/n``.  The rows of all sites come
-    from one ranking of the padded scheme; each overlap group's rows are
-    sliced from it and centred once, and the blocks of its late-starting
-    sites against the whole group are one stacked product.  The matrix
-    is exactly symmetric but not necessarily positive semi-definite:
+    from one ranking of the padded scheme.  Centred over each site's own
+    record, zero before it, they give all d x d blocks in one stacked
+    product, each divided by its overlap length minus one: the later site
+    of a pair sums to zero over the overlap, so the other's overlap mean
+    cancels.  One triangle is mirrored onto the other, so the matrix is
+    exactly symmetric, but not necessarily positive semi-definite:
     finite-sample estimates can have negative eigenvalues, which the
     shape weighting handles with its fallback.  Data whose scale
     overflows the matrix raise :class:`NumericError`.
@@ -213,32 +205,23 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
-    r = scheme.ratios
-
-    def columns(sites):
-        return (sites[:, None] * K + np.arange(K)).ravel()
-
-    matrix = np.empty((scheme.d * K, scheme.d * K))
+    d, r, offsets = scheme.d, scheme.ratios, scheme.offsets
+    own = (np.arange(scheme.n)[:, None] >= offsets)[:, :, None]
+    overlap = scheme.n - np.maximum.outer(offsets, offsets)
+    matrix = np.empty((d * K, d * K))
+    blocks = matrix.reshape(d, K, d, K).transpose(0, 2, 1, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below speaks
         zhats = _ranked_block([s.values for s in scheme.sites], K)
-        for start, group, late in scheme.overlap_groups():
-            # C order, so the centring adds each column's years one by one (the
-            # strided copy that indexing makes would sum a K = 1 column pairwise)
-            z = np.ascontiguousarray(zhats[start:, group])
-            z = z - z.mean(axis=0)
-            m = len(z)
-            # one K x K product per (late, group) pair: one 2-D product can round
-            # the blocks differently, as BLAS picks kernels by size; indexing copies
-            # the late sites, keeping A.T @ A off the symmetric rank-k path
-            by_site = z.transpose(1, 0, 2)
-            cov = by_site[late].transpose(0, 2, 1)[:, None] @ by_site[None] / (m - 1)
-            r_late, r_group = r[group[late]], r[group]
-            scale = np.minimum.outer(r_late, r_group) / np.outer(r_late, r_group)
-            block = (scale[:, :, None, None] * cov).transpose(0, 2, 1, 3)
-            block = block.reshape(len(late) * K, -1)
-            rows, cols = columns(group[late]), columns(group)
-            matrix[np.ix_(rows, cols)] = block
-            matrix[np.ix_(cols, rows)] = block.T
+        z = np.where(own, zhats - zhats.sum(axis=0) / scheme.lengths[:, None], 0.0)
+        # one K x K product per pair: one 2-D product can round the blocks
+        # differently, as BLAS picks kernels by size; the copy keeps A.T @ A
+        # off the symmetric rank-k path
+        by_site = z.transpose(1, 0, 2)
+        np.matmul(by_site.copy().transpose(0, 2, 1)[:, None], by_site[None], out=blocks)
+        blocks /= (overlap - 1)[:, :, None, None]
+        blocks *= (np.minimum.outer(r, r) / np.outer(r, r))[:, :, None, None]
+    lower = np.tri(d * K, k=-1, dtype=bool)
+    matrix[lower] = matrix.T[lower]
     if not np.isfinite(matrix).all():
         raise NumericError("PWM covariance is not finite: the data's scale overflows it")
     return matrix

@@ -40,6 +40,8 @@ __all__ = [
 PICKANDS_T_GRID = np.linspace(0.0, 1.0, 201)
 # the estimated dependence methods of TailDependence.from_scheme
 DEPENDENCE_METHODS = ("empirical", "pickands_cfg")
+# pair rows the empirical dependence compares at once (at most about 1 MB of arrays)
+_JOINT_CELLS = 2**17
 
 
 def _check_dependence_method(method) -> None:
@@ -260,9 +262,10 @@ class TailDependence:
 
     - ``"independent"``: 0; ``"comonotone"``: min(x_l, x_m);
     - ``"empirical"``: joint top ranks over the pair's overlap years;
-      ``tables`` holds per overlap start the sites observed from it, the
-      positions among them of those starting there, their ranks and the
-      pairs' tail sample lengths;
+      ``tables`` holds the ranks of every site among the rows from each
+      distinct start (start x site x year, in the narrowest unsigned type
+      holding n) and, per pair l < m (``np.triu_indices`` order), its
+      start, overlap length and k;
     - ``"pickands_cfg"``: (x_l + x_m)(1 - A_lm(x_m/(x_l + x_m))); ``tables``
       holds one table A_lm on ``PICKANDS_T_GRID`` per pair l < m
       (``np.triu_indices`` order).
@@ -287,28 +290,33 @@ class TailDependence:
     ) -> "TailDependence":
         """Estimate the region's dependence from each pair's overlap years.
 
-        The empirical method ranks each site once per distinct overlap
-        start; ``matrix`` then equals :func:`tail_dependence_empirical`
-        on each pair's overlap rows with k = min(k_l, k_m) (below the
-        overlap length, since each k_j is below its site's length).
+        The empirical method sorts each site once; a cumulative count in
+        sorted order of the rows from each distinct start gives every
+        site's ranks among them, ties broken by position.  ``matrix`` then
+        equals :func:`tail_dependence_empirical` on each pair's overlap
+        rows with k = min(k_l, k_m) (below the overlap length, since each
+        k_j is below its site's length).
         The ``pickands_cfg`` method estimates a dependence-function table
         on ``PICKANDS_T_GRID`` for each pair; ``matrix`` interpolates in it.
         """
         _check_dependence_method(method)
-        d = scheme.d
+        d, n, offsets = scheme.d, scheme.n, scheme.offsets
         ks = _as_k_vector(scheme, k)
+        l, m = np.triu_indices(d, 1)
         if method == "pickands_cfg":
-            offsets = scheme.offsets
-            a_rows = [
-                pickands_cfg(scheme.rows((l, m), max(offsets[l], offsets[m])))
-                for l, m in zip(*np.triu_indices(d, 1))
-            ]
+            first = np.maximum(offsets[l], offsets[m])
+            a_rows = [pickands_cfg(scheme.rows((i, j), a)) for i, j, a in zip(l, m, first)]
             return cls(d, method, a_rows)
-        tables = []
-        for start, group, late in scheme.overlap_groups():
-            ranks = _ordinal_ranks(scheme.rows(group, start))
-            k_pair = np.minimum.outer(ks[group[late]], ks[group])
-            tables.append((group, late, ranks, k_pair))
+        # the padding sorts first: the later site of a pair ranks 0 before its start
+        padded = np.full((d, n), -np.inf)
+        padded[np.arange(n) >= offsets[:, None]] = np.concatenate([s.values for s in scheme.sites])
+        order = np.argsort(padded, axis=1, kind="stable")
+        starts, start_of = np.unique(offsets, return_inverse=True)
+        counted = (order >= starts[:, None, None]).astype(np.min_scalar_type(n))
+        ranks = np.empty_like(counted)
+        ranks[:, np.arange(d)[:, None], order] = np.cumsum(counted, axis=2, out=counted)
+        start = np.maximum(start_of[l], start_of[m])
+        tables = (ranks, l, m, start, n - starts[start], np.minimum(ks[l], ks[m]))
         return cls(d, method, tables)
 
     def matrix(self, x) -> np.ndarray:
@@ -324,15 +332,18 @@ class TailDependence:
             return np.minimum.outer(x, x)
         lam = np.zeros((self.d, self.d))
         if self.method == "empirical":
-            for group, late, ranks, k_pair in self._tables:
-                # joint top ranks of the late x group pairs, one count per pair
-                rows, starts_here = len(ranks), group[late]
-                joint = (ranks[:, late, None] > rows - k_pair * x[starts_here, None]) & (
-                    ranks[:, None, :] > rows - k_pair * x[group]
-                )
-                block = joint.sum(axis=0) / k_pair
-                lam[np.ix_(starts_here, group)] = block
-                lam[np.ix_(group, starts_here)] = block.T
+            ranks, l, m, start, rows, k_pair = self._tables
+            # a row is in a site's top k x when its rank exceeds rows - k x; the
+            # clip keeps out the rows before the pair's start, ranked 0
+            bar_l = np.maximum(rows - k_pair * x[l], 0.0)[:, None]
+            bar_m = np.maximum(rows - k_pair * x[m], 0.0)[:, None]
+            joint = np.empty(len(l), dtype=int)
+            step = max(1, _JOINT_CELLS // ranks.shape[2])
+            for lo in range(0, len(l), step):
+                p = slice(lo, lo + step)
+                top_l = ranks[start[p], l[p]] > bar_l[p]
+                joint[p] = (top_l & (ranks[start[p], m[p]] > bar_m[p])).sum(axis=1)
+            lam[l, m] = lam[m, l] = joint / k_pair
         elif self.method == "pickands_cfg":
             l, m = np.triu_indices(self.d, 1)
             with np.errstate(invalid="ignore"):

@@ -284,6 +284,23 @@ class TestIngestReference:
         assert ingest_outcome(path) == reference_ingest(path.read_text())
         assert starts == []
 
+    def test_empty_lines_keep_the_column_route(self, tmp_path, monkeypatch):
+        # empty lines after the header, mid-file and at the end are dropped with
+        # their numbers; a key repeated after them is reported at its own line
+        starts = spy_row_by_row(monkeypatch)
+        rows = base_rows(3000)
+        rows[1500:1500] = ["", ""]
+        rows = ["", *rows, "", ""]
+        for repeat in (None, "S0,1990,1,1"):  # line 3's key
+            if repeat:
+                rows[2950] = repeat
+            path = write_csv(tmp_path / "empty_lines.csv", rows)
+            outcome = ingest_outcome(path)
+            assert outcome == reference_ingest(path.read_text())
+            if repeat:
+                assert outcome == ["line 2952: duplicate record for ('S0', 1990, 1)"]
+        assert starts == []
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     @pytest.mark.parametrize("end", ["", "last", "blank"], ids=["no-end", "end", "blank-end"])
     def test_line_endings_across_block_edges(self, tmp_path, monkeypatch, newline, end):

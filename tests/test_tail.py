@@ -62,6 +62,18 @@ def staggered_tail_scheme():
     return scheme, data, offsets
 
 
+def distinct_starts_tail_scheme():
+    """60 sites each starting in a different year over 130 years, negative values
+    rounded to one decimal (ties); enough pair rows for the matrix to count in slices."""
+    rng = np.random.default_rng(22)
+    offsets = rng.permutation(60)
+    data = np.round(np.log(gumbel_copula_sample(2.0, len(offsets), rng, size=130)), 1)
+    scheme = ObservationScheme(
+        tuple(SiteSeries(f"s{j}", a, data[a:, j]) for j, a in enumerate(offsets))
+    )
+    return scheme, data, offsets
+
+
 # tail-copula arguments: unit, around 1 on both sides, with zero entries
 ARGUMENT_VECTORS = [
     np.ones(5),
@@ -236,24 +248,33 @@ class TestTailDependence:
             tail_dependence_empirical(pairs, k, 1.0, 1.0)
 
     def test_from_scheme_matches_pairwise_reference(self):
-        # staggered scheme with ties: the matrix, built from ranks cached
-        # per overlap start, must reproduce the reference on every pair's
+        # staggered scheme with ties, one with every site starting in a different
+        # year (ties, 60 sites) and an equal-length one: the matrix, counted from
+        # one ranking per site, must reproduce the reference on every pair's
         # overlap rows, including a zero argument and arguments around 1
-        scheme, data, offsets = staggered_tail_scheme()
-        n, d = data.shape
-        ks = np.array([12, 9, 15, 10, 7])
-        dep = TailDependence.from_scheme(scheme, ks, "empirical")
-        for x in ARGUMENT_VECTORS:
-            lam = dep.matrix(x)
-            np.testing.assert_array_equal(np.diag(lam), x)
-            for l in range(d):
-                for m in range(d):
-                    if l == m:
-                        continue
-                    start = max(offsets[l], offsets[m])
-                    pairs = np.column_stack([data[start:, l], data[start:, m]])
-                    k_pair = int(min(ks[l], ks[m], n - start - 1))
-                    assert lam[l, m] == tail_dependence_empirical(pairs, k_pair, x[l], x[m])
+        staggered = staggered_tail_scheme()
+        distinct = distinct_starts_tail_scheme()
+        equal = make_tail_scheme(seed=23, d=6, n=80)
+        equal_data = np.column_stack([s.values for s in equal.sites])
+        cases = [
+            (*staggered, np.array([12, 9, 15, 10, 7])),
+            (*distinct, np.random.default_rng(24).integers(2, 70, size=60)),
+            (equal, equal_data, [0] * 6, np.array([8, 3, 11, 5, 8, 20])),
+        ]
+        for scheme, data, offsets, ks in cases:
+            n, d = data.shape
+            dep = TailDependence.from_scheme(scheme, ks, "empirical")
+            for x in (np.resize(x, d) for x in ARGUMENT_VECTORS):
+                lam = dep.matrix(x)
+                np.testing.assert_array_equal(np.diag(lam), x)
+                for l in range(d):
+                    for m in range(d):
+                        if l == m:
+                            continue
+                        start = max(offsets[l], offsets[m])
+                        pairs = np.column_stack([data[start:, l], data[start:, m]])
+                        k_pair = int(min(ks[l], ks[m], n - start - 1))
+                        assert lam[l, m] == tail_dependence_empirical(pairs, k_pair, x[l], x[m])
 
     def test_pickands_matrix_matches_pairwise_reference(self):
         # per-pair table and interpolation loop, with t = x_m / (x_l + x_m)
