@@ -192,46 +192,39 @@ def pwm_of_gev(params: GevParams, k: int) -> float:
     return float(value)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the finite check at the end speaks
-def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarray:
-    """Sample PWMs or influence rows of samples ending in the same year, from one
-    stable ranking of the n x d block that pads them at the start.
+@np.errstate(over="ignore", invalid="ignore")  # the callers' finite checks speak
+def _rank_stack(block, pad, K: int, pwm_estimator: str | None = None, rows: bool = False):
+    """Sample PWMs and influence rows of the columns of ``block``, from one stable ranking.
 
-    With ``pwm_estimator`` ('plugin' or 'unbiased') this is the d x K matrix
-    of PWMs beta_0..beta_{K-1}, one row per sample.  Without it, it is the
-    n x d x K array of plug-in influence rows (see ``zhat_vectors``): entry
-    (t, j) is year t of the block, which holds zeros before sample j
-    starts.  Tied values share the ecdf value #{obs <= x}/n_j.  The
-    one-sample calls are the public sample functions.  Data whose scale
-    overflows the sums raise :class:`NumericError`.
+    ``block`` is (..., n, d): column j holds a sample of length n - pad[j] at its end,
+    after -inf padding, and leading axes stack regions of one shape.  Returns the pair
+    (pwms, rows), each None unless asked for: ``pwm_estimator`` ('plugin' or
+    'unbiased') asks for the (..., d, K) PWMs beta_0..beta_{K-1}, ``rows`` for the
+    (..., n, d, K) plug-in influence rows (see ``zhat_vectors``), zero before each
+    sample starts.  Tied values share the ecdf value #{obs <= x}/n_j.  Values that
+    overflow the sums come out non-finite.
     """
-    lengths = np.array([len(x) for x in samples])
-    n, d = int(lengths.max()), len(samples)
-    pad = n - lengths
+    n, d = block.shape[-2:]
+    lengths = n - pad
     years = np.arange(n)[:, None]
     real = years >= pad
-    block = np.full((n, d), -np.inf)
-    block.T[real.T] = np.concatenate(samples)
-    order = np.argsort(block, axis=0, kind="stable")
-    xs = np.take_along_axis(block, order, axis=0)
-    # the padding sorts first, so a sample's smallest value follows it (NaN sorts last)
-    if not (np.isfinite(xs[pad, np.arange(d)]).all() and np.isfinite(xs[-1]).all()):
-        raise DataError("sample values must be finite")
-    if pwm_estimator == "unbiased" and lengths.min() < K:
-        raise ParameterError(f"PWM order {K - 1} needs a sample larger than {K - 1}")
+    order = np.argsort(block, axis=-2, kind="stable")
+    xs = np.take_along_axis(block, order, axis=-2)
     # runs of tied values, read before the padding is zeroed: no real value ties -inf
-    starts = np.ones((n + 1, d), dtype=bool)
-    starts[1:-1] = xs[1:] != xs[:-1]
-    last = np.minimum.accumulate(np.where(starts[1:], years, n)[::-1], axis=0)[::-1]
+    starts = np.ones(xs.shape[:-2] + (n + 1, d), dtype=bool)
+    starts[..., 1:-1, :] = xs[..., 1:, :] != xs[..., :-1, :]
+    ends = np.where(starts[..., 1:, :], years, n)[..., ::-1, :]
+    last = np.minimum.accumulate(ends, axis=-2)[..., ::-1, :]
     ecdf = (last + 1 - pad) / lengths
     # zeros in the padding keep inf * 0 out of every product and sum below
-    xs[~real] = 0.0
+    np.copyto(xs, 0.0, where=~real)
+    pwms = influence = None
     if pwm_estimator == "plugin":
         # the plug-in mean adds its terms in each sample's own order
         ecdf_x = np.empty_like(ecdf)
-        np.put_along_axis(ecdf_x, order, ecdf, axis=0)
+        np.put_along_axis(ecdf_x, order, ecdf, axis=-2)
         x = np.where(real, block, 0.0)
-        out = (x[:, :, None] * ecdf_x[:, :, None] ** np.arange(K)).sum(axis=0) / lengths[:, None]
+        pwms = (x[..., None] * ecdf_x[..., None] ** np.arange(K)).sum(axis=-3) / lengths[:, None]
     elif pwm_estimator == "unbiased":
         # b_k averages x_(i) * C(i-1, k)/C(n-1, k); a row-wise mean over each
         # sample's sorted values keeps the pairwise sum of a one-sample mean
@@ -240,22 +233,49 @@ def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarr
         for k in range(1, K):
             weights = weights * (rank - k) / (lengths - k)
             terms.append(weights * xs)
-        by_sample = np.stack(terms).transpose(2, 0, 1).copy()
-        out = np.array([t[:, a:].mean(axis=1) for t, a in zip(by_sample, pad)])
-    else:
+        by_sample = np.stack(terms, axis=-2).swapaxes(-1, -3).copy()
+        pwms = np.empty(xs.shape[:-2] + (d, K))
+        for j, a in enumerate(pad.tolist()):
+            pwms[..., j, :] = by_sample[..., j, :, a:].mean(axis=-1)
+    if rows:
         # x F(x)**k plus k/n_j times the sum of x_l F(x_l)**(k-1) over x_l >= x,
         # a suffix sum from the first of x's ties in sorted order
-        first = np.maximum.accumulate(np.where(starts[:-1], years, 0), axis=0)
-        ranked = np.empty((n, d, K))
-        ranked[:, :, 0] = xs
+        first = np.maximum.accumulate(np.where(starts[..., :-1, :], years, 0), axis=-2)
+        influence = np.empty(xs.shape + (K,))
+        influence[..., 0] = np.where(real, block, 0.0)
         for k in range(1, K):
             v = xs * ecdf ** (k - 1)
-            suffix = np.cumsum(v[::-1], axis=0)[::-1]
-            tail = np.take_along_axis(suffix, first, axis=0)
-            ranked[:, :, k] = xs * ecdf**k + (k / lengths) * tail
-        ranked[~real] = 0.0  # the padding sorts first, so its rows stay in place
-        out = np.empty_like(ranked)
-        np.put_along_axis(out, order[:, :, None], ranked, axis=0)
+            suffix = np.cumsum(v[..., ::-1, :], axis=-2)[..., ::-1, :]
+            tail = np.take_along_axis(suffix, first, axis=-2)
+            ranked = xs * ecdf**k + (k / lengths) * tail
+            np.copyto(ranked, 0.0, where=~real)  # the padding sorts first: its rows stay in place
+            np.put_along_axis(influence[..., k], order, ranked, axis=-2)
+    return pwms, influence
+
+
+def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarray:
+    """Sample PWMs or influence rows of samples ending in the same year, from one
+    stable ranking of the n x d block that pads them at the start.
+
+    With ``pwm_estimator`` ('plugin' or 'unbiased') this is the d x K matrix
+    of PWMs beta_0..beta_{K-1}, one row per sample.  Without it, it is the
+    n x d x K array of plug-in influence rows (see ``zhat_vectors``): entry
+    (t, j) is year t of the block, which holds zeros before sample j
+    starts.  The one-sample calls are the public sample functions.  Data
+    whose scale overflows the sums raise :class:`NumericError`.
+    """
+    lengths = np.array([len(x) for x in samples])
+    n, d = int(lengths.max()), len(samples)
+    values = np.concatenate(samples)
+    if not np.isfinite(values).all():
+        raise DataError("sample values must be finite")
+    if pwm_estimator == "unbiased" and lengths.min() < K:
+        raise ParameterError(f"PWM order {K - 1} needs a sample larger than {K - 1}")
+    pad = n - lengths
+    block = np.full((n, d), -np.inf)
+    block.T[(np.arange(n)[:, None] >= pad).T] = values
+    pwms, rows = _rank_stack(block, pad, K, pwm_estimator, rows=pwm_estimator is None)
+    out = rows if pwm_estimator is None else pwms
     if not np.isfinite(out).all():
         raise NumericError("the data's scale overflows the sample PWMs or their influence rows")
     return out
@@ -339,6 +359,20 @@ def _tl_location_scale(b, xi: float):
     return 2 * (b[0] - b[1]) + sigma / xi - sigma * g * (2.0**xi - 2.0), sigma
 
 
+def _square(v: float) -> float:
+    """``v**2`` as Python float arithmetic takes it, by C ``pow``, which can round
+    differently from NumPy's ``v * v``; inf where it overflows."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """:func:`_square` of every entry of an array."""
+    return np.reshape([_square(v) for v in values.ravel().tolist()], values.shape)
+
+
 @dataclass(frozen=True)
 class _MomentMethod:
     """One recovery route through the PWMs b = beta_0..beta_{K-1}.
@@ -377,9 +411,16 @@ class _MomentMethod:
             )
         return num / den - self.offset
 
+    def _poly(self, h):
+        return self.poly[0] * h + self.poly[1] * h * h
+
+    def _gradient(self, num, den, den2, h) -> list:
+        dpoly = self.poly[0] + 2 * self.poly[1] * h
+        return [dpoly * g for g in self.ratio_gradient(num, den, den2)]
+
     def _shape(self, h: float) -> float:
         """The polynomial shape, which a ratio beyond about 1e154 in magnitude overflows."""
-        xi = self.poly[0] * h + self.poly[1] * h * h
+        xi = self._poly(h)
         if not math.isfinite(xi):
             raise NumericError(f"shape ratio {h:.6g} puts the shape out of floating-point range")
         return xi
@@ -392,20 +433,31 @@ class _MomentMethod:
         """Analytic gradient of the shape estimate in beta_0..beta_{K-1}, K = 3 (L) or 4 (TL)."""
         num, den = self.terms(self._pwms(pwm, "shape recovery"))
         h = self._ratio(num, den)
-        try:
-            den2 = den**2
-        except OverflowError:
-            den2 = math.inf
+        den2 = _square(den)
         if not 0 < den2 < math.inf:
             raise NumericError(
                 f"shape gradient: the squared ratio denominator of {den:.6g} "
                 "is out of floating-point range"
             )
-        dpoly = self.poly[0] + 2 * self.poly[1] * h
-        grad = [dpoly * g for g in self.ratio_gradient(num, den, den2)]
+        grad = self._gradient(num, den, den2, h)
         if not all(map(math.isfinite, grad)):
             raise NumericError(f"shape gradient at ratio {h:.6g} is out of floating-point range")
         return np.array(grad)
+
+    @np.errstate(all="ignore")  # the mask speaks
+    def shape_maps(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`shape` and :meth:`shape_gradient` of every PWM row of ``betas`` (..., >= K)
+        at once, bit for bit: the (...) shapes, the (..., K) gradients and the (...)
+        mask of the rows where both return rather than raise (elsewhere the values
+        mean nothing)."""
+        num, den = self.terms([betas[..., k] for k in range(self.order)])
+        h = num / den - self.offset
+        xi = self._poly(h)
+        den2 = _squares(den)
+        grad = np.stack(self._gradient(num, den, den2, h), axis=-1)
+        ok = (den != 0) & np.isfinite(num) & np.isfinite(den) & np.isfinite(xi)
+        ok &= (0 < den2) & (den2 < math.inf) & np.isfinite(grad).all(axis=-1)
+        return xi, grad, ok
 
     def recover(self, pwm: PwmVector) -> GevParams:
         """GEV parameters from the PWMs via the route's equation system: the L-moment one
@@ -460,6 +512,29 @@ gev_from_lmoments = _MOMENT_METHODS["L"].recover
 gev_from_tlmoments = _MOMENT_METHODS["TL"].recover
 
 
+def _fit_step(xi: float) -> float:
+    """The difference step of :func:`gev_fit_gradient` at shape ``xi``."""
+    # a point in 0 < |xi| < _FIT_GUMBEL_EPS reads the limit equations, exact only
+    # at 0; twice the step clears that band
+    step = 1e-4
+    if any(0 < abs(xi + s) < _FIT_GUMBEL_EPS for s in (-step, step)):
+        step = 2e-4
+    return step
+
+
+def _fit_gradient_returns(xi: float, b: list, shape_grad: list) -> bool:
+    """Whether :func:`gev_fit_gradient` returns for PWMs ``b`` whose recovery gives the
+    shape ``xi`` and whose shape gradient ``shape_grad`` is finite, without evaluating
+    it; False means only "not shown".
+
+    Past the pole check and with -100 < xi, every Gamma factor and divisor of the
+    location-scale maps at xi and xi -+ step lies between about 1e-7 and 1e158 in
+    magnitude and they cancel pairwise, so the map's coefficients stay below about
+    1e8; with ``b`` and ``shape_grad`` below 1e100 every entry stays below about 1e220.
+    """
+    return -100.0 < xi and xi + _fit_step(xi) < 1 and max(map(abs, b + shape_grad)) < 1e100
+
+
 def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
     """Gradient of the (mu, sigma, xi) recovery map in the PWMs, a 3 x K matrix
     (K = 3 for ``method='L'``, 4 for ``'TL'``).
@@ -475,11 +550,7 @@ def gev_fit_gradient(pwm: PwmVector, method: str) -> np.ndarray:
     if pwm.order < K:
         raise ParameterError(f"method {method!r} needs PWMs up to order {K - 1}")
     xi = spec.recover(pwm).xi
-    # a point in 0 < |xi| < _FIT_GUMBEL_EPS reads the limit equations, exact only
-    # at 0; twice the step clears that band
-    step = 1e-4
-    if any(0 < abs(xi + s) < _FIT_GUMBEL_EPS for s in (-step, step)):
-        step = 2e-4
+    step = _fit_step(xi)
     if xi + step >= 1:
         raise NumericError(f"recovered shape {xi:.6f} is within {step:g} of the pole at 1")
     b = pwm.values[:K].tolist()

@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, NumericError, ParameterError, RegfloodError, _integer
 from .gev import GevParams
-from .moments import PwmVector, _moment_method, _ranked_block, gev_fit_gradient
+from .moments import (
+    PwmVector,
+    _fit_gradient_returns,
+    _moment_method,
+    _rank_stack,
+    _ranked_block,
+    gev_fit_gradient,
+)
 
 __all__ = [
     "SiteSeries",
@@ -45,6 +53,11 @@ MAX_CONDITION = 1e12
 # version, whose vanishing O(1/n) bias is what keeps interval coverage
 # near nominal at realistic record lengths (both share one limit law).
 _PWM_ESTIMATORS = ("unbiased", "plugin")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -126,17 +139,19 @@ class ObservationScheme:
     def n(self) -> int:
         return self.sites[0].offset + self.sites[0].length
 
-    @property
+    # the per-site arrays are computed once, on first use, and read-only
+
+    @cached_property
     def offsets(self) -> np.ndarray:
-        return np.array([s.offset for s in self.sites], dtype=int)
+        return _read_only(np.array([s.offset for s in self.sites], dtype=int))
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
-        return np.array([s.length for s in self.sites], dtype=int)
+        return _read_only(np.array([s.length for s in self.sites], dtype=int))
 
-    @property
+    @cached_property
     def ratios(self) -> np.ndarray:
-        return self.lengths / self.n
+        return _read_only(self.lengths / self.n)
 
     @property
     def site_ids(self) -> list[str]:
@@ -205,25 +220,37 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
-    d, r, offsets = scheme.d, scheme.ratios, scheme.offsets
-    own = (np.arange(scheme.n)[:, None] >= offsets)[:, :, None]
-    overlap = scheme.n - np.maximum.outer(offsets, offsets)
-    matrix = np.empty((d * K, d * K))
-    blocks = matrix.reshape(d, K, d, K).transpose(0, 2, 1, 3)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below speaks
-        zhats = _ranked_block([s.values for s in scheme.sites], K)
-        z = np.where(own, zhats - zhats.sum(axis=0) / scheme.lengths[:, None], 0.0)
-        # one K x K product per pair: one 2-D product can round the blocks
-        # differently, as BLAS picks kernels by size; the copy keeps A.T @ A
-        # off the symmetric rank-k path
-        by_site = z.transpose(1, 0, 2)
-        np.matmul(by_site.copy().transpose(0, 2, 1)[:, None], by_site[None], out=blocks)
-        blocks /= (overlap - 1)[:, :, None, None]
-        blocks *= (np.minimum.outer(r, r) / np.outer(r, r))[:, :, None, None]
-    lower = np.tri(d * K, k=-1, dtype=bool)
-    matrix[lower] = matrix.T[lower]
+    zhats = _ranked_block([s.values for s in scheme.sites], K)
+    matrix = _pwm_covariance(zhats, scheme.offsets, scheme.ratios)
     if not np.isfinite(matrix).all():
         raise NumericError("PWM covariance is not finite: the data's scale overflows it")
+    return matrix
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the callers' finite checks speak
+def _pwm_covariance(zhats: np.ndarray, offsets: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """:func:`sigma_r_hat` from the (..., n, d, K) influence rows of one scheme shape;
+    leading axes stack regions."""
+    n, d, K = zhats.shape[-3:]
+    lead = zhats.shape[:-3]
+    own = (np.arange(n)[:, None] >= offsets)[:, :, None]
+    overlap = n - np.maximum.outer(offsets, offsets)
+    lengths = n - offsets
+    matrix = np.empty(lead + (d * K, d * K))
+    blocks = matrix.reshape(lead + (d, K, d, K)).swapaxes(-3, -2)
+    z = np.where(own, zhats - zhats.sum(axis=-3, keepdims=True) / lengths[:, None], 0.0)
+    # one K x K product per pair: one 2-D product can round the blocks
+    # differently, as BLAS picks kernels by size; the copy keeps A.T @ A
+    # off the symmetric rank-k path
+    by_site = np.moveaxis(z, -3, -2)
+    np.matmul(
+        by_site.copy().swapaxes(-1, -2)[..., :, None, :, :], by_site[..., None, :, :, :], out=blocks
+    )
+    blocks /= (overlap - 1)[:, :, None, None]
+    blocks *= (np.minimum.outer(ratios, ratios) / np.outer(ratios, ratios))[:, :, None, None]
+    lower = np.tri(d * K, k=-1, dtype=bool)
+    for one in matrix.reshape(-1, d * K, d * K):  # a 2-D mask takes the fast path
+        one[lower] = one.T[lower]
     return matrix
 
 
@@ -269,21 +296,31 @@ def _chi2_tail(df: int, x: float) -> float:
     return math.fsum(terms)
 
 
-def _eigenvalues_valid(eigs: np.ndarray) -> bool:
-    return bool(eigs.min() > 0 and eigs.max() / eigs.min() < MAX_CONDITION)
+def _eigenvalues_valid(eigs: np.ndarray) -> np.ndarray:
+    """Whether each row of eigenvalues belongs to a usable covariance."""
+    low, high = eigs.min(axis=-1), eigs.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (low > 0) & (high / low < MAX_CONDITION)
 
 
-def _pool_weights(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, str, float]:
-    """Pooling weights under a symmetric covariance, their source and its least eigenvalue.
+def _pool_weights(sigma: np.ndarray, fallback: np.ndarray):
+    """Pooling weights under symmetric covariances (..., d, d), whether they are the
+    optimal ones and the least eigenvalue of each covariance.
 
     The weights are the Lagrange solution ``sigma^{-1} 1 / (1' sigma^{-1} 1)``
-    when the covariance is valid, otherwise ``fallback`` as given.
+    where the covariance is valid, otherwise ``fallback`` as given.
     """
     eigs = np.linalg.eigvalsh(sigma)
-    if not _eigenvalues_valid(eigs):
-        return fallback, "length-proportional", float(eigs.min())
-    raw = np.linalg.solve(sigma, np.ones(sigma.shape[0]))
-    return raw / raw.sum(), "optimal", float(eigs.min())
+    valid = _eigenvalues_valid(eigs)
+    weights = np.broadcast_to(fallback, eigs.shape).copy()  # C order: the dot products read rows
+    if valid.any():
+        raw = np.linalg.solve(sigma[valid], np.ones(sigma.shape[-1])[:, None])[..., 0]
+        weights[valid] = raw / raw.sum(axis=-1, keepdims=True)
+    return weights, valid, eigs.min(axis=-1)
+
+
+def _weights_source(valid) -> str:
+    return "optimal" if valid else "length-proportional"
 
 
 def optimal_weights(sigma: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
@@ -305,7 +342,11 @@ def optimal_weights(sigma: np.ndarray, fallback: np.ndarray | None = None) -> np
 
 def fallback_weights(scheme: ObservationScheme) -> np.ndarray:
     """Weights proportional to local record lengths (sum to one)."""
-    lengths = scheme.lengths.astype(float)
+    return _length_weights(scheme.lengths)
+
+
+def _length_weights(lengths: np.ndarray) -> np.ndarray:
+    lengths = lengths.astype(float)
     return lengths / lengths.sum()
 
 
@@ -371,7 +412,7 @@ def regional_shape(
     :class:`NumericError`.
     """
     spec = _moment_method(method)
-    K, d = spec.order, scheme.d
+    K = spec.order
     if pwm_estimator not in _PWM_ESTIMATORS:
         raise ParameterError(
             f"unknown PWM estimator {pwm_estimator!r}; use 'unbiased' or 'plugin'"
@@ -388,33 +429,32 @@ def regional_shape(
             )
     betas = _ranked_block([site.values for site in scheme.sites], K, pwm_estimator)
     pwms = tuple(map(PwmVector, betas))
-    xi_hats, grads = np.empty(d), np.empty((d, K))
-    for j, (site, pwm) in enumerate(zip(scheme.sites, pwms)):
+    xi_hats, grads, ok = spec.shape_maps(betas)
+    if not ok.all():  # the scalar maps raise the first failing site's error
+        j = int(np.argmin(ok))
         try:
-            xi_hats[j] = spec.shape(pwm)
-            grads[j] = spec.shape_gradient(pwm)
+            spec.shape(pwms[j])
+            spec.shape_gradient(pwms[j])
         except RegfloodError as exc:
             raise NumericError(
-                f"shape estimation failed at site {site.site_id!r}: {exc}"
+                f"shape estimation failed at site {scheme.sites[j].site_id!r}: {exc}"
             ) from exc
     cov = sigma_r_hat(scheme, K)
-    blocks = cov.reshape(d, K, d, K).transpose(0, 2, 1, 3)
-    sigma = (grads[:, None, None] @ blocks @ grads[None, :, :, None])[:, :, 0, 0]
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = _shape_covariance(grads, cov)
     if not np.all(np.isfinite(sigma)):
         raise NumericError(
             "shape covariance is not finite: the data's scale overflows "
             "the shape gradients or the PWM covariance"
         )
-    weights, source, min_eig = _pool_weights(sigma, fallback_weights(scheme))
+    weights, valid, min_eig = _pool_weights(sigma, fallback_weights(scheme))
     return RegionalShapeResult(
         xi=float(weights @ xi_hats),
         weights=weights,
         diagnostics={
-            "weights_source": source,
+            "weights_source": _weights_source(valid),
             "xi_by_site": xi_hats,
             "sigma_tail": sigma,
-            "sigma_tail_min_eigenvalue": min_eig,
+            "sigma_tail_min_eigenvalue": float(min_eig),
             "method": method,
         },
         n=scheme.n,
@@ -422,6 +462,16 @@ def regional_shape(
         shape_gradients=grads,
         pwm_covariance=cov,
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the callers' finite checks speak
+def _shape_covariance(grads: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The symmetrized shape covariance ``G Sigma_R G'`` of (..., d, K) shape gradients
+    and (..., dK, dK) PWM covariances."""
+    d, K = grads.shape[-2:]
+    blocks = cov.reshape(cov.shape[:-2] + (d, K, d, K)).swapaxes(-3, -2)
+    sigma = (grads[..., :, None, None, :] @ blocks @ grads[..., None, :, :, None])[..., 0, 0]
+    return 0.5 * (sigma + sigma.swapaxes(-1, -2))
 
 
 def homogeneity_test(
@@ -489,3 +539,50 @@ def fit_gev_regional(
         shape=shape,
         local_theta=local,
     )
+
+
+def _fit_gev_regional_stack(stack: np.ndarray, methods, pwm_estimator: str) -> dict:
+    """:func:`fit_gev_regional`'s ``theta`` at site 0 of each of a stack (R, d, n) of
+    equal-length regions of at least K years, per method of ``methods``: a list with,
+    per region, the single fit's theta bit for bit, or None where the fit failed or a
+    check of the batch rejected it.
+
+    One ranking serves every method: L reads the leading orders of TL's PWMs and
+    influence rows.  The fit gradient, which only decides whether the fit raises, is
+    not evaluated but shown finite by :func:`_fit_gradient_returns`.
+    """
+    R, d, n = stack.shape
+    block = np.ascontiguousarray(stack.swapaxes(1, 2))
+    specs = [_moment_method(method) for method in methods]
+    all_betas, all_rows = _rank_stack(
+        block, np.zeros(d, dtype=int), max(spec.order for spec in specs), pwm_estimator, rows=True
+    )
+    no_constant_site = ~(block.min(axis=1) == block.max(axis=1)).any(axis=1)
+    out = {}
+    for method, spec in zip(methods, specs):
+        betas, rows = all_betas[..., : spec.order], all_rows[..., : spec.order]
+        xi_hats, grads, sites_ok = spec.shape_maps(betas)
+        cov = _pwm_covariance(rows, np.zeros(d, dtype=int), np.ones(d))
+        sigma = _shape_covariance(grads, cov)
+        ok = no_constant_site & sites_ok.all(axis=1)
+        for array in (betas, rows, cov, sigma):
+            ok &= np.isfinite(array).reshape(R, -1).all(axis=1)
+        sigma[~ok] = np.eye(d)  # LAPACK on a rejected region's NaNs could fail the stack
+        try:
+            weights, _, _ = _pool_weights(sigma, _length_weights(np.full(d, n)))
+        except np.linalg.LinAlgError:  # each region alone shows which
+            ok[:] = False
+            weights = np.zeros((R, d))
+        xi = (weights[:, None, :] @ xi_hats[:, :, None])[:, 0, 0]
+        out[method] = thetas = []
+        for b, g, x, good in zip(betas[:, 0].tolist(), grads[:, 0].tolist(), xi.tolist(), ok):
+            theta = None
+            if good:
+                try:
+                    local = spec.recover(PwmVector(b))
+                    if _fit_gradient_returns(local.xi, b, g):
+                        theta = GevParams(local.mu, local.sigma, x)
+                except RegfloodError:
+                    pass
+            thetas.append(theta)
+    return out

@@ -21,8 +21,17 @@ import numpy as np
 from .errors import DataError, DomainError, NumericError, ParameterError, RegfloodError, _integer
 from .gev import GevParams, TwoComponentGev, gev_quantile, twocomp_quantile
 from .ingest import SeasonalSchemes
-from .regional import _PWM_ESTIMATORS, ObservationScheme, fit_gev_regional
-from .tail import DEPENDENCE_METHODS, regional_tail_fit, seasonal_weissman_quantile
+from .moments import _moment_method
+from .regional import _PWM_ESTIMATORS, ObservationScheme, _fit_gev_regional_stack, fit_gev_regional
+from .tail import (
+    DEPENDENCE_METHODS,
+    _as_k_vector,
+    _power_tail_quantile,
+    _product_quantile,
+    _tail_fits,
+    regional_tail_fit,
+    seasonal_weissman_quantile,
+)
 from .twocomp import fit_seasonal_regional
 
 __all__ = [
@@ -49,6 +58,10 @@ _METHOD_OPTIONS = {
     "pwm_estimator": _PWM_ESTIMATORS,
     "dependence_method": DEPENDENCE_METHODS,
 }
+# replications fitted at once: at most _CHUNK, fewer where a region's PWM rows and
+# covariance hold more than _CHUNK_CELLS / _CHUNK numbers
+_CHUNK = 32
+_CHUNK_CELLS = 2**17
 
 
 # --------------------------------------------------------------------------
@@ -419,13 +432,18 @@ class EstimatorStats:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Aggregated results of one scenario run."""
+    """Aggregated results of one scenario run.
+
+    ``failures`` maps each estimator to the number of its failed (NaN) replications
+    by the name of the exception class that failed them.
+    """
 
     q_true: float
     replications: int
     seed: int
     estimates: dict
     stats: tuple[EstimatorStats, ...]
+    failures: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         header = (
@@ -490,34 +508,123 @@ def _summarize(name: str, values: np.ndarray, q_true: float) -> EstimatorStats:
     )
 
 
+def _stack(schemes) -> np.ndarray:
+    """The site values of equal-length schemes of one shape as an (R, d, n) array."""
+    return np.array([[site.values for site in scheme.sites] for scheme in schemes])
+
+
+def _read(quantile, *args) -> float:
+    """A quantile read-off, NaN where it raises or an argument is None."""
+    if any(arg is None for arg in args):
+        return math.nan
+    try:
+        return quantile(*args)
+    except (RegfloodError, np.linalg.LinAlgError):
+        return math.nan
+
+
+def _batch_estimates(config: ScenarioConfig, regions: list, options: dict) -> dict:
+    """The estimates at site 1 of the replications ``regions``, fitted at once.
+
+    Per estimator the batch covers, a list with the single path's value bit for bit,
+    or NaN where the fit failed or one of the batch's checks rejected it.  Not
+    covered: W with ``pickands_cfg`` dependence, and the moment estimators with
+    unbiased PWMs on fewer years than their order.
+    """
+    p, pwm_estimator = config.p, options["pwm_estimator"]
+    names = set(config.estimators)
+    kinds = ("annual", "winter", "summer") if names & set(_SEASONAL_ONLY) else ("annual",)
+    stacks = {kind: _stack([getattr(region, kind) for region in regions]) for kind in kinds}
+    n = stacks["annual"].shape[2]
+    thetas = {}
+    for kind in kinds:
+        methods = [
+            m for m in ("L", "TL") if (m if kind == "annual" else "s" + m) in names
+            and not (pwm_estimator == "unbiased" and n < _moment_method(m).order)
+        ]
+        if methods:
+            fits = _fit_gev_regional_stack(stacks[kind], methods, pwm_estimator)
+            thetas.update(((kind, m), fit) for m, fit in fits.items())
+    annual_tails = None
+    if "W" in names and options.get("dependence_method", "empirical") == "empirical":
+        annual_tails = _tail_fits(stacks["annual"], _as_k_vector(regions[0].annual, None))
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m in ("L", "TL"):
+            if ("annual", m) in thetas:
+                out[m] = [_read(gev_quantile, theta, p) for theta in thetas["annual", m]]
+            if ("winter", m) in thetas:
+                models = [
+                    None if w is None or s is None else TwoComponentGev(w, s)
+                    for w, s in zip(thetas["winter", m], thetas["summer", m])
+                ]
+                out["s" + m] = [_read(twocomp_quantile, model, p) for model in models]
+        if annual_tails is not None:
+            out["W"] = [
+                _read(lambda tail: _power_tail_quantile(*tail, p)[0], tail) for tail in annual_tails
+            ]
+        if "sW" in names:
+            ks = _as_k_vector(regions[0].winter, None)
+            seasons = zip(*(_tail_fits(stacks[kind], ks) for kind in ("winter", "summer")))
+            out["sW"] = [
+                _read(_product_quantile, [w, s] if w and s and w[3] > 0 and s[3] > 0 else None, p)
+                for w, s in seasons
+            ]
+    return out
+
+
+def _single_estimate(name: str, region, p: float, options: dict, failures: dict) -> float:
+    """Estimator ``name`` fitted to one replication at site 1, NaN where it fails; a
+    failure is counted in ``failures`` under its exception class."""
+    try:
+        quantile = quantile_function(name, region, region.annual.site_ids[0], **options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return quantile(p)
+    except (RegfloodError, np.linalg.LinAlgError) as exc:
+        failures[type(exc).__name__] = failures.get(type(exc).__name__, 0) + 1
+        return math.nan
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Execute a scenario: simulate, estimate, aggregate.
 
     Replications run on independent, deterministically spawned random
     streams, so results depend only on the seed (and are reproducible
-    under any execution order).  Estimator failures are recorded per
-    replication rather than aborting the run.
+    under any execution order).  They are fitted in chunks of up to 32 at
+    once, each lane's kernels taking a leading replication axis; a
+    replication that any check of the chunk rejects, or an estimator the
+    chunk does not cover, is refit alone by :func:`quantile_function`.
+    The estimates equal those of fitting every replication alone, bit for
+    bit.  Estimator failures are recorded per replication as NaN rather
+    than aborting the run, and counted by exception class in the report's
+    ``failures``.
     """
     q_true = config.true_quantile()
     estimates = {
         name: np.full(config.replications, np.nan) for name in config.estimators
     }
+    failures = {name: {} for name in config.estimators}
     # the lab reproduces the published study, whose moment estimators are
     # the plug-in versions covered by the asymptotic theory; production
     # fits elsewhere default to the unbiased variant
     options = {"pwm_estimator": "plugin", **config.method_options}
     streams = np.random.SeedSequence(config.seed).spawn(config.replications)
-    for rep, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        region = _simulate_region(config, rng)
+    cells = config.d * 4 * (config.n + config.d * 4)  # TL's influence rows and covariance
+    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // cells))
+    for lo in range(0, config.replications, chunk):
+        regions = [
+            _simulate_region(config, np.random.default_rng(stream))
+            for stream in streams[lo : lo + chunk]
+        ]
+        batch = _batch_estimates(config, regions, options)
         for name in config.estimators:
-            try:
-                quantile = quantile_function(name, region, region.annual.site_ids[0], **options)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    estimates[name][rep] = quantile(config.p)
-            except (RegfloodError, np.linalg.LinAlgError):
-                pass  # recorded as NaN; counted in the report
+            values = batch.get(name, [math.nan] * len(regions))
+            for rep, (region, value) in enumerate(zip(regions, values), start=lo):
+                if math.isnan(value):
+                    value = _single_estimate(name, region, config.p, options, failures[name])
+                estimates[name][rep] = value
     stats = tuple(
         _summarize(name, estimates[name], q_true) for name in config.estimators
     )
@@ -527,4 +634,5 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         seed=config.seed,
         estimates=estimates,
         stats=stats,
+        failures=failures,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError, ParameterError, _integer
 from .gev import brentq
-from .regional import ObservationScheme, _pool_weights, fallback_weights
+from .regional import ObservationScheme, _length_weights, _pool_weights, _weights_source
 from .twocomp import QuantileInterval, _interval
 
 __all__ = [
@@ -82,17 +82,34 @@ def _excess_threshold(data, k) -> tuple[np.ndarray, int, float]:
         raise DataError("sample values must be finite")
     threshold = x[n - k - 1]
     if threshold <= 0:
-        raise DomainError(
-            f"threshold order statistic {threshold:.6g} is not positive; "
-            "log excesses are undefined"
-        )
+        raise _threshold_error(threshold)
     return x, k, threshold
+
+
+def _threshold_error(threshold) -> DomainError:
+    return DomainError(
+        f"threshold order statistic {threshold:.6g} is not positive; log excesses are undefined"
+    )
+
+
+def _hill_block(xs: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hill indices and excess thresholds of the rows of ``xs`` (..., d, n), each sorted
+    with its sample at the end, k_j from its top; the one-sample :func:`_hill_threshold`
+    bit for bit."""
+    n = xs.shape[-1]
+    thresholds = xs[..., np.arange(len(ks)), n - ks - 1]
+    gammas = np.empty(thresholds.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a threshold <= 0 is the caller's
+        for k in np.unique(ks):
+            at = ks == k
+            gammas[..., at] = np.mean(np.log(xs[..., at, n - k :] / thresholds[..., at, None]), axis=-1)
+    return gammas, thresholds
 
 
 def _hill_threshold(data, k) -> tuple[float, float]:
     """Hill index and its excess threshold X_(n-k), both from one sort."""
     x, k, threshold = _excess_threshold(data, k)
-    return float(np.mean(np.log(x[len(x) - k :] / threshold))), threshold
+    return float(_hill_block(x[None], np.array([k]))[0][0]), threshold
 
 
 def hill(data, k: int) -> float:
@@ -264,8 +281,9 @@ class TailDependence:
     - ``"empirical"``: joint top ranks over the pair's overlap years;
       ``tables`` holds the ranks of every site among the rows from each
       distinct start (start x site x year, in the narrowest unsigned type
-      holding n) and, per pair l < m (``np.triu_indices`` order), its
-      start, overlap length and k;
+      holding n, after any leading axes that stack regions of one scheme
+      shape, which ``matrix`` keeps) and, per pair l < m
+      (``np.triu_indices`` order), its start, overlap length and k;
     - ``"pickands_cfg"``: (x_l + x_m)(1 - A_lm(x_m/(x_l + x_m))); ``tables``
       holds one table A_lm on ``PICKANDS_T_GRID`` per pair l < m
       (``np.triu_indices`` order).
@@ -300,24 +318,34 @@ class TailDependence:
         on ``PICKANDS_T_GRID`` for each pair; ``matrix`` interpolates in it.
         """
         _check_dependence_method(method)
-        d, n, offsets = scheme.d, scheme.n, scheme.offsets
         ks = _as_k_vector(scheme, k)
-        l, m = np.triu_indices(d, 1)
         if method == "pickands_cfg":
-            first = np.maximum(offsets[l], offsets[m])
+            l, m = np.triu_indices(scheme.d, 1)
+            first = np.maximum(scheme.offsets[l], scheme.offsets[m])
             a_rows = [pickands_cfg(scheme.rows((i, j), a)) for i, j, a in zip(l, m, first)]
-            return cls(d, method, a_rows)
+            return cls(scheme.d, method, a_rows)
+        order = np.argsort(_padded_rows(scheme), axis=-1, kind="stable")
+        return cls._empirical(order, scheme.offsets, ks)
+
+    @classmethod
+    def _empirical(cls, order: np.ndarray, offsets: np.ndarray, ks: np.ndarray) -> "TailDependence":
+        """The empirical method from the stable sort orders (..., d, n) of the -inf-padded
+        rows of a scheme; leading axes stack regions of its shape, and :meth:`matrix`
+        then gives one matrix per region."""
+        d, n = order.shape[-2:]
+        l, m = np.triu_indices(d, 1)
         # the padding sorts first: the later site of a pair ranks 0 before its start
-        padded = np.full((d, n), -np.inf)
-        padded[np.arange(n) >= offsets[:, None]] = np.concatenate([s.values for s in scheme.sites])
-        order = np.argsort(padded, axis=1, kind="stable")
         starts, start_of = np.unique(offsets, return_inverse=True)
-        counted = (order >= starts[:, None, None]).astype(np.min_scalar_type(n))
+        counted = (order[..., None, :, :] >= starts[:, None, None]).astype(np.min_scalar_type(n))
+        np.cumsum(counted, axis=-1, out=counted)
         ranks = np.empty_like(counted)
-        ranks[:, np.arange(d)[:, None], order] = np.cumsum(counted, axis=2, out=counted)
+        by_region = order.reshape(-1, d, n)
+        ranks.reshape(-1, len(starts), d, n)[
+            np.arange(len(by_region))[:, None, None], :, np.arange(d)[:, None], by_region
+        ] = counted.reshape(-1, len(starts), d, n).transpose(0, 2, 3, 1)
         start = np.maximum(start_of[l], start_of[m])
         tables = (ranks, l, m, start, n - starts[start], np.minimum(ks[l], ks[m]))
-        return cls(d, method, tables)
+        return cls(d, "empirical", tables)
 
     def matrix(self, x) -> np.ndarray:
         """Tail-copula matrix Lambda_lm(x_l, x_m) for one argument per site."""
@@ -330,20 +358,21 @@ class TailDependence:
             raise DomainError("tail copula arguments must be finite and non-negative")
         if self.method == "comonotone":
             return np.minimum.outer(x, x)
-        lam = np.zeros((self.d, self.d))
+        lead = self._tables[0].shape[:-3] if self.method == "empirical" else ()
+        lam = np.zeros(lead + (self.d, self.d))
         if self.method == "empirical":
             ranks, l, m, start, rows, k_pair = self._tables
             # a row is in a site's top k x when its rank exceeds rows - k x; the
             # clip keeps out the rows before the pair's start, ranked 0
             bar_l = np.maximum(rows - k_pair * x[l], 0.0)[:, None]
             bar_m = np.maximum(rows - k_pair * x[m], 0.0)[:, None]
-            joint = np.empty(len(l), dtype=int)
-            step = max(1, _JOINT_CELLS // ranks.shape[2])
+            joint = np.empty(lead + (len(l),), dtype=int)
+            step = max(1, _JOINT_CELLS // (ranks.shape[-1] * math.prod(lead)))
             for lo in range(0, len(l), step):
                 p = slice(lo, lo + step)
-                top_l = ranks[start[p], l[p]] > bar_l[p]
-                joint[p] = (top_l & (ranks[start[p], m[p]] > bar_m[p])).sum(axis=1)
-            lam[l, m] = lam[m, l] = joint / k_pair
+                top_l = ranks[..., start[p], l[p], :] > bar_l[p]
+                joint[..., p] = (top_l & (ranks[..., start[p], m[p], :] > bar_m[p])).sum(axis=-1)
+            lam[..., l, m] = lam[..., m, l] = joint / k_pair
         elif self.method == "pickands_cfg":
             l, m = np.triu_indices(self.d, 1)
             with np.errstate(invalid="ignore"):
@@ -352,8 +381,18 @@ class TailDependence:
             lam[l, m] = lam[m, l] = np.where(
                 (x[l] > 0) & (x[m] > 0), (x[l] + x[m]) * (1.0 - a), 0.0
             )
-        np.fill_diagonal(lam, x)
+        sites = np.arange(self.d)
+        lam[..., sites, sites] = x
         return lam
+
+
+def _padded_rows(scheme: ObservationScheme) -> np.ndarray:
+    """The scheme's sites as the rows of a d x n block padded with -inf at the start."""
+    padded = np.full((scheme.d, scheme.n), -np.inf)
+    padded[np.arange(scheme.n) >= scheme.offsets[:, None]] = np.concatenate(
+        [s.values for s in scheme.sites]
+    )
+    return padded
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +455,7 @@ def semi_sigma(config: TailConfig, r, dependence: TailDependence) -> np.ndarray:
         raise ParameterError("length ratios must lie in (0, 1]")
     c = ks[0] / ks.astype(float)
     sigma = np.outer(c, c) * np.minimum.outer(r, r) * dependence.matrix(1.0 / (r * c))
-    np.fill_diagonal(sigma, c)
+    sigma[..., np.arange(len(c)), np.arange(len(c))] = c
     return sigma
 
 
@@ -471,14 +510,19 @@ def regional_tail_fit(
     covariance is not usable).
     """
     ks = _as_k_vector(scheme, k)
-    hills = [_hill_threshold(s.values, kj) for s, kj in zip(scheme.sites, ks)]
-    gammas, thresholds = map(np.array, zip(*hills))
-    dependence = TailDependence.from_scheme(scheme, ks, dependence_method)
+    padded = _padded_rows(scheme)
+    order = np.argsort(padded, axis=-1, kind="stable")
+    gammas, thresholds = _hill_block(np.take_along_axis(padded, order, axis=-1), ks)
+    if (thresholds <= 0).any():
+        raise _threshold_error(thresholds[np.argmax(thresholds <= 0)])
+    if dependence_method == "empirical":
+        dependence = TailDependence._empirical(order, scheme.offsets, ks)
+    else:
+        dependence = TailDependence.from_scheme(scheme, ks, dependence_method)
     sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
     if weights is None:
-        # a fallback is rescaled to sum to one like user weights
-        fallback = fallback_weights(scheme)
-        w, source, _ = _pool_weights(sigma, fallback / fallback.sum())
+        w, valid, _ = _pool_weights(sigma, _tail_fallback(scheme.lengths))
+        source = _weights_source(valid)
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != (scheme.d,) or not np.all(np.isfinite(w)) or w.sum() == 0:
@@ -498,6 +542,33 @@ def regional_tail_fit(
         scheme=scheme,
         thresholds=thresholds,
     )
+
+
+def _tail_fallback(lengths: np.ndarray) -> np.ndarray:
+    # the length-proportional fallback, rescaled to sum to one like user weights
+    fallback = _length_weights(lengths)
+    return fallback / fallback.sum()
+
+
+def _tail_fits(stack: np.ndarray, ks: np.ndarray) -> list:
+    """:func:`regional_tail_fit` with empirical dependence of each of a stack (R, d, n)
+    of equal-length regions, with tail lengths ``ks``: per region site 0's power tail
+    (u, k, n, gamma) as :meth:`RegionalTailFit._site_tail` gives it, bit for bit, or
+    None where the fit failed or a check of the batch rejected it."""
+    R, d, n = stack.shape
+    order = np.argsort(stack, axis=-1, kind="stable")
+    gammas, thresholds = _hill_block(np.take_along_axis(stack, order, axis=-1), ks)
+    dependence = TailDependence._empirical(order, np.zeros(d, dtype=int), ks)
+    sigma = semi_sigma(TailConfig(k=ks), np.ones(d), dependence)
+    try:
+        w, _, _ = _pool_weights(sigma, _tail_fallback(np.full(d, n)))
+    except np.linalg.LinAlgError:  # each region alone shows which
+        return [None] * R
+    gamma = (w[:, None, :] @ gammas[:, :, None])[:, 0, 0]
+    return [
+        (u, int(ks[0]), n, g) if good else None
+        for u, g, good in zip(thresholds[:, 0], gamma.tolist(), (thresholds > 0).all(axis=1))
+    ]
 
 
 def weissman_ci(
@@ -544,6 +615,12 @@ def seasonal_weissman_quantile(
                 "its power-tail cdf is undefined"
             )
         season_parts.append(fit._site_tail(target_site))
+    return _product_quantile(season_parts, p)
+
+
+def _product_quantile(season_parts, p: float) -> float:
+    """The level-``p`` quantile of the product of the seasons' power-tail cdfs, each
+    given as (u_j, k_j, n_j, gamma) with gamma > 0."""
 
     def product(x: float) -> float:
         return _power_tail_cdf(*season_parts[0], x) * _power_tail_cdf(*season_parts[1], x)

@@ -105,6 +105,15 @@ class TestScheme:
         with pytest.raises(DataError):
             scheme.site_index("nope")
 
+    def test_site_arrays_are_computed_once_and_read_only(self):
+        scheme = make_scheme(d=3, n=50, offsets=[0, 10, 20])
+        for name in ("offsets", "lengths", "ratios"):
+            array = getattr(scheme, name)
+            assert getattr(scheme, name) is array
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        assert list(scheme.lengths) == [50, 40, 30]
+
 
     def test_rows_from_a_start(self):
         scheme = make_scheme(d=5, n=30, offsets=[0, 5, 0, 5, 12])

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
 
-from regflood.errors import DataError, DomainError, ParameterError
+import regflood.simlab as simlab
+from regflood.errors import DataError, DomainError, ParameterError, RegfloodError
 from regflood.gev import GevParams, TwoComponentGev, gev_cdf, twocomp_quantile
+from regflood.ingest import SeasonalSchemes
+from regflood.moments import PwmVector, _moment_method, _ranked_block
+from regflood.regional import ObservationScheme
 from regflood.simlab import (
     ESTIMATOR_NAMES,
     BlockMaxMargin,
@@ -407,3 +411,128 @@ class TestScenarioFile:
         config = load_scenario(path)
         assert isinstance(config.margins, BlockMaxMargin)
         assert config.true_quantile() == pytest.approx(14.151, abs=1e-3)
+
+
+def _single_path(config):
+    """Every replication fitted alone by quantile_function: its estimates and the
+    exception class of each failure, as run_scenario records them."""
+    options = {"pwm_estimator": "plugin", **config.method_options}
+    estimates = {name: np.full(config.replications, np.nan) for name in config.estimators}
+    failures = {name: {} for name in config.estimators}
+    for rep, stream in enumerate(np.random.SeedSequence(config.seed).spawn(config.replications)):
+        region = simlab._simulate_region(config, np.random.default_rng(stream))
+        for name in config.estimators:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    quantile = quantile_function(name, region, "site1", **options)
+                    estimates[name][rep] = quantile(config.p)
+            except (RegfloodError, np.linalg.LinAlgError) as exc:
+                kind = type(exc).__name__
+                failures[name][kind] = failures[name].get(kind, 0) + 1
+    return estimates, failures
+
+
+def _assert_same_estimates(report, estimates):
+    for name, values in estimates.items():
+        np.testing.assert_array_equal(report.estimates[name], values, err_msg=name)
+
+
+class TestBatchedScenario:
+    """run_scenario fits a chunk of replications at once; every estimate equals the
+    one-replication path's bit for bit."""
+
+    @pytest.mark.parametrize("replications", [1, 4, 37])  # 37: a chunk of 32 and a remainder
+    @pytest.mark.parametrize("pwm_estimator", ["plugin", "unbiased"])
+    @pytest.mark.parametrize("dependence_method", ["empirical", "pickands_cfg"])
+    @pytest.mark.parametrize("margins", ["seasonal", "blockmax"])
+    def test_estimates_match_the_single_path(
+        self, margins, dependence_method, pwm_estimator, replications
+    ):
+        seasonal = margins == "seasonal"
+        config = make_config(
+            d=4, n=30, replications=replications, seed=21, copula=CopulaSpec.default_for(4),
+            **({"estimators": ESTIMATOR_NAMES} if seasonal
+               else {"estimators": ("W", "L", "TL"), "margins": MARGIN}),
+            method_options={"pwm_estimator": pwm_estimator, "dependence_method": dependence_method},
+        )
+        report = run_scenario(config)
+        estimates, failures = _single_path(config)
+        _assert_same_estimates(report, estimates)
+        assert report.failures == failures
+
+    def test_failing_regions_match_the_single_path(self):
+        # heavy seasonal tails on short records: some replications fail in the
+        # moment fits (shape at the pole) and are refit alone by the single path
+        config = make_config(
+            d=4, n=15, p=0.999, estimators=ESTIMATOR_NAMES, replications=40, seed=9,
+            margins=SeasonalMargins(GevParams(2, 1, 0.8), GevParams(1.5, 1, 0.9)),
+            copula=CopulaSpec.default_for(4),
+        )
+        report = run_scenario(config)
+        estimates, failures = _single_path(config)
+        _assert_same_estimates(report, estimates)
+        assert report.failures == failures
+        assert sum(sum(f.values()) for f in failures.values()) > 0
+
+    def test_a_constant_site_fails_as_on_the_single_path(self, monkeypatch):
+        simulate = simlab._simulate_region
+        calls = []
+
+        def third_has_a_constant_site(config, rng):
+            region = simulate(config, rng)
+            calls.append(None)
+            if len(calls) % 4 != 3:
+                return region
+
+            def flatten(scheme):
+                values = np.stack([s.values for s in scheme.sites], axis=1)
+                values[:, 1] = values[0, 1]
+                return ObservationScheme.from_matrix(values)
+
+            return SeasonalSchemes(*map(flatten, (region.winter, region.summer, region.annual)))
+
+        monkeypatch.setattr(simlab, "_simulate_region", third_has_a_constant_site)
+        config = make_config(estimators=ESTIMATOR_NAMES, replications=4)
+        report = run_scenario(config)
+        estimates, failures = _single_path(config)
+        _assert_same_estimates(report, estimates)
+        assert report.failures == failures
+        for name in ("L", "TL", "sL", "sTL"):
+            assert np.isnan(report.estimates[name][2])
+            assert np.isfinite(np.delete(report.estimates[name], 2)).all()
+            assert report.failures[name] == {"DataError": 1}
+
+    def test_clean_chunks_refit_nothing_alone(self, monkeypatch):
+        refits = []
+        single = simlab._single_estimate
+        monkeypatch.setattr(
+            simlab, "_single_estimate", lambda name, *args: refits.append(name) or single(name, *args)
+        )
+        report = run_scenario(make_config(estimators=ESTIMATOR_NAMES, replications=6))
+        assert refits == []
+        assert report.failures == {name: {} for name in ESTIMATOR_NAMES}
+        # an option the batch does not cover is fitted alone
+        run_scenario(make_config(
+            estimators=("W", "L"), replications=3, method_options={"dependence_method": "pickands_cfg"}
+        ))
+        assert refits == ["W"] * 3
+
+    def test_shape_maps_match_the_scalar_gradient_where_pow_and_product_differ(self):
+        # summer region of replication 78 of the gate-9 scenario: C pow rounds
+        # the square of TL's ratio denominator 0.8040464322827425 at site 7 one
+        # unit in the last place away from NumPy's den * den
+        config = ScenarioConfig(
+            d=10, n=50, p=0.99, margins=SeasonalMargins(GevParams(2, 1, 0.2), GevParams(1.5, 1, 0.4)),
+            copula=CopulaSpec.default_for(10), estimators=("TL",), replications=500, seed=20250810,
+        )
+        stream = np.random.SeedSequence(config.seed).spawn(config.replications)[78]
+        summer = simlab._simulate_region(config, np.random.default_rng(stream)).summer
+        spec = _moment_method("TL")
+        betas = _ranked_block([s.values for s in summer.sites], spec.order, "plugin")
+        den = float(spec.terms(betas.T)[1][6])
+        assert den == 0.8040464322827425 and den**2 != float(np.float64(den) * np.float64(den))
+        xi, grads, ok = spec.shape_maps(betas)
+        assert ok.all()
+        np.testing.assert_array_equal(grads, [spec.shape_gradient(PwmVector(b)) for b in betas])
+        np.testing.assert_array_equal(xi, [spec.shape(PwmVector(b)) for b in betas])
