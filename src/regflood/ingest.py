@@ -36,8 +36,11 @@ _HEADER = ["site_id", "year", "month", "flow"]
 # years are held as int64; the margin keeps year + 1 from overflowing
 _YEAR_LIMIT = 2**62
 _CHUNK_ROWS = 1024
-# lines are read in blocks of about this many characters, some 800 rows
-_BLOCK_CHARS = 1 << 14
+# lines are read in blocks of at least this many characters, some 12,000 rows
+_BLOCK_CHARS = 1 << 18
+# exact powers of ten, 10**0 to 10**17: a point in a field of up to 18 places
+# has at most 17 digits after it
+_POW10 = np.array([float(10**k) for k in range(18)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +126,11 @@ def ingest_monthly(path) -> MonthlyTable:
     ids, non-positive flows and duplicate (site, year, month) keys are
     collected and reported together with their line numbers; a NUL
     character makes the file unreadable.  The file is read once, so it
-    may be a pipe.  Unquoted files take a column route, which converts a
+    may be a pipe.  Unquoted files take a byte route, which converts a
     block of lines a whole column at a time under the same rules, with
     the same results and messages as the row-by-row ``csv`` reading that
-    takes over from the first block holding a quote or a row to report.
+    takes over from the first block holding a quote, a line longer than
+    the ``csv`` field size limit, or a row to report.
     """
     try:
         # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write it
@@ -151,19 +155,19 @@ def ingest_monthly(path) -> MonthlyTable:
 def _read_rows(fh) -> tuple[MonthlyTable, dict[int, str]]:
     """Table of the rows after the header that keep the row rules, and the
     message of each row that breaks one or repeats an earlier key, by line
-    number.  Blocks take the column route until one does not; from that
+    number.  Blocks take the byte route until one does not; from that
     block's first line on, ``csv.reader`` reads the rest of the file."""
     codes: dict[str, int] = {}
     problems: dict[int, str] = {}
     columns = [array(code) for code in "qqqqd"]  # line, site code, year, month, flow
     blocks = _blocks(fh)
     start = 2  # the header is line 1
-    for block, text in blocks:
-        if not _take_columns(start, text, codes, columns):
-            rest = chain(block, chain.from_iterable(lines for lines, _ in blocks))
+    for text in blocks:
+        if not (taken := _take_columns(start, text, codes, columns)):
+            rest = chain(_lines(text), chain.from_iterable(map(_lines, blocks)))
             _parse_rows(csv.reader(rest), start, codes, problems, columns)
             break
-        start += len(block)  # without quotes, a line is a record
+        start += taken  # without quotes, a line is a record
     line, site, year, month, flow = (np.frombuffer(c, dtype=c.typecode) for c in columns)
     order = np.lexsort((month, year, site))  # stable: a key's first line sorts first
     repeats = np.all([np.diff(c[order]) == 0 for c in (site, year, month)], axis=0)
@@ -174,51 +178,134 @@ def _read_rows(fh) -> tuple[MonthlyTable, dict[int, str]]:
 
 
 def _blocks(fh):
-    """The lines of ``fh`` in blocks of about ``_BLOCK_CHARS`` characters,
-    each with its text; a NUL character makes the file unreadable."""
-    while block := fh.readlines(_BLOCK_CHARS):
-        if "\x00" in (text := "".join(block)):
+    """The text of ``fh`` in blocks of whole lines, each of at least
+    ``_BLOCK_CHARS`` characters but the last; a NUL character makes the file
+    unreadable."""
+    while text := fh.read(_BLOCK_CHARS):
+        text += fh.readline()  # the rest of the last line, a "\r\n" kept whole
+        if "\x00" in text:
             raise csv.Error("line contains NUL")
-        yield block, text
+        yield text
 
 
-def _take_columns(start, text, codes, columns) -> bool:
+def _lines(text):
+    """The lines of ``text`` as a file opened with ``newline=""`` reads them:
+    ended by "\n", "\r\n" or "\r" only, where ``str.splitlines`` also ends
+    lines at separators that ``csv.reader`` reads as characters of a field."""
+    pieces = text.splitlines(keepends=True)
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    if len(pieces) == ends + (text[-1] not in "\r\n"):
+        return pieces
+    lines, line = [], ""
+    for piece in pieces:
+        line += piece
+        if line[-1] in "\r\n":
+            lines.append(line)
+            line = ""
+    return lines + [line] if line else lines
+
+
+def _take_columns(start, text, codes, columns) -> int:
     """Append the rows of a block's ``text`` (from line ``start``) to
     ``columns`` by whole columns, coding new sites in ``codes``, if every
     line is a row of four fields that converts and keeps the row rules;
-    say whether it did.  Without quotes a line's fields are its
-    comma-separated pieces, as ``csv.reader`` reads them, so a block with a
-    quote, or a field that may pass the ``csv`` field size limit, is left
-    to it.  Empty lines are dropped first, each other line keeping its number."""
-    if '"' in text or len(text) > csv.field_size_limit():
-        return False
-    text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
-    lines = start + np.arange(text.count("\n") + 1)
-    if "\n\n" in text or text[:1] == "\n" or text[-1:] == "\n":
-        kept = text.split("\n")
-        text, lines = "\n".join(filter(None, kept)), lines[list(map(bool, kept))]
-    rows = len(lines)
-    # every line's four fields and then a "\n" field: a line of other length shifts them
-    fields = text.replace("\n", ",\n,").split(",")
-    if len(fields) != 5 * rows - 1 or fields[4::5].count("\n") != rows - 1:
-        return False
+    return the number of lines taken, 0 if it did not.  Without quotes a
+    line's fields are its comma-separated pieces, as ``csv.reader`` reads
+    them, so a block with a quote, or a line longer than the ``csv`` field
+    size limit, is left to it.  Empty lines are dropped, each other line
+    keeping its number.  The text is read as UTF-8 bytes: numbers convert
+    column by column (:func:`_numbers`), and a site id is decoded and
+    stripped once per run of identical raw ids (:func:`_runs`)."""
+    if '"' in text:
+        return 0
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    raw = text.encode() if text[-1] == "\n" else (text + "\n").encode()
+    b = np.frombuffer(raw, np.uint8)
+    # positions in 32 bits where they fit, which halves a large block's peak memory
+    position = np.int32 if len(raw) < 2**31 else np.intp
+    ends, commas = (np.flatnonzero(b == c).astype(position) for c in (10, 44))
+    begins = np.concatenate(([0], ends[:-1] + 1), dtype=position)
+    if (ends - begins).max() > csv.field_size_limit():
+        return 0
+    kept = ends > begins
+    begins, ends = begins[kept], ends[kept]
+    if len(commas) != 3 * len(ends):
+        return 0
+    # three commas a line in all, and each line's three inside it
+    commas = commas.reshape(-1, 3)
+    if np.any(commas[:, 0] < begins) or np.any(commas[:, 2] > ends):
+        return 0
     try:
-        year, month = _int_column(fields[1::5]), _int_column(fields[2::5])
-        flow = np.fromiter(map(float, fields[3::5]), float, rows)
+        year = _numbers(raw, b, commas[:, 0] + 1, commas[:, 1], int)
+        month = _numbers(raw, b, commas[:, 1] + 1, commas[:, 2], int)
+        flow = _numbers(raw, b, commas[:, 2] + 1, ends, float)
     except (ValueError, OverflowError):
-        return False
-    sids = list(map(str.strip, fields[0::5]))
+        return 0
+    runs = _runs(b, begins, commas[:, 0])
+    sids = [raw[i:j].decode().strip()
+            for i, j in zip(begins[runs].tolist(), commas[runs, 0].tolist())]
+    # every fault is left to csv.reader, so the site rule may read one id a run
     if any(fault.any() for fault, _ in _row_faults(sids, year, month, flow)):
-        return False
-    _append_rows(columns, codes, lines, sids, year, month, flow)
-    return True
+        return 0
+    site = np.repeat(_site_codes(codes, sids), np.diff(runs, append=len(flow)))
+    _append_rows(columns, start + np.flatnonzero(kept), site, year, month, flow)
+    return len(kept)
 
 
-def _int_column(strings) -> np.ndarray:
-    """``int()`` of each string as int64, called once per distinct string."""
-    distinct = list(set(strings))
-    value = dict(zip(distinct, map(int, distinct)))
-    return np.fromiter(map(value.__getitem__, strings), np.int64, len(strings))
+def _numbers(raw, b, begins, ends, convert) -> np.ndarray:
+    """``convert`` (``int`` or ``float``) of the fields ``raw[begins:ends]``, as
+    int64 or float.  Fields of up to 18 ASCII digits, or for ``float`` of
+    up to 15 digits around at most one point, convert as a whole column:
+    right-aligned, one row of bytes per place, Horner's rule over the
+    digits, skipping the point, gives their integer, exact in int64, and
+    for ``float`` that integer (below 2**53) over an exact power of ten is
+    the correctly rounded value ``float`` gives.  Every other field
+    (signs, spaces, exponents, ``inf``, more digits, non-ASCII) is passed
+    to ``convert`` one at a time."""
+    size = ends - begins
+    width = min(int(size.max(initial=1)), 18)
+    # a place before the start of the block wraps round to its end, outside the field
+    chars = np.empty((width, len(size)), dtype=np.uint8)
+    at = ends - np.intp(width)  # a full-width index, converted once
+    for place in chars:
+        place[:] = b[at]
+        at += 1
+    is_digit = np.arange(width)[:, None] >= width - size  # inside the field, for now
+    point = is_digit & (chars == 46) if convert is float else np.zeros_like(is_digit)
+    chars -= 48
+    is_digit &= chars < 10
+    chars *= is_digit
+    value = np.zeros(len(size), dtype=np.int64)
+    for digit, step in zip(chars, np.where(point, np.uint8(1), np.uint8(10))):
+        value *= step
+        value += digit
+    digits, points = is_digit.sum(axis=0, dtype=np.uint8), point.sum(axis=0, dtype=np.uint8)
+    fast = (digits + points == size) & (points <= 1) & (digits > 0)
+    if convert is float:
+        fast &= digits <= 15
+        seen, after = np.zeros(len(size), dtype=bool), np.zeros(len(size), dtype=np.uint8)
+        for place_point, place_digit in zip(point, is_digit):  # the digits after a point
+            seen |= place_point
+            after += seen & place_digit
+        value = value / _POW10[after]
+    slow = np.flatnonzero(~fast)
+    value[slow] = [convert(raw[i:j].decode()) for i, j in zip(begins[slow].tolist(),
+                                                              ends[slow].tolist())]
+    return value
+
+
+def _runs(b, begins, ends) -> np.ndarray:
+    """The rows whose field ``b[begins:ends]`` differs in its bytes from the
+    row before: 0 and every row that starts a run of identical fields.  A
+    field longer than 64 bytes always starts one."""
+    size = ends - begins
+    new = np.ones(len(size), dtype=bool)
+    new[1:] = (size[1:] != size[:-1]) | (size[1:] > 64)
+    for k in range(min(int(size.max(initial=0)), 64)):
+        byte = b.take(begins + k, mode="clip")
+        new[1:] |= (byte[1:] != byte[:-1]) & (size[1:] > k)
+    return np.flatnonzero(new)
 
 
 def _parse_rows(rows, start, codes, problems, columns) -> None:
@@ -268,7 +355,7 @@ def _parse_chunk(start, chunk, codes, problems, columns) -> None:
                 problems[int(lines[i])] = text.format(year=year[i], month=month[i], flow=flows[i])
             ok &= ~fault
         sids = sids if ok.all() else list(compress(sids, ok.tolist()))
-        _append_rows(columns, codes, lines[ok], sids, year[ok], month[ok], flow[ok])
+        _append_rows(columns, lines[ok], _site_codes(codes, sids), year[ok], month[ok], flow[ok])
 
 
 def _row_faults(sids, year, month, flow):
@@ -283,13 +370,17 @@ def _row_faults(sids, year, month, flow):
     )
 
 
-def _append_rows(columns, codes, lines, sids, year, month, flow) -> None:
-    """Append rows that keep the row rules to ``columns``, coding new sites in ``codes``."""
+def _site_codes(codes, sids) -> np.ndarray:
+    """The codes of the site ids ``sids``, coding new sites in ``codes``."""
     for sid in dict.fromkeys(sids):
         codes.setdefault(sid, len(codes))
-    site = np.fromiter(map(codes.__getitem__, sids), np.int64, len(sids))
+    return np.fromiter(map(codes.__getitem__, sids), np.int64, len(sids))
+
+
+def _append_rows(columns, lines, site, year, month, flow) -> None:
+    """Append rows that keep the row rules to ``columns``."""
     for column, values in zip(columns, (lines, site, year, month, flow)):
-        column.frombytes(values.astype(column.typecode).tobytes())
+        column.frombytes(np.ascontiguousarray(values, column.typecode).view(np.uint8))
 
 
 @dataclass(frozen=True)

@@ -545,12 +545,12 @@ def _batch_estimates(config: ScenarioConfig, regions: list, options: dict) -> di
         if methods:
             fits = _fit_gev_regional_stack(stacks[kind], methods, pwm_estimator)
             thetas.update(((kind, m), fit) for m, fit in fits.items())
-    annual_tails = None
-    if "W" in names and options.get("dependence_method", "empirical") == "empirical":
-        annual_tails = _tail_fits(stacks["annual"], _as_k_vector(regions[0].annual, None))
     out = {}
-    with warnings.catch_warnings():
+    with warnings.catch_warnings():  # the fits warn too: default_k clamps short records
         warnings.simplefilter("ignore")
+        annual_tails = None
+        if "W" in names and options.get("dependence_method", "empirical") == "empirical":
+            annual_tails = _tail_fits(stacks["annual"], _as_k_vector(regions[0].annual, None))
         for m in ("L", "TL"):
             if ("annual", m) in thetas:
                 out[m] = [_read(gev_quantile, theta, p) for theta in thetas["annual", m]]
@@ -578,10 +578,9 @@ def _single_estimate(name: str, region, p: float, options: dict, failures: dict)
     """Estimator ``name`` fitted to one replication at site 1, NaN where it fails; a
     failure is counted in ``failures`` under its exception class."""
     try:
-        quantile = quantile_function(name, region, region.annual.site_ids[0], **options)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings():  # the fit warns too: default_k clamps short records
             warnings.simplefilter("ignore")
-            return quantile(p)
+            return quantile_function(name, region, region.annual.site_ids[0], **options)(p)
     except (RegfloodError, np.linalg.LinAlgError) as exc:
         failures[type(exc).__name__] = failures.get(type(exc).__name__, 0) + 1
         return math.nan

@@ -260,14 +260,21 @@ def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
     if np.any((t < 0) | (t > 1)):
         raise DomainError("t grid must lie in [0, 1]")
     u, v = (_ordinal_ranks(arr) / (m + 1)).T
-    # one row per grid point, then the endpoints t = 0 and t = 1
-    ts = np.concatenate([t, [0.0, 1.0]])[:, None]
+    return _cfg_dependence(u, v, t)
+
+
+def _cfg_dependence(u, v, t) -> np.ndarray:
+    """The :func:`pickands_cfg` estimate at the points ``t`` (..., k) from the
+    pseudo-observations ``u`` and ``v`` (..., m): one row of m terms per
+    point and per endpoint t = 0 and t = 1, each averaged on its own, so
+    that a point rounds the same whatever else is estimated with it."""
+    ts = np.concatenate([t, np.zeros(t.shape[:-1] + (1,)), np.ones(t.shape[:-1] + (1,))],
+                        axis=-1)[..., None]
     with np.errstate(divide="ignore"):
-        ratios = np.minimum(-np.log(u) / (1.0 - ts), -np.log(v) / ts)
-    log_a = -np.euler_gamma - np.mean(np.log(ratios), axis=1)
-    corrected = log_a[:-2] - (1.0 - t) * log_a[-2] - t * log_a[-1]
-    a_vals = np.exp(corrected)
-    return np.clip(a_vals, np.maximum(t, 1.0 - t), 1.0)
+        ratios = np.minimum(-np.log(u)[..., None, :] / (1.0 - ts), -np.log(v)[..., None, :] / ts)
+    log_a = -np.euler_gamma - np.mean(np.log(ratios), axis=-1)
+    corrected = log_a[..., :-2] - (1.0 - t) * log_a[..., -2:-1] - t * log_a[..., -1:]
+    return np.clip(np.exp(corrected), np.maximum(t, 1.0 - t), 1.0)
 
 
 class TailDependence:
@@ -284,9 +291,10 @@ class TailDependence:
       holding n, after any leading axes that stack regions of one scheme
       shape, which ``matrix`` keeps) and, per pair l < m
       (``np.triu_indices`` order), its start, overlap length and k;
-    - ``"pickands_cfg"``: (x_l + x_m)(1 - A_lm(x_m/(x_l + x_m))); ``tables``
-      holds one table A_lm on ``PICKANDS_T_GRID`` per pair l < m
-      (``np.triu_indices`` order).
+    - ``"pickands_cfg"``: (x_l + x_m)(1 - A_lm(x_m/(x_l + x_m))), A_lm the
+      :func:`pickands_cfg` estimate on the pair's overlap years, read off
+      ``PICKANDS_T_GRID`` by linear interpolation; ``tables`` holds the
+      same ranks and, per pair, its start and overlap length.
     """
 
     def __init__(self, d: int, method: str, tables=()):
@@ -308,44 +316,39 @@ class TailDependence:
     ) -> "TailDependence":
         """Estimate the region's dependence from each pair's overlap years.
 
-        The empirical method sorts each site once; a cumulative count in
-        sorted order of the rows from each distinct start gives every
-        site's ranks among them, ties broken by position.  ``matrix`` then
+        Each site is sorted once; a cumulative count in sorted order of the
+        rows from each distinct start gives every site's ranks among them,
+        ties broken by position.  For the empirical method ``matrix`` then
         equals :func:`tail_dependence_empirical` on each pair's overlap
         rows with k = min(k_l, k_m) (below the overlap length, since each
-        k_j is below its site's length).
-        The ``pickands_cfg`` method estimates a dependence-function table
-        on ``PICKANDS_T_GRID`` for each pair; ``matrix`` interpolates in it.
+        k_j is below its site's length).  For ``pickands_cfg`` it equals
+        :func:`pickands_cfg` on each pair's overlap rows, interpolated
+        with ``np.interp`` on ``PICKANDS_T_GRID``, but estimates A only at
+        the two grid points around the pair's argument (and the endpoints).
         """
         _check_dependence_method(method)
         ks = _as_k_vector(scheme, k)
-        if method == "pickands_cfg":
-            l, m = np.triu_indices(scheme.d, 1)
-            first = np.maximum(scheme.offsets[l], scheme.offsets[m])
-            a_rows = [pickands_cfg(scheme.rows((i, j), a)) for i, j, a in zip(l, m, first)]
-            return cls(scheme.d, method, a_rows)
         order = np.argsort(_padded_rows(scheme), axis=-1, kind="stable")
-        return cls._empirical(order, scheme.offsets, ks)
+        return cls._from_order(order, scheme.offsets, ks, method)
 
     @classmethod
-    def _empirical(cls, order: np.ndarray, offsets: np.ndarray, ks: np.ndarray) -> "TailDependence":
-        """The empirical method from the stable sort orders (..., d, n) of the -inf-padded
-        rows of a scheme; leading axes stack regions of its shape, and :meth:`matrix`
-        then gives one matrix per region."""
-        d, n = order.shape[-2:]
-        l, m = np.triu_indices(d, 1)
-        # the padding sorts first: the later site of a pair ranks 0 before its start
-        starts, start_of = np.unique(offsets, return_inverse=True)
-        counted = (order[..., None, :, :] >= starts[:, None, None]).astype(np.min_scalar_type(n))
-        np.cumsum(counted, axis=-1, out=counted)
-        ranks = np.empty_like(counted)
-        by_region = order.reshape(-1, d, n)
-        ranks.reshape(-1, len(starts), d, n)[
-            np.arange(len(by_region))[:, None, None], :, np.arange(d)[:, None], by_region
-        ] = counted.reshape(-1, len(starts), d, n).transpose(0, 2, 3, 1)
-        start = np.maximum(start_of[l], start_of[m])
-        tables = (ranks, l, m, start, n - starts[start], np.minimum(ks[l], ks[m]))
-        return cls(d, "empirical", tables)
+    def _from_order(
+        cls, order: np.ndarray, offsets: np.ndarray, ks: np.ndarray, method: str = "empirical"
+    ) -> "TailDependence":
+        """The estimate from the stable sort orders (..., d, n) of the -inf-padded rows
+        of a scheme; for the empirical method leading axes stack regions of its
+        shape, and :meth:`matrix` then gives one matrix per region."""
+        _check_dependence_method(method)
+        d = order.shape[-2]
+        ranks, start, rows = _start_ranks(order, offsets)
+        if method == "empirical":
+            l, m = np.triu_indices(d, 1)
+            return cls(d, method, (ranks, start, rows, np.minimum(ks[l], ks[m])))
+        if np.any(short := rows < 10):
+            raise DataError(
+                f"dependence-function estimation needs >= 10 pairs, got {rows[short][0]}"
+            )
+        return cls(d, method, (ranks, start, rows))
 
     def matrix(self, x) -> np.ndarray:
         """Tail-copula matrix Lambda_lm(x_l, x_m) for one argument per site."""
@@ -360,8 +363,9 @@ class TailDependence:
             return np.minimum.outer(x, x)
         lead = self._tables[0].shape[:-3] if self.method == "empirical" else ()
         lam = np.zeros(lead + (self.d, self.d))
+        l, m = np.triu_indices(self.d, 1)
         if self.method == "empirical":
-            ranks, l, m, start, rows, k_pair = self._tables
+            ranks, start, rows, k_pair = self._tables
             # a row is in a site's top k x when its rank exceeds rows - k x; the
             # clip keeps out the rows before the pair's start, ranked 0
             bar_l = np.maximum(rows - k_pair * x[l], 0.0)[:, None]
@@ -374,16 +378,55 @@ class TailDependence:
                 joint[..., p] = (top_l & (ranks[..., start[p], m[p], :] > bar_m[p])).sum(axis=-1)
             lam[..., l, m] = lam[..., m, l] = joint / k_pair
         elif self.method == "pickands_cfg":
-            l, m = np.triu_indices(self.d, 1)
             with np.errstate(invalid="ignore"):
                 t = x[m] / (x[l] + x[m])
-            a = np.array([np.interp(tp, PICKANDS_T_GRID, row) for tp, row in zip(t, self._tables)])
+            a = self._pickands_at(l, m, t)
             lam[l, m] = lam[m, l] = np.where(
                 (x[l] > 0) & (x[m] > 0), (x[l] + x[m]) * (1.0 - a), 0.0
             )
         sites = np.arange(self.d)
         lam[..., sites, sites] = x
         return lam
+
+    def _pickands_at(self, l, m, t) -> np.ndarray:
+        """A_lm(t) per pair as ``np.interp(t, PICKANDS_T_GRID, pickands_cfg(pair))``
+        computes it, from the estimates at the grid points on either side."""
+        ranks, start, rows = self._tables
+        grid = PICKANDS_T_GRID
+        lo = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+        nodes = grid[np.stack([lo, lo + 1], axis=-1)]
+        a = np.empty_like(nodes)
+        for s in np.unique(start).tolist():
+            p = np.flatnonzero(start == s)
+            length = rows[p[0]]  # the pairs' overlap: the last years
+            u = ranks[s, l[p], -length:] / (length + 1)
+            v = ranks[s, m[p], -length:] / (length + 1)
+            a[p] = _cfg_dependence(u, v, nodes[p])
+        below, above = a.T
+        slope = (above - below) / (nodes[:, 1] - nodes[:, 0])
+        # t = 1 is the last grid point, which np.interp reads off as it is
+        return np.where(t == nodes[:, 1], above, slope * (t - nodes[:, 0]) + below)
+
+
+def _start_ranks(order: np.ndarray, offsets: np.ndarray):
+    """Every site's ranks among the rows from each distinct start (start x site x
+    year after the leading axes of ``order``, in the narrowest unsigned type
+    holding n; a row before the start ranks 0), from the stable sort orders
+    (..., d, n) of the -inf-padded rows of a scheme, and per pair l < m
+    (``np.triu_indices`` order) its start and overlap length."""
+    d, n = order.shape[-2:]
+    l, m = np.triu_indices(d, 1)
+    # the padding sorts first: the later site of a pair ranks 0 before its start
+    starts, start_of = np.unique(offsets, return_inverse=True)
+    counted = (order[..., None, :, :] >= starts[:, None, None]).astype(np.min_scalar_type(n))
+    np.cumsum(counted, axis=-1, out=counted)
+    ranks = np.empty_like(counted)
+    by_region = order.reshape(-1, d, n)
+    ranks.reshape(-1, len(starts), d, n)[
+        np.arange(len(by_region))[:, None, None], :, np.arange(d)[:, None], by_region
+    ] = counted.reshape(-1, len(starts), d, n).transpose(0, 2, 3, 1)
+    start = np.maximum(start_of[l], start_of[m])
+    return ranks, start, n - starts[start]
 
 
 def _padded_rows(scheme: ObservationScheme) -> np.ndarray:
@@ -515,10 +558,7 @@ def regional_tail_fit(
     gammas, thresholds = _hill_block(np.take_along_axis(padded, order, axis=-1), ks)
     if (thresholds <= 0).any():
         raise _threshold_error(thresholds[np.argmax(thresholds <= 0)])
-    if dependence_method == "empirical":
-        dependence = TailDependence._empirical(order, scheme.offsets, ks)
-    else:
-        dependence = TailDependence.from_scheme(scheme, ks, dependence_method)
+    dependence = TailDependence._from_order(order, scheme.offsets, ks, dependence_method)
     sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
     if weights is None:
         w, valid, _ = _pool_weights(sigma, _tail_fallback(scheme.lengths))
@@ -558,7 +598,7 @@ def _tail_fits(stack: np.ndarray, ks: np.ndarray) -> list:
     R, d, n = stack.shape
     order = np.argsort(stack, axis=-1, kind="stable")
     gammas, thresholds = _hill_block(np.take_along_axis(stack, order, axis=-1), ks)
-    dependence = TailDependence._empirical(order, np.zeros(d, dtype=int), ks)
+    dependence = TailDependence._from_order(order, np.zeros(d, dtype=int), ks)
     sigma = semi_sigma(TailConfig(k=ks), np.ones(d), dependence)
     try:
         w, _, _ = _pool_weights(sigma, _tail_fallback(np.full(d, n)))

@@ -204,6 +204,55 @@ def spy_row_by_row(monkeypatch):
     return starts
 
 
+# blocks of this many characters put a few thousand rows in several blocks
+SMALL_BLOCK = 1 << 14
+
+
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", SMALL_BLOCK)
+
+
+class ReadSpy:
+    """A text file that records the character offset at which each ``read`` stops."""
+
+    def __init__(self, fh, stops):
+        self.fh, self.stops, self.offset = fh, stops, 0
+
+    def _count(self, text):
+        self.offset += len(text)
+        return text
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self._count(next(self.fh))
+
+    def readline(self, *args):
+        return self._count(self.fh.readline(*args))
+
+    def read(self, *args):
+        text = self._count(self.fh.read(*args))
+        self.stops.append(self.offset)
+        return text
+
+
+def spy_reads(monkeypatch):
+    """The offsets at which the ``read`` calls of the ingested files stop from now on."""
+    stops = []
+    monkeypatch.setattr(
+        "regflood.ingest.open", lambda *args, **kwargs: ReadSpy(open(*args, **kwargs), stops),
+        raising=False,
+    )
+    return stops
+
+
 def ingest_outcome(path):
     """``columns`` of the table ingested from ``path``, or its problem lines."""
     try:
@@ -256,6 +305,7 @@ class TestIngestReference:
         assert ingest_outcome(path) == reference_ingest(text)
 
     def test_bad_rows_in_several_chunks(self, tmp_path, monkeypatch):
+        small_blocks(monkeypatch)
         rows = base_rows(3000)
         for at, row in ((0, "A,2000,13,1"), (1023, "A,2000"), (1024, "S1,1990,1,9.0"),
                         (2047, " ,2000,5,1"), (2048, "A,xx,5,1"), (2999, "A,2000,5,nan")):
@@ -266,7 +316,7 @@ class TestIngestReference:
         assert [line.split(":")[0] for line in outcome] == [
             "line 2", "line 1025", "line 1026", "line 2049", "line 2050", "line 3001"
         ]
-        # clean blocks take the column route up to a quoted field mid-file
+        # clean blocks take the byte route up to a quoted field mid-file
         starts = spy_row_by_row(monkeypatch)
         rows = base_rows(3000)
         for at, row in ((1500, '"Q,R",2000,5,1'), (1800, "A,2000,13,1"), (2600, "S0,1990,1,1")):
@@ -278,15 +328,17 @@ class TestIngestReference:
         assert 2 < starts[0] <= 1502
 
     def test_clean_file_takes_the_column_route(self, tmp_path, monkeypatch):
+        small_blocks(monkeypatch)
         starts = spy_row_by_row(monkeypatch)
         path = write_csv(tmp_path / "clean.csv", base_rows(3000))
-        assert len(path.read_text()) > 2 * ingest._BLOCK_CHARS  # several blocks
+        assert len(path.read_text()) > 2 * SMALL_BLOCK  # several blocks
         assert ingest_outcome(path) == reference_ingest(path.read_text())
         assert starts == []
 
     def test_empty_lines_keep_the_column_route(self, tmp_path, monkeypatch):
         # empty lines after the header, mid-file and at the end are dropped with
         # their numbers; a key repeated after them is reported at its own line
+        small_blocks(monkeypatch)
         starts = spy_row_by_row(monkeypatch)
         rows = base_rows(3000)
         rows[1500:1500] = ["", ""]
@@ -304,26 +356,55 @@ class TestIngestReference:
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     @pytest.mark.parametrize("end", ["", "last", "blank"], ids=["no-end", "end", "blank-end"])
     def test_line_endings_across_block_edges(self, tmp_path, monkeypatch, newline, end):
+        small_blocks(monkeypatch)
         starts = spy_row_by_row(monkeypatch)
+        stops = spy_reads(monkeypatch)
         rows = base_rows(3000)
         for first in (("S0", "S1", "S2", "S3", "S4"),
                       "line 2902: duplicate record for ('S0', 1990, 1)"):
-            # pad rows so that a newline starts one character before each
-            # multiple of the block size, which for CRLF splits its "\r\n"
+            # pad rows so that a newline starts one character before each place a
+            # read() stops, which for CRLF splits its "\r\n"; a block then runs on
+            # to the end of the line that the next character belongs to
             text = "site_id,year,month,flow" + newline
+            stop, edges = len(text) + SMALL_BLOCK, []
             for row in rows:
-                pad = -(len(text) + len(row) + 1) % ingest._BLOCK_CHARS
-                text += " " * pad * (pad < 20) + row + newline
-            assert all(text.startswith(newline, k * ingest._BLOCK_CHARS - 1) for k in (1, 2))
+                pad = stop - 1 - len(text) - len(row)
+                text += " " * pad * (0 <= pad < 20) + row + newline
+                if len(text) - len(newline) == stop - 1:
+                    edges.append(stop)
+                if len(text) > stop:
+                    stop = len(text) + SMALL_BLOCK
+            assert len(edges) >= 2
             text = {"": text.removesuffix(newline), "last": text,
                     "blank": text + newline + " , " + newline * 2}[end]
             path = tmp_path / "eol.csv"
             path.write_bytes(text.encode())
+            stops.clear()
             outcome = ingest_outcome(path)
             assert outcome == reference_ingest(text) and outcome[0] == first
+            assert stops[:2] == edges[:2]
             rows[2900] = "S0,1990,1,1"  # repeats line 2's key
-        # blocks before the blank lines at the end took the column route
+        # blocks before the blank lines at the end took the byte route
         assert bool(starts) == (end == "blank") and min(starts, default=3) > 2
+
+    def test_lines_over_the_field_size_limit(self, tmp_path, monkeypatch):
+        # a line longer than the limit is left to csv.reader, which reads it when
+        # no field passes the limit and makes the file unreadable when one does
+        small_blocks(monkeypatch)
+        starts = spy_row_by_row(monkeypatch)
+        limit = csv.field_size_limit(100)
+        try:
+            rows = base_rows(3000)
+            rows[2000] = "T" * 60 + ",2000,1," + "0" * 60 + "2.5"
+            path = write_csv(tmp_path / "long_line.csv", rows)
+            outcome = ingest_outcome(path)
+            assert outcome == reference_ingest(path.read_text()) and outcome[0][-1] == "T" * 60
+            assert 2 < starts[0] <= 2002
+            rows[2000] = "T,2000,1," + "0" * 100 + "2.5"
+            with pytest.raises(DataError, match="cannot read .*field larger than field limit"):
+                ingest_monthly(write_csv(tmp_path / "long_field.csv", rows))
+        finally:
+            csv.field_size_limit(limit)
 
     @pytest.mark.parametrize("rows", [base_rows(30), ["A,2000,13,1.0", "A,2000,5"]],
                              ids=["valid", "invalid"])
@@ -338,6 +419,137 @@ class TestIngestReference:
         path = write_csv(tmp_path / "monthly.csv", rows)
         ingest_outcome(path)
         assert opened == [path]
+
+
+# site ids: padded, non-ASCII, two that strip to one id, two over 64 bytes, and
+# two holding characters that str.splitlines, but not csv.reader, ends a line at
+ROUTE_SITES = ["G01", " G01", "G02 ", "Gé", "站点", "ｇ", "x" * 70 + "1", "x" * 70 + "2",
+               "S\u2028T", "\x0cU"]
+# zeros of decimal digit sets that int() and float() read besides ASCII
+SCRIPT_ZEROS = ["\u0660", "\u0966", "\uff10"]
+
+
+def in_script(text, zero):
+    """``text`` with its ASCII digits written from the digit ``zero`` on."""
+    return "".join(chr(ord(zero) + int(c)) if c in "0123456789" else c for c in text)
+
+
+@st.composite
+def int_texts(draw, value):
+    """``value`` as one of the texts ``int`` reads as it."""
+    text = str(value)
+    style = draw(st.sampled_from(["plain"] * 4
+                                 + ["zeros", "plus", "spaces", "underscore", "script"]))
+    if style == "zeros":
+        return "0" * draw(st.integers(1, 20)) + text
+    if style == "plus":
+        return "+" + text
+    if style == "spaces":
+        return draw(st.sampled_from([" ", "\t", ""])) + text + draw(st.sampled_from([" ", ""]))
+    if style == "underscore" and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    if style == "script":
+        return in_script(text, draw(st.sampled_from(SCRIPT_ZEROS)))
+    return text
+
+
+def decimal_text(mantissa, places, zeros):
+    """The digits of ``mantissa`` after ``zeros`` leading zeros, with a point before
+    the last ``places`` of them (none if ``places`` is None)."""
+    digits = ("0" * zeros + str(mantissa)).zfill(places or 0)
+    if places is None:
+        return digits
+    return digits[:len(digits) - places] + "." + digits[len(digits) - places:]
+
+
+FLOW_TEXTS = st.one_of(
+    st.builds(decimal_text, st.integers(1, 10**15 - 1),
+              st.one_of(st.none(), st.integers(0, 15)), st.sampled_from([0, 0, 0, 1, 3])),
+    st.floats(1e-3, 1e15).map(repr),  # 16 or 17 significant digits
+    st.floats(1e-300, 1e300).map(repr),  # exponents
+    st.sampled_from(["+1.5", " 2.5 ", "1_000.5", "1e3", "2E-2", "5.", ".5", "１.５",
+                     "1234567890123456.5", "00000000000000001.5"]),
+)
+# years or months, and flows, that break a rule or do not convert
+BAD_INTS = ["", "x", "1.0", "1e3", "1:2", "٣.", "+", "- 1", "0x10", "13", "0", "9" * 20]
+BAD_FLOWS = ["", "-1.5", "0", "0.000", "Infinity ", "nan", "x", ".", "1.2.3", "1..5", "1:5", "1/2",
+             "1e999"]
+
+
+@st.composite
+def route_files(draw):
+    """The text after the header of a file of rows with distinct keys, in the
+    formats ``int`` and ``float`` read, in interleaved site order, and with
+    its line ending; in some files one field breaks a rule or does not convert."""
+    sites = draw(st.lists(st.sampled_from(ROUTE_SITES), min_size=1, max_size=4))
+    rows = []
+    for i in range(draw(st.integers(1, 60))):
+        year, month = 1900 + i // 12, i % 12 + 1
+        rows.append([draw(st.sampled_from(sites)), draw(int_texts(year)),
+                     draw(int_texts(month)), draw(FLOW_TEXTS)])
+    if draw(st.integers(0, 2)) == 0:
+        column = draw(st.integers(1, 3))
+        bad = draw(st.sampled_from(BAD_FLOWS if column == 3 else BAD_INTS))
+        rows[draw(st.integers(0, len(rows) - 1))][column] = bad
+    lines = list(map(",".join, rows))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return lines, draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+def bit_outcome(path):
+    """:func:`ingest_outcome` with each flow as its exact hexadecimal text."""
+    outcome = ingest_outcome(path)
+    if isinstance(outcome, list):
+        return outcome
+    return *outcome[:-1], [float.hex(f) for f in outcome[-1]]
+
+
+class TestRoutes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=route_files())
+    def test_byte_route_equals_csv_route(self, tmp_path_factory, case):
+        # every site id quoted sends the same rows to csv.reader from line 2 on
+        lines, newline = case
+        header = "site_id,year,month,flow"
+        quoted = [",".join([f'"{line.split(",")[0]}"', *line.split(",")[1:]]) if line else ""
+                  for line in lines]
+        folder = tmp_path_factory.mktemp("routes")
+        outcomes, routes = [], []
+        for name, body in (("bytes.csv", lines), ("csv.csv", quoted)):
+            path = folder / name
+            path.write_bytes(newline.join([header, *body, ""]).encode())
+            with pytest.MonkeyPatch.context() as patch:
+                routes.append(spy_row_by_row(patch))
+                outcomes.append(bit_outcome(path))
+        assert outcomes[0] == outcomes[1]
+        assert routes[1] == [2]
+        if not isinstance(outcomes[0], list):  # a table: no row for csv.reader to report
+            assert routes[0] == []
+
+    @pytest.mark.parametrize("column", [1, 2, 3], ids=["year", "month", "flow"])
+    def test_every_bad_field_reads_as_on_the_csv_route(self, tmp_path, column):
+        for text in BAD_FLOWS if column == 3 else BAD_INTS:
+            rows = [row.split(",") for row in base_rows(40)]
+            rows[17][column] = text
+            outcomes = []
+            for quote in ("", '"'):
+                lines = [",".join([quote + row[0] + quote, *row[1:]]) for row in rows]
+                outcomes.append(bit_outcome(write_csv(tmp_path / "bad.csv", lines)))
+            assert outcomes[0] == outcomes[1]
+            # 13 and 0 are years like any other
+            assert (column, text) in ((1, "13"), (1, "0")) or outcomes[0][0].startswith("line 19")
+
+    def test_decimal_flows_convert_as_float_does(self, tmp_path):
+        # Clinger's fast path: at most 15 digits over an exact power of ten
+        rng = np.random.default_rng(5)
+        # 16 and 17 digits are past the fast path, which must leave them to float()
+        mantissas = rng.integers(1, 10 ** rng.integers(1, 18, 50_000), dtype=np.int64)
+        texts = [decimal_text(m, int(p), 0)
+                 for m, p in zip(mantissas.tolist(), rng.integers(0, 16, 50_000).tolist())]
+        rows = [f"S{i % 7},{1000 + i // 84},{i // 7 % 12 + 1},{t}" for i, t in enumerate(texts)]
+        flow = ingest_monthly(write_csv(tmp_path / "decimal.csv", rows)).flow
+        assert [float.hex(f) for f in flow.tolist()] == [float.hex(float(t)) for t in texts]
 
 
 class TestIngestAccepts:

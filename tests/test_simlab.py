@@ -248,6 +248,17 @@ class TestScenario:
         config = make_config(d=3.0, n=50.0, replications=4.0, seed=99.0)
         assert [type(getattr(config, f)) for f in ("d", "n", "replications", "seed")] == [int] * 4
 
+    @pytest.mark.parametrize("dependence_method", ["empirical", "pickands_cfg"])
+    def test_short_records_warn_nothing(self, dependence_method):
+        # at d = 10 and n = 3 default_k clamps the tail sample length 1 to 2, for W as for sW
+        config = make_config(d=10, n=3, replications=3, copula=CopulaSpec.default_for(10),
+                             estimators=ESTIMATOR_NAMES,
+                             method_options={"dependence_method": dependence_method})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_scenario(config)
+        assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
+
     def test_bit_reproducible(self):
         r1 = run_scenario(make_config(replications=2))
         r2 = run_scenario(make_config(replications=2))

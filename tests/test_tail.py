@@ -297,6 +297,58 @@ class TestTailDependence:
                     assert lam[l, m] == ref
                     assert lam[m, l] == ref
 
+    @staticmethod
+    def pickands_cases():
+        """Pickands schemes with their data and offsets: staggered with ties at one
+        site, equal-length, and equal-length with every value rounded to one decimal
+        (ties at every site)."""
+        equal = make_tail_scheme(seed=23, d=6, n=80)
+        equal_data = np.column_stack([s.values for s in equal.sites])
+        tied_data = np.round(equal_data, 1)
+        return [staggered_tail_scheme(), (equal, equal_data, [0] * 6),
+                (ObservationScheme.from_matrix(tied_data), tied_data, [0] * 6)]
+
+    def test_pickands_matrix_on_grid_points_and_zero_arguments(self):
+        # ratios 1:1, 1:3 and 3:1 give t = 0.5, 0.75 and 0.25, which are grid
+        # points; a zero argument gives t = 0 or 1 and a zero entry
+        for scheme, data, offsets in self.pickands_cases():
+            d = scheme.d
+            dep = TailDependence.from_scheme(scheme, 10, "pickands_cfg")
+            for x in ([1.0, 1.0, 3.0, 1.0, 0.0, 3.0], [0.0, 2.0, 2.0, 6.0, 0.5, 0.0]):
+                x = np.resize(x, d)
+                lam = dep.matrix(x)
+                for l in range(d):
+                    for m in range(l + 1, d):
+                        start = max(offsets[l], offsets[m])
+                        a_vals = pickands_cfg(np.column_stack([data[start:, l], data[start:, m]]))
+                        ref = 0.0
+                        if x[l] > 0 and x[m] > 0:
+                            t = x[m] / (x[l] + x[m])
+                            ref = (x[l] + x[m]) * (1.0 - np.interp(t, PICKANDS_T_GRID, a_vals))
+                        assert lam[l, m] == lam[m, l] == ref
+
+    def test_pickands_reads_the_grid_as_np_interp_does(self):
+        # at both ends, on grid points and between them, for every pair
+        rng = np.random.default_rng(31)
+        ts = np.concatenate([[0.0, 1.0], PICKANDS_T_GRID[[1, 50, 99, 100, 199]],
+                             rng.uniform(0, 1, 6), np.nextafter(PICKANDS_T_GRID[[3, 7]], 1)])
+        for scheme, data, offsets in self.pickands_cases():
+            dep = TailDependence.from_scheme(scheme, 10, "pickands_cfg")
+            l, m = np.triu_indices(scheme.d, 1)
+            refs = [pickands_cfg(np.column_stack([data[max(offsets[i], offsets[j]):, i],
+                                                  data[max(offsets[i], offsets[j]):, j]]))
+                    for i, j in zip(l, m)]
+            for t in ts:
+                a = dep._pickands_at(l, m, np.full(len(l), t))
+                assert a.tolist() == [np.interp(t, PICKANDS_T_GRID, ref) for ref in refs]
+
+    def test_pickands_overlap_under_ten_years_rejected(self):
+        scheme, _, _ = staggered_tail_scheme()
+        sites = (*scheme.sites[:4], SiteSeries("short", 111, scheme.sites[4].values[-9:]))
+        with pytest.raises(DataError, match="needs >= 10 pairs, got 9"):
+            TailDependence.from_scheme(ObservationScheme(sites), 5, "pickands_cfg")
+        TailDependence.from_scheme(ObservationScheme(sites), 5, "empirical")
+
     def test_constant_matrices(self):
         x = np.array([0.5, 2.0, 0.0, 1.0])
         np.testing.assert_array_equal(TailDependence.independent(4).matrix(x), np.diag(x))
