@@ -7,8 +7,8 @@ observation.  Both express the moments through PWMs ``beta_0..beta_K``
 and invert an equation system for (mu, sigma, xi); the shape is a fitted
 polynomial in one moment ratio per route, and that ratio, checked once,
 also feeds the analytic shape gradient.  Sample PWMs, and the influence
-rows behind their covariance, come from one stable ranking of all sites
-of a region at once.
+rows behind their covariance, come from the one stable ranking that a
+region's observation scheme keeps for all of its sites.
 """
 
 from __future__ import annotations
@@ -193,10 +193,11 @@ def pwm_of_gev(params: GevParams, k: int) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the callers' finite checks speak
-def _rank_stack(block, pad, K: int, pwm_estimator: str | None = None, rows: bool = False):
-    """Sample PWMs and influence rows of the columns of ``block``, from one stable ranking.
+def _rank_stack(padded, order, pad, K: int, pwm_estimator: str | None = None, rows: bool = False):
+    """Sample PWMs and influence rows of the rows of ``padded``, read off their stable
+    sort ``order`` (a scheme's cached one), which this does not recompute.
 
-    ``block`` is (..., n, d): column j holds a sample of length n - pad[j] at its end,
+    ``padded`` is (..., d, n): row j holds a sample of length n - pad[j] at its end,
     after -inf padding, and leading axes stack regions of one shape.  Returns the pair
     (pwms, rows), each None unless asked for: ``pwm_estimator`` ('plugin' or
     'unbiased') asks for the (..., d, K) PWMs beta_0..beta_{K-1}, ``rows`` for the
@@ -204,11 +205,12 @@ def _rank_stack(block, pad, K: int, pwm_estimator: str | None = None, rows: bool
     sample starts.  Tied values share the ecdf value #{obs <= x}/n_j.  Values that
     overflow the sums come out non-finite.
     """
+    # every sum below reads (..., n, d) arrays in C order, which fixes its rounding
+    block, order = (np.ascontiguousarray(a.swapaxes(-1, -2)) for a in (padded, order))
     n, d = block.shape[-2:]
     lengths = n - pad
     years = np.arange(n)[:, None]
     real = years >= pad
-    order = np.argsort(block, axis=-2, kind="stable")
     xs = np.take_along_axis(block, order, axis=-2)
     # runs of tied values, read before the padding is zeroed: no real value ties -inf
     starts = np.ones(xs.shape[:-2] + (n + 1, d), dtype=bool)
@@ -253,32 +255,24 @@ def _rank_stack(block, pad, K: int, pwm_estimator: str | None = None, rows: bool
     return pwms, influence
 
 
-def _ranked_block(samples, K: int, pwm_estimator: str | None = None) -> np.ndarray:
-    """Sample PWMs or influence rows of samples ending in the same year, from one
-    stable ranking of the n x d block that pads them at the start.
-
-    With ``pwm_estimator`` ('plugin' or 'unbiased') this is the d x K matrix
-    of PWMs beta_0..beta_{K-1}, one row per sample.  Without it, it is the
-    n x d x K array of plug-in influence rows (see ``zhat_vectors``): entry
-    (t, j) is year t of the block, which holds zeros before sample j
-    starts.  The one-sample calls are the public sample functions.  Data
-    whose scale overflows the sums raise :class:`NumericError`.
-    """
-    lengths = np.array([len(x) for x in samples])
-    n, d = int(lengths.max()), len(samples)
-    values = np.concatenate(samples)
-    if not np.isfinite(values).all():
-        raise DataError("sample values must be finite")
-    if pwm_estimator == "unbiased" and lengths.min() < K:
-        raise ParameterError(f"PWM order {K - 1} needs a sample larger than {K - 1}")
-    pad = n - lengths
-    block = np.full((n, d), -np.inf)
-    block.T[(np.arange(n)[:, None] >= pad).T] = values
-    pwms, rows = _rank_stack(block, pad, K, pwm_estimator, rows=pwm_estimator is None)
-    out = rows if pwm_estimator is None else pwms
+def _ranked_block(padded, order, pad, K: int, pwm_estimator: str | None = None) -> np.ndarray:
+    """The d x K PWMs of :func:`_rank_stack` with ``pwm_estimator``, its n x d x K
+    influence rows without; data whose scale overflows them raise :class:`NumericError`."""
+    pwms, influence = _rank_stack(padded, order, pad, K, pwm_estimator, rows=pwm_estimator is None)
+    out = influence if pwm_estimator is None else pwms
     if not np.isfinite(out).all():
         raise NumericError("the data's scale overflows the sample PWMs or their influence rows")
     return out
+
+
+def _one_sample(x: np.ndarray, K: int, pwm_estimator: str | None = None) -> np.ndarray:
+    """:func:`_ranked_block` of one finite 1-D sample, for the public one-sample functions."""
+    if not np.isfinite(x).all():
+        raise DataError("sample values must be finite")
+    if pwm_estimator == "unbiased" and len(x) < K:
+        raise ParameterError(f"PWM order {K - 1} needs a sample larger than {K - 1}")
+    order = np.argsort(x, kind="stable")[None]
+    return _ranked_block(x[None], order, np.zeros(1, dtype=int), K, pwm_estimator)
 
 
 def _one_sample_pwms(data, k_max: int, pwm_estimator: str) -> PwmVector:
@@ -288,7 +282,7 @@ def _one_sample_pwms(data, k_max: int, pwm_estimator: str) -> PwmVector:
     k_max = _integer(k_max, "k_max")
     if k_max < 0:
         raise ParameterError("k_max must be non-negative")
-    return PwmVector(_ranked_block([x], k_max + 1, pwm_estimator)[0])
+    return PwmVector(_one_sample(x, k_max + 1, pwm_estimator)[0])
 
 
 def sample_pwm(data, k_max: int) -> PwmVector:

@@ -24,6 +24,7 @@ from .moments import (
     PwmVector,
     _fit_gradient_returns,
     _moment_method,
+    _one_sample,
     _rank_stack,
     _ranked_block,
     gev_fit_gradient,
@@ -66,7 +67,8 @@ class SiteSeries:
 
     ``offset`` counts years missing at the start relative to the longest
     record; row ``i`` of ``values`` is year ``offset + i + 1`` of the
-    common observation period.  Values must be finite.
+    common observation period.  Values must be finite; they are kept as a
+    read-only copy, so a scheme never follows later edits of the caller's array.
     """
 
     site_id: str
@@ -74,7 +76,7 @@ class SiteSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _read_only(np.array(self.values, dtype=float))
         if vals.ndim != 1 or len(vals) < 2:
             raise DataError(
                 f"site {self.site_id!r}: series must be 1-D with length >= 2"
@@ -153,6 +155,19 @@ class ObservationScheme:
     def ratios(self) -> np.ndarray:
         return _read_only(self.lengths / self.n)
 
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """The sites as the rows of a d x n block padded with -inf at the start."""
+        padded = np.full((self.d, self.n), -np.inf)
+        own = np.arange(self.n) >= self.offsets[:, None]
+        padded[own] = np.concatenate([s.values for s in self.sites])
+        return _read_only(padded)
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Each padded row's stable sort order: the ranking every lane reads."""
+        return _read_only(np.argsort(self._padded, axis=-1, kind="stable"))
+
     @property
     def site_ids(self) -> list[str]:
         return [s.site_id for s in self.sites]
@@ -164,12 +179,6 @@ class ObservationScheme:
             raise DataError(
                 f"site {site_id!r} not in scheme (have {self.site_ids})"
             ) from None
-
-    def rows(self, sites, start: int) -> np.ndarray:
-        """Common-period rows from ``start`` on, one column per listed site."""
-        return np.column_stack(
-            [self.sites[j].values[start - self.sites[j].offset :] for j in sites]
-        )
 
     def subset(self, site_ids) -> "ObservationScheme":
         """Scheme restricted to the given sites (order preserved)."""
@@ -196,7 +205,7 @@ def zhat_vectors(series, K: int) -> np.ndarray:
     K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
-    return _ranked_block([x], K)[:, 0]
+    return _one_sample(x, K)[:, 0]
 
 
 def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
@@ -207,7 +216,8 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     ``l*K:(l+1)*K``.  It is ``min(r_j, r_l)/(r_j*r_l)`` times the
     empirical covariance of the sites' influence rows over their
     overlapping years, with ``r_j = n_j/n``.  The rows of all sites come
-    from one ranking of the padded scheme.  Centred over each site's own
+    from the scheme's one ranking, the stable sort it caches and shares with
+    the PWMs and the tail lane.  Centred over each site's own
     record, zero before it, they give all d x d blocks in one stacked
     product, each divided by its overlap length minus one: the later site
     of a pair sums to zero over the overlap, so the other's overlap mean
@@ -220,7 +230,7 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
-    zhats = _ranked_block([s.values for s in scheme.sites], K)
+    zhats = _ranked_block(scheme._padded, scheme._order, scheme.offsets, K)
     matrix = _pwm_covariance(zhats, scheme.offsets, scheme.ratios)
     if not np.isfinite(matrix).all():
         raise NumericError("PWM covariance is not finite: the data's scale overflows it")
@@ -427,7 +437,7 @@ def regional_shape(
                 f"shape estimation failed at site {site.site_id!r}: "
                 f"PWM order {K - 1} needs a sample larger than {K - 1}"
             )
-    betas = _ranked_block([site.values for site in scheme.sites], K, pwm_estimator)
+    betas = _ranked_block(scheme._padded, scheme._order, scheme.offsets, K, pwm_estimator)
     pwms = tuple(map(PwmVector, betas))
     xi_hats, grads, ok = spec.shape_maps(betas)
     if not ok.all():  # the scalar maps raise the first failing site's error
@@ -541,23 +551,22 @@ def fit_gev_regional(
     )
 
 
-def _fit_gev_regional_stack(stack: np.ndarray, methods, pwm_estimator: str) -> dict:
+def _fit_gev_regional_stack(stack: np.ndarray, order, methods, pwm_estimator: str) -> dict:
     """:func:`fit_gev_regional`'s ``theta`` at site 0 of each of a stack (R, d, n) of
-    equal-length regions of at least K years, per method of ``methods``: a list with,
-    per region, the single fit's theta bit for bit, or None where the fit failed or a
-    check of the batch rejected it.
+    equal-length regions of at least K years, whose rows sort stably by ``order``, per
+    method of ``methods``: a list with, per region, the single fit's theta bit for
+    bit, or None where the fit failed or a check of the batch rejected it.
 
     One ranking serves every method: L reads the leading orders of TL's PWMs and
     influence rows.  The fit gradient, which only decides whether the fit raises, is
     not evaluated but shown finite by :func:`_fit_gradient_returns`.
     """
     R, d, n = stack.shape
-    block = np.ascontiguousarray(stack.swapaxes(1, 2))
     specs = [_moment_method(method) for method in methods]
     all_betas, all_rows = _rank_stack(
-        block, np.zeros(d, dtype=int), max(spec.order for spec in specs), pwm_estimator, rows=True
+        stack, order, np.zeros(d, dtype=int), max(s.order for s in specs), pwm_estimator, rows=True
     )
-    no_constant_site = ~(block.min(axis=1) == block.max(axis=1)).any(axis=1)
+    no_constant_site = ~(stack.min(axis=2) == stack.max(axis=2)).any(axis=1)
     out = {}
     for method, spec in zip(methods, specs):
         betas, rows = all_betas[..., : spec.order], all_rows[..., : spec.order]

@@ -533,24 +533,27 @@ def _batch_estimates(config: ScenarioConfig, regions: list, options: dict) -> di
     """
     p, pwm_estimator = config.p, options["pwm_estimator"]
     names = set(config.estimators)
-    kinds = ("annual", "winter", "summer") if names & set(_SEASONAL_ONLY) else ("annual",)
+    seasonal = names & set(_SEASONAL_ONLY)
+    kinds = (["annual"] if names - seasonal else []) + (["winter", "summer"] if seasonal else [])
     stacks = {kind: _stack([getattr(region, kind) for region in regions]) for kind in kinds}
-    n = stacks["annual"].shape[2]
+    # one stable sort per stack serves the moment and the tail lane alike
+    orders = {kind: np.argsort(stack, axis=-1, kind="stable") for kind, stack in stacks.items()}
     thetas = {}
     for kind in kinds:
         methods = [
             m for m in ("L", "TL") if (m if kind == "annual" else "s" + m) in names
-            and not (pwm_estimator == "unbiased" and n < _moment_method(m).order)
+            and not (pwm_estimator == "unbiased" and config.n < _moment_method(m).order)
         ]
         if methods:
-            fits = _fit_gev_regional_stack(stacks[kind], methods, pwm_estimator)
+            fits = _fit_gev_regional_stack(stacks[kind], orders[kind], methods, pwm_estimator)
             thetas.update(((kind, m), fit) for m, fit in fits.items())
     out = {}
     with warnings.catch_warnings():  # the fits warn too: default_k clamps short records
         warnings.simplefilter("ignore")
         annual_tails = None
         if "W" in names and options.get("dependence_method", "empirical") == "empirical":
-            annual_tails = _tail_fits(stacks["annual"], _as_k_vector(regions[0].annual, None))
+            ks = _as_k_vector(regions[0].annual, None)
+            annual_tails = _tail_fits(stacks["annual"], orders["annual"], ks)
         for m in ("L", "TL"):
             if ("annual", m) in thetas:
                 out[m] = [_read(gev_quantile, theta, p) for theta in thetas["annual", m]]
@@ -566,7 +569,7 @@ def _batch_estimates(config: ScenarioConfig, regions: list, options: dict) -> di
             ]
         if "sW" in names:
             ks = _as_k_vector(regions[0].winter, None)
-            seasons = zip(*(_tail_fits(stacks[kind], ks) for kind in ("winter", "summer")))
+            seasons = zip(*(_tail_fits(stacks[k], orders[k], ks) for k in ("winter", "summer")))
             out["sW"] = [
                 _read(_product_quantile, [w, s] if w and s and w[3] > 0 and s[3] > 0 else None, p)
                 for w, s in seasons

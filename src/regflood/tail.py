@@ -287,9 +287,10 @@ class TailDependence:
     - ``"independent"``: 0; ``"comonotone"``: min(x_l, x_m);
     - ``"empirical"``: joint top ranks over the pair's overlap years;
       ``tables`` holds the ranks of every site among the rows from each
-      distinct start (start x site x year, in the narrowest unsigned type
-      holding n, after any leading axes that stack regions of one scheme
-      shape, which ``matrix`` keeps) and, per pair l < m
+      distinct start, counted off the scheme's one sort order (start x site
+      x year, in the narrowest unsigned type holding n, after any leading
+      axes that stack regions of one scheme shape, which ``matrix`` keeps)
+      and, per pair l < m
       (``np.triu_indices`` order), its start, overlap length and k;
     - ``"pickands_cfg"``: (x_l + x_m)(1 - A_lm(x_m/(x_l + x_m))), A_lm the
       :func:`pickands_cfg` estimate on the pair's overlap years, read off
@@ -316,8 +317,9 @@ class TailDependence:
     ) -> "TailDependence":
         """Estimate the region's dependence from each pair's overlap years.
 
-        Each site is sorted once; a cumulative count in sorted order of the
-        rows from each distinct start gives every site's ranks among them,
+        The scheme's cached stable sort order, the ranking the Hill indices
+        and the moment lane read too, is counted cumulatively over the rows
+        from each distinct start; that gives every site's ranks among them,
         ties broken by position.  For the empirical method ``matrix`` then
         equals :func:`tail_dependence_empirical` on each pair's overlap
         rows with k = min(k_l, k_m) (below the overlap length, since each
@@ -327,9 +329,7 @@ class TailDependence:
         the two grid points around the pair's argument (and the endpoints).
         """
         _check_dependence_method(method)
-        ks = _as_k_vector(scheme, k)
-        order = np.argsort(_padded_rows(scheme), axis=-1, kind="stable")
-        return cls._from_order(order, scheme.offsets, ks, method)
+        return cls._from_order(scheme._order, scheme.offsets, _as_k_vector(scheme, k), method)
 
     @classmethod
     def _from_order(
@@ -427,15 +427,6 @@ def _start_ranks(order: np.ndarray, offsets: np.ndarray):
     ] = counted.reshape(-1, len(starts), d, n).transpose(0, 2, 3, 1)
     start = np.maximum(start_of[l], start_of[m])
     return ranks, start, n - starts[start]
-
-
-def _padded_rows(scheme: ObservationScheme) -> np.ndarray:
-    """The scheme's sites as the rows of a d x n block padded with -inf at the start."""
-    padded = np.full((scheme.d, scheme.n), -np.inf)
-    padded[np.arange(scheme.n) >= scheme.offsets[:, None]] = np.concatenate(
-        [s.values for s in scheme.sites]
-    )
-    return padded
 
 
 # --------------------------------------------------------------------------
@@ -553,12 +544,11 @@ def regional_tail_fit(
     covariance is not usable).
     """
     ks = _as_k_vector(scheme, k)
-    padded = _padded_rows(scheme)
-    order = np.argsort(padded, axis=-1, kind="stable")
-    gammas, thresholds = _hill_block(np.take_along_axis(padded, order, axis=-1), ks)
+    sorted_rows = np.take_along_axis(scheme._padded, scheme._order, axis=-1)
+    gammas, thresholds = _hill_block(sorted_rows, ks)
     if (thresholds <= 0).any():
         raise _threshold_error(thresholds[np.argmax(thresholds <= 0)])
-    dependence = TailDependence._from_order(order, scheme.offsets, ks, dependence_method)
+    dependence = TailDependence._from_order(scheme._order, scheme.offsets, ks, dependence_method)
     sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
     if weights is None:
         w, valid, _ = _pool_weights(sigma, _tail_fallback(scheme.lengths))
@@ -590,13 +580,13 @@ def _tail_fallback(lengths: np.ndarray) -> np.ndarray:
     return fallback / fallback.sum()
 
 
-def _tail_fits(stack: np.ndarray, ks: np.ndarray) -> list:
+def _tail_fits(stack: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list:
     """:func:`regional_tail_fit` with empirical dependence of each of a stack (R, d, n)
-    of equal-length regions, with tail lengths ``ks``: per region site 0's power tail
-    (u, k, n, gamma) as :meth:`RegionalTailFit._site_tail` gives it, bit for bit, or
-    None where the fit failed or a check of the batch rejected it."""
+    of equal-length regions, whose rows sort stably by ``order``, with tail lengths
+    ``ks``: per region site 0's power tail (u, k, n, gamma) as
+    :meth:`RegionalTailFit._site_tail` gives it, bit for bit, or None where the fit
+    failed or a check of the batch rejected it."""
     R, d, n = stack.shape
-    order = np.argsort(stack, axis=-1, kind="stable")
     gammas, thresholds = _hill_block(np.take_along_axis(stack, order, axis=-1), ks)
     dependence = TailDependence._from_order(order, np.zeros(d, dtype=int), ks)
     sigma = semi_sigma(TailConfig(k=ks), np.ones(d), dependence)

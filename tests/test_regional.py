@@ -28,8 +28,8 @@ from regflood.regional import (
 )
 from regflood.ingest import SeasonalSchemes
 from regflood.simlab import ESTIMATOR_NAMES, quantile_function
-from regflood.tail import DEPENDENCE_METHODS, regional_tail_fit
-from regflood.twocomp import fit_seasonal_regional, twocomp_quantile_ci
+from regflood.tail import DEPENDENCE_METHODS, TailDependence, regional_tail_fit
+from regflood.twocomp import fit_seasonal_regional, gev_quantile_ci, twocomp_quantile_ci
 
 
 def make_scheme(seed=0, d=4, n=80, xi=0.2, offsets=None):
@@ -107,25 +107,55 @@ class TestScheme:
 
     def test_site_arrays_are_computed_once_and_read_only(self):
         scheme = make_scheme(d=3, n=50, offsets=[0, 10, 20])
-        for name in ("offsets", "lengths", "ratios"):
+        padded = np.full((3, 50), -np.inf)
+        for j, site in enumerate(scheme.sites):
+            padded[j, site.offset:] = site.values
+        expected = {
+            "offsets": [0, 10, 20],
+            "lengths": [50, 40, 30],
+            "ratios": [1.0, 0.8, 0.6],
+            "_padded": padded,
+            "_order": np.argsort(padded, axis=-1, kind="stable"),
+        }
+        for name, value in expected.items():
             array = getattr(scheme, name)
             assert getattr(scheme, name) is array
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
+            np.testing.assert_array_equal(array, value)
         assert list(scheme.lengths) == [50, 40, 30]
 
 
-    def test_rows_from_a_start(self):
-        scheme = make_scheme(d=5, n=30, offsets=[0, 5, 0, 5, 12])
-        values = [s.values for s in scheme.sites]
-        np.testing.assert_array_equal(
-            scheme.rows([1, 3], 5), np.column_stack([values[1], values[3]])
-        )
-        np.testing.assert_array_equal(
-            scheme.rows([4, 0, 2], 12),
-            np.column_stack([values[4], values[0][12:], values[2][12:]]),
-        )
-        assert scheme.rows([0], 0).shape == (30, 1)
+    @pytest.mark.parametrize("build", ["from_matrix", "SiteSeries"])
+    def test_values_are_a_read_only_copy(self, build):
+        # a fit cached on the scheme must not follow later edits of the caller's array
+        x = gev_quantile(GevParams(2, 1, 0.2), np.random.default_rng(8).uniform(size=(60, 4)))
+        if build == "from_matrix":
+            scheme, unused = (ObservationScheme.from_matrix(x) for _ in range(2))
+        else:
+            offsets = [0, 5, 0, 12]
+            scheme, unused = (
+                ObservationScheme(tuple(
+                    SiteSeries(f"s{j}", a, x[a:, j]) for j, a in enumerate(offsets)
+                ))
+                for _ in range(2)
+            )
+
+        def outputs(scheme):
+            shape = regional_shape(scheme)
+            tail = regional_tail_fit(scheme)
+            dependence = TailDependence.from_scheme(scheme, tail.k)
+            return [shape.xi, shape.weights, sigma_r_hat(scheme, 4), tail.gamma, tail.gammas,
+                    tail.thresholds, dependence.matrix(np.full(4, 0.5))]
+
+        before = outputs(scheme)
+        x[:30] *= 1.5
+        for got in (outputs(scheme), outputs(unused)):
+            for a, b in zip(got, before):
+                np.testing.assert_array_equal(a, b)
+        for site in scheme.sites:
+            with pytest.raises(ValueError, match="read-only"):
+                site.values[0] = 7.0
 
 
 class TestZhat:
@@ -714,8 +744,10 @@ def _per_site_zhat(x, K):
     return out
 
 
-def _per_site_block(samples, K, pwm_estimator=None):
-    """The kernel's result assembled site by site from the references above."""
+def _per_site_block(padded, order, pad, K, pwm_estimator=None):
+    """The kernel's result assembled site by site from the references above, each
+    site's sample read off the padded rows and sorted on its own (``order`` unused)."""
+    samples = [row[a:] for row, a in zip(padded, pad.tolist())]
     if pwm_estimator is not None:
         per_site = {"plugin": _per_site_pwm, "unbiased": _per_site_pwm_unbiased}[pwm_estimator]
         return np.array([per_site(np.asarray(x), K - 1) for x in samples])
@@ -766,6 +798,25 @@ def test_one_ranking_matches_per_site_sorts_bit_for_bit(monkeypatch):
                 assert len(got) == len(expected), (seed, method, pwm_estimator)
                 for a, b in zip(got, expected):
                     np.testing.assert_array_equal(a, b, err_msg=f"{seed} {method} {pwm_estimator}")
+
+
+def test_one_ranking_per_scheme(monkeypatch):
+    # the region-wide pipeline, run twice, sorts the staggered scheme once
+    sorted_shapes = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        sorted_shapes.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    scheme = make_scheme(d=6, n=70, offsets=[0, 10, 0, 25, 40, 5])
+    monkeypatch.setattr(np, "argsort", counting)
+    for _ in range(2):
+        stat, p_value = homogeneity_test(scheme, "TL")
+        fit = fit_gev_regional(scheme, "s1", "TL")
+        gev_quantile_ci(fit, 0.99, 0.05)
+        regional_tail_fit(scheme).interval("s1", 0.99, 0.05)
+    assert sorted_shapes == [(6, 70)]
 
 
 def test_one_column_calls_match_per_site_sorts_bit_for_bit():

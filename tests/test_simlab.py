@@ -529,6 +529,23 @@ class TestBatchedScenario:
         ))
         assert refits == ["W"] * 3
 
+    def test_each_stack_is_sorted_once(self, monkeypatch):
+        # W and L/TL share the annual stack's sort, sW and sTL the seasonal ones'
+        sorted_shapes = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            sorted_shapes.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        run_scenario(make_config(estimators=("W", "L", "TL", "sW", "sTL"), replications=5))
+        assert sorted_shapes == [(5, 3, 50)] * 3
+        # a stack no estimator reads is not sorted
+        sorted_shapes.clear()
+        run_scenario(make_config(estimators=("sTL",), replications=5))
+        assert sorted_shapes == [(5, 3, 50)] * 2
+
     def test_shape_maps_match_the_scalar_gradient_where_pow_and_product_differ(self):
         # summer region of replication 78 of the gate-9 scenario: C pow rounds
         # the square of TL's ratio denominator 0.8040464322827425 at site 7 one
@@ -540,7 +557,7 @@ class TestBatchedScenario:
         stream = np.random.SeedSequence(config.seed).spawn(config.replications)[78]
         summer = simlab._simulate_region(config, np.random.default_rng(stream)).summer
         spec = _moment_method("TL")
-        betas = _ranked_block([s.values for s in summer.sites], spec.order, "plugin")
+        betas = _ranked_block(summer._padded, summer._order, summer.offsets, spec.order, "plugin")
         den = float(spec.terms(betas.T)[1][6])
         assert den == 0.8040464322827425 and den**2 != float(np.float64(den) * np.float64(den))
         xi, grads, ok = spec.shape_maps(betas)
