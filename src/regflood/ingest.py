@@ -12,10 +12,11 @@ the common final year.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -128,9 +129,9 @@ def ingest_monthly(path) -> MonthlyTable:
     character makes the file unreadable.  The file is read once, so it
     may be a pipe.  Unquoted files take a byte route, which converts a
     block of lines a whole column at a time under the same rules, with
-    the same results and messages as the row-by-row ``csv`` reading that
-    takes over from the first block holding a quote, a line longer than
-    the ``csv`` field size limit, or a row to report.
+    the same results and messages as the ``csv`` reading that takes over,
+    one row at a time, from the first block holding a quote, a line
+    longer than the ``csv`` field size limit, or a row to report.
     """
     try:
         # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write it
@@ -156,7 +157,8 @@ def _read_rows(fh) -> tuple[MonthlyTable, dict[int, str]]:
     """Table of the rows after the header that keep the row rules, and the
     message of each row that breaks one or repeats an earlier key, by line
     number.  Blocks take the byte route until one does not; from that
-    block's first line on, ``csv.reader`` reads the rest of the file."""
+    block's first line on, ``csv.reader`` reads the rest of the file row
+    by row (:func:`_parse_rows`)."""
     codes: dict[str, int] = {}
     problems: dict[int, str] = {}
     columns = [array(code) for code in "qqqqd"]  # line, site code, year, month, flow
@@ -164,8 +166,9 @@ def _read_rows(fh) -> tuple[MonthlyTable, dict[int, str]]:
     start = 2  # the header is line 1
     for text in blocks:
         if not (taken := _take_columns(start, text, codes, columns)):
-            rest = chain(_lines(text), chain.from_iterable(map(_lines, blocks)))
-            _parse_rows(csv.reader(rest), start, codes, problems, columns)
+            # StringIO(newline="") ends lines where the file does: at "\n", "\r\n" or "\r"
+            lines = chain.from_iterable(io.StringIO(t, newline="") for t in chain([text], blocks))
+            _parse_rows(csv.reader(lines), start, codes, problems, columns)
             break
         start += taken  # without quotes, a line is a record
     line, site, year, month, flow = (np.frombuffer(c, dtype=c.typecode) for c in columns)
@@ -186,23 +189,6 @@ def _blocks(fh):
         if "\x00" in text:
             raise csv.Error("line contains NUL")
         yield text
-
-
-def _lines(text):
-    """The lines of ``text`` as a file opened with ``newline=""`` reads them:
-    ended by "\n", "\r\n" or "\r" only, where ``str.splitlines`` also ends
-    lines at separators that ``csv.reader`` reads as characters of a field."""
-    pieces = text.splitlines(keepends=True)
-    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
-    if len(pieces) == ends + (text[-1] not in "\r\n"):
-        return pieces
-    lines, line = [], ""
-    for piece in pieces:
-        line += piece
-        if line[-1] in "\r\n":
-            lines.append(line)
-            line = ""
-    return lines + [line] if line else lines
 
 
 def _take_columns(start, text, codes, columns) -> int:
@@ -309,53 +295,42 @@ def _runs(b, begins, ends) -> np.ndarray:
 
 
 def _parse_rows(rows, start, codes, problems, columns) -> None:
-    """Parse ``csv.reader`` rows from line ``start`` on, a chunk at a time;
-    each chunk's strings die with the :func:`_parse_chunk` call that reads
-    them."""
-    for start in count(start, _CHUNK_ROWS):
-        if not (chunk := list(islice(rows, _CHUNK_ROWS))):
-            break
-        _parse_chunk(start, chunk, codes, problems, columns)
-
-
-def _parse_chunk(start, chunk, codes, problems, columns) -> None:
-    """Append the rows of ``chunk`` (from line ``start``) that keep the row
+    """Append the ``csv.reader`` rows from line ``start`` on that keep the row
     rules to ``columns``, coding new sites in ``codes``, and put the message
-    of every other non-blank row in ``problems``.  A piece of rows that does
-    not convert column by column is halved until each row at fault stands
-    alone; the row rules then run on the columns of each piece."""
-    filled = list(map(str.strip, map("".join, chunk)))
-    lines = start + np.flatnonzero(np.fromiter(map(bool, filled), bool, len(chunk)))
-    pieces = [(lines, list(compress(chunk, filled)))]
-    while pieces:  # in line order: the first half of a split piece is on top
-        lines, rows = pieces.pop()
-        lengths = set(map(len, rows))
-        try:
-            if lengths != {4}:
-                raise ValueError
-            sids, years, months, flows = zip(*rows)
-            # a lone row keeps ints beyond int64 exact, for the year and month rules to reject
-            year, month = np.array([list(map(int, years)), list(map(int, months))],
-                                   dtype=object if len(rows) == 1 else np.int64)
-            flow = np.fromiter(map(float, flows), float, len(flows))
-        except (ValueError, OverflowError):
-            if len(rows) > 1:
-                half = len(rows) // 2
-                pieces += [(lines[half:], rows[half:]), (lines[:half], rows[:half])]
-            elif rows:  # a chunk of blank rows leaves no row here
-                problems[int(lines[0])] = (
-                    f"expected 4 fields, got {len(rows[0])}" if lengths != {4}
-                    else f"unparseable year/month/flow {rows[0][1:]!r}"
-                )
+    of every other non-blank row in ``problems``.  Each row converts on its
+    own; the row rules run on the converted columns of a chunk of
+    ``_CHUNK_ROWS`` rows at a time, so memory stays bounded."""
+    rows = enumerate(rows, start)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        kept = []
+        for line, row in chunk:
+            try:
+                sid, year, month, flow = row
+                kept.append((line, sid.strip(), int(year), int(month), float(flow), flow))
+            except ValueError:  # not four fields, one that does not convert, or a blank row
+                if "".join(row).strip():
+                    problems[line] = (f"expected 4 fields, got {len(row)}" if len(row) != 4
+                                      else f"unparseable year/month/flow {row[1:]!r}")
+        if not kept:
             continue
-        sids = list(map(str.strip, sids))
-        ok = np.ones(len(rows), dtype=bool)
+        lines, sids, years, months, flows, texts = zip(*kept)
+        year, month, flow = _integers(years), _integers(months), np.array(flows)
+        ok = np.ones(len(kept), dtype=bool)
         for fault, text in _row_faults(sids, year, month, flow):
             for i in np.flatnonzero(fault & ok).tolist():
-                problems[int(lines[i])] = text.format(year=year[i], month=month[i], flow=flows[i])
+                problems[lines[i]] = text.format(year=year[i], month=month[i], flow=texts[i])
             ok &= ~fault
-        sids = sids if ok.all() else list(compress(sids, ok.tolist()))
-        _append_rows(columns, lines[ok], _site_codes(codes, sids), year[ok], month[ok], flow[ok])
+        _append_rows(columns, np.array(lines)[ok], _site_codes(codes, list(compress(sids, ok))),
+                     year[ok], month[ok], flow[ok])
+
+
+def _integers(values) -> np.ndarray:
+    """``values`` as int64, or as Python ints where one lies beyond int64, so
+    that the year and month rules reject it with its exact value."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _row_faults(sids, year, month, flow):

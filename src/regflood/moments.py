@@ -353,27 +353,13 @@ def _tl_location_scale(b, xi: float):
     return 2 * (b[0] - b[1]) + sigma / xi - sigma * g * (2.0**xi - 2.0), sigma
 
 
-def _square(v: float) -> float:
-    """``v**2`` as Python float arithmetic takes it, by C ``pow``, which can round
-    differently from NumPy's ``v * v``; inf where it overflows."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
-
-
-def _squares(values: np.ndarray) -> np.ndarray:
-    """:func:`_square` of every entry of an array."""
-    return np.reshape([_square(v) for v in values.ravel().tolist()], values.shape)
-
-
 @dataclass(frozen=True)
 class _MomentMethod:
     """One recovery route through the PWMs b = beta_0..beta_{K-1}.
 
     The shape is the polynomial ``poly[0] h + poly[1] h**2`` in the ratio ``h =
     num/den - offset`` of ``terms(b)``, whose gradient in b is ``ratio_gradient(num,
-    den, den**2)``; the second (trimmed) L-moment, ``moment``, is ``factor * num``.
+    den, den * den)``; the second (trimmed) L-moment, ``moment``, is ``factor * num``.
     ``location_scale(b, xi)`` is (mu, sigma) at shape ``xi``: linear in b, so b may
     hold arrays, and near xi = 0 it takes its equations' limits (0/0 there).
     """
@@ -427,7 +413,7 @@ class _MomentMethod:
         """Analytic gradient of the shape estimate in beta_0..beta_{K-1}, K = 3 (L) or 4 (TL)."""
         num, den = self.terms(self._pwms(pwm, "shape recovery"))
         h = self._ratio(num, den)
-        den2 = _square(den)
+        den2 = den * den
         if not 0 < den2 < math.inf:
             raise NumericError(
                 f"shape gradient: the squared ratio denominator of {den:.6g} "
@@ -447,7 +433,7 @@ class _MomentMethod:
         num, den = self.terms([betas[..., k] for k in range(self.order)])
         h = num / den - self.offset
         xi = self._poly(h)
-        den2 = _squares(den)
+        den2 = den * den
         grad = np.stack(self._gradient(num, den, den2, h), axis=-1)
         ok = (den != 0) & np.isfinite(num) & np.isfinite(den) & np.isfinite(xi)
         ok &= (0 < den2) & (den2 < math.inf) & np.isfinite(grad).all(axis=-1)

@@ -339,15 +339,32 @@ def optimal_weights(sigma: np.ndarray, fallback: np.ndarray | None = None) -> np
     For a positive definite ``sigma`` this is the Lagrange solution
     ``sigma^{-1} 1 / (1' sigma^{-1} 1)`` of its symmetric part.
     Degenerate inputs fall back to the supplied weight vector, rescaled
-    to sum to one (uniform weights when none is given).
+    to sum to one (uniform weights when none is given).  Raises
+    :class:`ParameterError` for an empty, non-square or asymmetric
+    ``sigma`` and for a fallback that is not d finite weights with a
+    finite non-zero sum.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ParameterError("covariance must be a square matrix")
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or not sigma.size:
+        raise ParameterError("covariance must be a non-empty square matrix")
     if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
         raise ParameterError("covariance must be symmetric")
-    w = np.ones(sigma.shape[0]) if fallback is None else np.asarray(fallback, dtype=float)
-    return _pool_weights(0.5 * (sigma + sigma.T), w / w.sum())[0]
+    d = sigma.shape[0]
+    fallback = _unit_sum(np.ones(d) if fallback is None else fallback, d)
+    return _pool_weights(0.5 * (sigma + sigma.T), fallback)[0]
+
+
+def _unit_sum(weights, d: int) -> np.ndarray:
+    """``weights`` rescaled to sum to one, which must be ``d`` finite weights
+    with a finite non-zero sum."""
+    w = np.asarray(weights, dtype=float)
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if w.shape != (d,) or not (np.all(np.isfinite(w)) and np.isfinite(total) and total != 0):
+        raise ParameterError(
+            f"need {d} finite weights with a finite non-zero sum, got {w.tolist()}"
+        )
+    return w / total
 
 
 def fallback_weights(scheme: ObservationScheme) -> np.ndarray:

@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError, ParameterError, _integer
 from .gev import brentq
-from .regional import ObservationScheme, _length_weights, _pool_weights, _weights_source
+from .regional import (
+    ObservationScheme,
+    _length_weights,
+    _pool_weights,
+    _unit_sum,
+    _weights_source,
+)
 from .twocomp import QuantileInterval, _interval
 
 __all__ = [
@@ -257,7 +263,7 @@ def pickands_cfg(pairs, t_grid=PICKANDS_T_GRID) -> np.ndarray:
     if m < 10:
         raise DataError(f"dependence-function estimation needs >= 10 pairs, got {m}")
     t = np.asarray(t_grid, dtype=float)
-    if np.any((t < 0) | (t > 1)):
+    if not np.all((t >= 0) & (t <= 1)):  # also rejects NaN
         raise DomainError("t grid must lie in [0, 1]")
     u, v = (_ordinal_ranks(arr) / (m + 1)).T
     return _cfg_dependence(u, v, t)
@@ -551,16 +557,10 @@ def regional_tail_fit(
     dependence = TailDependence._from_order(scheme._order, scheme.offsets, ks, dependence_method)
     sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
     if weights is None:
-        w, valid, _ = _pool_weights(sigma, _tail_fallback(scheme.lengths))
+        w, valid, _ = _pool_weights(sigma, _length_weights(scheme.lengths))
         source = _weights_source(valid)
     else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (scheme.d,) or not np.all(np.isfinite(w)) or w.sum() == 0:
-            raise ParameterError(
-                f"need {scheme.d} finite weights with a non-zero sum, got {w.tolist()}"
-            )
-        w = w / w.sum()
-        source = "user"
+        w, source = _unit_sum(weights, scheme.d), "user"
     return RegionalTailFit(
         gamma=float(w @ gammas),
         gammas=gammas,
@@ -574,12 +574,6 @@ def regional_tail_fit(
     )
 
 
-def _tail_fallback(lengths: np.ndarray) -> np.ndarray:
-    # the length-proportional fallback, rescaled to sum to one like user weights
-    fallback = _length_weights(lengths)
-    return fallback / fallback.sum()
-
-
 def _tail_fits(stack: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list:
     """:func:`regional_tail_fit` with empirical dependence of each of a stack (R, d, n)
     of equal-length regions, whose rows sort stably by ``order``, with tail lengths
@@ -591,7 +585,7 @@ def _tail_fits(stack: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list:
     dependence = TailDependence._from_order(order, np.zeros(d, dtype=int), ks)
     sigma = semi_sigma(TailConfig(k=ks), np.ones(d), dependence)
     try:
-        w, _, _ = _pool_weights(sigma, _tail_fallback(np.full(d, n)))
+        w, _, _ = _pool_weights(sigma, _length_weights(np.full(d, n)))
     except np.linalg.LinAlgError:  # each region alone shows which
         return [None] * R
     gamma = (w[:, None, :] @ gammas[:, :, None])[:, 0, 0]

@@ -134,7 +134,13 @@ def _quantile_variance(parts, q: float) -> float:
     the product quantile can lie), and f = sum_c g_c P_c the product density.
     The factors are fitted independently, so the variance sums
     grad' Sigma_c grad over them.  A single GEV is the one-factor product.
+    Every covariance must be 3 x 3 (:class:`ParameterError`).
     """
+    covariances = [np.asarray(sigma, dtype=float) for _, sigma in parts]
+    if any(c.shape != (3, 3) for c in covariances):
+        raise ParameterError(
+            f"need 3 x 3 parameter covariances, got shapes {[c.shape for c in covariances]}"
+        )
     cdfs = [gev_cdf(theta, q) for theta, _ in parts]
     others = [math.prod(cdfs[:c] + cdfs[c + 1:]) for c in range(len(parts))]
     dens = sum(gev_pdf(theta, q) * other for (theta, _), other in zip(parts, others))
@@ -145,11 +151,11 @@ def _quantile_variance(parts, q: float) -> float:
         )
     variance = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for (theta, sigma), other in zip(parts, others):
+        for (theta, _), sigma, other in zip(parts, covariances, others):
             lo, hi = theta.support()
             if lo < q < hi:
                 grad = -other * gev_cdf_jacobian(theta, q) / dens
-                variance += float(grad @ np.asarray(sigma, dtype=float) @ grad)
+                variance += float(grad @ sigma @ grad)
     if not math.isfinite(variance):
         raise NumericError(
             f"the quantile variance at q={q:.6g} is {variance}: a covariance is not "

@@ -192,15 +192,15 @@ def reference_ingest(text):
 
 
 def spy_row_by_row(monkeypatch):
-    """The first lines of the chunks that the row-by-row path parses from now on."""
+    """The first lines from which the row-by-row path parses, from now on."""
     starts = []
-    parse_chunk = ingest._parse_chunk
+    parse_rows = ingest._parse_rows
 
-    def spy(start, *args):
+    def spy(rows, start, *args):
         starts.append(start)
-        parse_chunk(start, *args)
+        parse_rows(rows, start, *args)
 
-    monkeypatch.setattr(ingest, "_parse_chunk", spy)
+    monkeypatch.setattr(ingest, "_parse_rows", spy)
     return starts
 
 
@@ -326,6 +326,16 @@ class TestIngestReference:
         assert outcome == reference_ingest(path.read_text())
         assert [line.split(":")[0] for line in outcome] == ["line 1802", "line 2602"]
         assert 2 < starts[0] <= 1502
+        # every tenth row bad, with ids unquoted and quoted
+        bad = ["A,2000,13,1", "A,2000", " ,2000,5,1", "A,xx,5,1", "A,2000,5,nan",
+               f"A,{2**63},5,1", "S1,1990,1,9.0"]
+        rows = base_rows(3000)
+        rows[::10] = [bad[i % len(bad)] for i in range(300)]
+        for quote in ("", '"'):
+            lines = [quote + row.replace(",", quote + ",", 1) for row in rows]
+            path = write_csv(tmp_path / "every_tenth.csv", lines)
+            outcome = ingest_outcome(path)
+            assert outcome == reference_ingest(path.read_text()) and len(outcome) == 300
 
     def test_clean_file_takes_the_column_route(self, tmp_path, monkeypatch):
         small_blocks(monkeypatch)

@@ -368,6 +368,12 @@ class TestWeights:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ParameterError):
             optimal_weights(np.array([[1.0, 0.2], [0.6, 1.0]]))
+        # so are an empty covariance and fallbacks of the wrong length or with a
+        # zero or overflowing sum
+        for sigma, fallback in ((np.zeros((0, 0)), None), (np.eye(3), [1, 1]),
+                                (np.ones((3, 3)), [0, 0, 0]), (np.ones((3, 3)), [1e308] * 3)):
+            with pytest.raises(ParameterError):
+                optimal_weights(sigma, fallback)
 
     def test_degenerate_uses_fallback(self):
         sigma = np.ones((3, 3))  # rank one

@@ -549,7 +549,7 @@ class TestBatchedScenario:
     def test_shape_maps_match_the_scalar_gradient_where_pow_and_product_differ(self):
         # summer region of replication 78 of the gate-9 scenario: C pow rounds
         # the square of TL's ratio denominator 0.8040464322827425 at site 7 one
-        # unit in the last place away from NumPy's den * den
+        # unit in the last place away from den * den, which both routes take
         config = ScenarioConfig(
             d=10, n=50, p=0.99, margins=SeasonalMargins(GevParams(2, 1, 0.2), GevParams(1.5, 1, 0.4)),
             copula=CopulaSpec.default_for(10), estimators=("TL",), replications=500, seed=20250810,
@@ -558,9 +558,12 @@ class TestBatchedScenario:
         summer = simlab._simulate_region(config, np.random.default_rng(stream)).summer
         spec = _moment_method("TL")
         betas = _ranked_block(summer._padded, summer._order, summer.offsets, spec.order, "plugin")
-        den = float(spec.terms(betas.T)[1][6])
-        assert den == 0.8040464322827425 and den**2 != float(np.float64(den) * np.float64(den))
+        num, den = (float(v[6]) for v in spec.terms(betas.T))
+        assert den == 0.8040464322827425 and den**2 != den * den
+        h = num / den - spec.offset
+        product = spec._gradient(num, den, den * den, h)
+        assert product != spec._gradient(num, den, den**2, h)
         xi, grads, ok = spec.shape_maps(betas)
-        assert ok.all()
+        assert ok.all() and grads[6].tolist() == product
         np.testing.assert_array_equal(grads, [spec.shape_gradient(PwmVector(b)) for b in betas])
         np.testing.assert_array_equal(xi, [spec.shape(PwmVector(b)) for b in betas])

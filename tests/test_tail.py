@@ -430,6 +430,12 @@ class TestPickands:
         with pytest.raises(DataError):
             pickands_cfg(np.ones((5, 2)))
 
+    @pytest.mark.parametrize("t", [-0.1, 1.1, np.nan])
+    def test_grid_outside_unit_interval_rejected(self, t):
+        pairs = np.random.default_rng(6).uniform(size=(50, 2))
+        with pytest.raises(DomainError, match="t grid"):
+            pickands_cfg(pairs, [0.5, t])
+
 
 class TestSemiSigma:
     def test_diagonal_is_exactly_c(self):
@@ -523,8 +529,8 @@ class TestRegionalGamma:
 
     @pytest.mark.parametrize(
         "weights",
-        [[1.0, 1.0], [1.0, np.inf, 0.0], [1.0, -1.0, 0.0]],
-        ids=["wrong-length", "non-finite", "zero-sum"],
+        [[1.0, 1.0], [1.0, np.inf, 0.0], [1.0, -1.0, 0.0], [1e308, 1e308, 1.0]],
+        ids=["wrong-length", "non-finite", "zero-sum", "overflowing-sum"],
     )
     def test_invalid_user_weights_rejected(self, weights):
         scheme = make_tail_scheme(seed=9, d=3, n=200)

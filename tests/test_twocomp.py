@@ -127,6 +127,10 @@ class TestVariance:
             a * gev_quantile_variance(THETA_W, SIGMA_W, 0.99), rel=1e-9
         )
 
+    def test_covariance_must_be_three_by_three(self):
+        with pytest.raises(ParameterError, match="3 x 3"):
+            gev_quantile_variance(THETA_W, np.eye(2), 0.9)
+
     @pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), 1e308 * np.eye(3)],
                              ids=["nan", "1e308"])
     def test_non_finite_variance_is_a_numeric_error(self, bad):
