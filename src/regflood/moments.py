@@ -211,7 +211,9 @@ def _rank_stack(padded, order, pad, K: int, pwm_estimator: str | None = None, ro
     lengths = n - pad
     years = np.arange(n)[:, None]
     real = years >= pad
-    xs = np.take_along_axis(block, order, axis=-2)
+    base = np.arange(0, block.size, n * d).reshape(block.shape[:-2] + (1, 1)) + np.arange(d)
+    at = order * d + base  # flat positions of the sorted entries: faster than take_along_axis
+    xs = block.reshape(-1)[at]
     # runs of tied values, read before the padding is zeroed: no real value ties -inf
     starts = np.ones(xs.shape[:-2] + (n + 1, d), dtype=bool)
     starts[..., 1:-1, :] = xs[..., 1:, :] != xs[..., :-1, :]
@@ -223,8 +225,8 @@ def _rank_stack(padded, order, pad, K: int, pwm_estimator: str | None = None, ro
     pwms = influence = None
     if pwm_estimator == "plugin":
         # the plug-in mean adds its terms in each sample's own order
-        ecdf_x = np.empty_like(ecdf)
-        np.put_along_axis(ecdf_x, order, ecdf, axis=-2)
+        ecdf_x = np.empty(ecdf.shape)
+        ecdf_x.reshape(-1)[at] = ecdf
         x = np.where(real, block, 0.0)
         pwms = (x[..., None] * ecdf_x[..., None] ** np.arange(K)).sum(axis=-3) / lengths[:, None]
     elif pwm_estimator == "unbiased":
@@ -243,15 +245,15 @@ def _rank_stack(padded, order, pad, K: int, pwm_estimator: str | None = None, ro
         # x F(x)**k plus k/n_j times the sum of x_l F(x_l)**(k-1) over x_l >= x,
         # a suffix sum from the first of x's ties in sorted order
         first = np.maximum.accumulate(np.where(starts[..., :-1, :], years, 0), axis=-2)
+        at_first = (n - 1 - first) * d + base  # in suffix sums that run from the last year
         influence = np.empty(xs.shape + (K,))
         influence[..., 0] = np.where(real, block, 0.0)
         for k in range(1, K):
             v = xs * ecdf ** (k - 1)
-            suffix = np.cumsum(v[..., ::-1, :], axis=-2)[..., ::-1, :]
-            tail = np.take_along_axis(suffix, first, axis=-2)
+            tail = np.cumsum(v[..., ::-1, :], axis=-2).reshape(-1)[at_first]
             ranked = xs * ecdf**k + (k / lengths) * tail
             np.copyto(ranked, 0.0, where=~real)  # the padding sorts first: its rows stay in place
-            np.put_along_axis(influence[..., k], order, ranked, axis=-2)
+            influence.reshape(-1)[at * K + k] = ranked
     return pwms, influence
 
 

@@ -568,37 +568,41 @@ def fit_gev_regional(
     )
 
 
-def _fit_gev_regional_stack(stack: np.ndarray, order, methods, pwm_estimator: str) -> dict:
-    """:func:`fit_gev_regional`'s ``theta`` at site 0 of each of a stack (R, d, n) of
+def _fit_gev_regional_stack(stack: np.ndarray, order, reads: dict, pwm_estimator: str) -> dict:
+    """:func:`fit_gev_regional`'s ``theta`` at site 0 of a stack (R, d, n) of
     equal-length regions of at least K years, whose rows sort stably by ``order``, per
-    method of ``methods``: a list with, per region, the single fit's theta bit for
-    bit, or None where the fit failed or a check of the batch rejected it.
+    method of ``reads`` on the contiguous slice of the stack it maps to: a list with,
+    per region of the slice, the single fit's theta bit for bit, or None where the fit
+    failed or a check of the batch rejected it.
 
-    One ranking serves every method: L reads the leading orders of TL's PWMs and
-    influence rows.  The fit gradient, which only decides whether the fit raises, is
-    not evaluated but shown finite by :func:`_fit_gradient_returns`.
+    One ranking and one PWM covariance serve every method: L reads the leading orders
+    of TL's PWMs, influence rows and covariance blocks, which equal its own.  The fit
+    gradient, which only decides whether the fit raises, is not evaluated but shown
+    finite by :func:`_fit_gradient_returns`.
     """
-    R, d, n = stack.shape
-    specs = [_moment_method(method) for method in methods]
-    all_betas, all_rows = _rank_stack(
-        stack, order, np.zeros(d, dtype=int), max(s.order for s in specs), pwm_estimator, rows=True
-    )
-    no_constant_site = ~(stack.min(axis=2) == stack.max(axis=2)).any(axis=1)
+    d, n = stack.shape[1:]
+    specs = {method: _moment_method(method) for method in reads}
+    K, pad = max(s.order for s in specs.values()), np.zeros(d, dtype=int)
+    lo, hi = min(s.start for s in reads.values()), max(s.stop for s in reads.values())
+    all_betas, all_rows = _rank_stack(stack[lo:hi], order[lo:hi], pad, K, pwm_estimator, rows=True)
+    all_cov = _pwm_covariance(all_rows, pad, np.ones(d)).reshape(-1, d, K, d, K)
+    constant_site = (stack.min(axis=2) == stack.max(axis=2)).any(axis=1)
     out = {}
-    for method, spec in zip(methods, specs):
-        betas, rows = all_betas[..., : spec.order], all_rows[..., : spec.order]
+    for method, spec in specs.items():
+        k, own = spec.order, slice(reads[method].start - lo, reads[method].stop - lo)
+        betas, rows = all_betas[own, ..., :k], all_rows[own, ..., :k]
+        cov = all_cov[own, :, :k, :, :k].reshape(-1, d * k, d * k)
         xi_hats, grads, sites_ok = spec.shape_maps(betas)
-        cov = _pwm_covariance(rows, np.zeros(d, dtype=int), np.ones(d))
         sigma = _shape_covariance(grads, cov)
-        ok = no_constant_site & sites_ok.all(axis=1)
+        ok = ~constant_site[reads[method]] & sites_ok.all(axis=1)
         for array in (betas, rows, cov, sigma):
-            ok &= np.isfinite(array).reshape(R, -1).all(axis=1)
+            ok &= np.isfinite(array).reshape(len(ok), -1).all(axis=1)
         sigma[~ok] = np.eye(d)  # LAPACK on a rejected region's NaNs could fail the stack
         try:
             weights, _, _ = _pool_weights(sigma, _length_weights(np.full(d, n)))
         except np.linalg.LinAlgError:  # each region alone shows which
             ok[:] = False
-            weights = np.zeros((R, d))
+            weights = np.zeros((len(ok), d))
         xi = (weights[:, None, :] @ xi_hats[:, :, None])[:, 0, 0]
         out[method] = thetas = []
         for b, g, x, good in zip(betas[:, 0].tolist(), grads[:, 0].tolist(), xi.tolist(), ok):

@@ -25,10 +25,10 @@ from .moments import _moment_method
 from .regional import _PWM_ESTIMATORS, ObservationScheme, _fit_gev_regional_stack, fit_gev_regional
 from .tail import (
     DEPENDENCE_METHODS,
-    _as_k_vector,
     _power_tail_quantile,
     _product_quantile,
     _tail_fits,
+    default_k,
     regional_tail_fit,
     seasonal_weissman_quantile,
 )
@@ -58,8 +58,8 @@ _METHOD_OPTIONS = {
     "pwm_estimator": _PWM_ESTIMATORS,
     "dependence_method": DEPENDENCE_METHODS,
 }
-# replications fitted at once: at most _CHUNK, fewer where a region's PWM rows and
-# covariance hold more than _CHUNK_CELLS / _CHUNK numbers
+# replications fitted at once: at most _CHUNK, fewer where one kind of a region's
+# maxima needs over _CHUNK_CELLS / _CHUNK numbers (a chunk stacks up to three kinds)
 _CHUNK = 32
 _CHUNK_CELLS = 2**17
 
@@ -370,22 +370,27 @@ def load_scenario(path) -> ScenarioConfig:
         raise DataError(f"scenario file {path}: unusable value: {exc}") from exc
 
 
-def _simulate_region(config: ScenarioConfig, rng: np.random.Generator) -> SeasonalSchemes:
+def _draw_region(config: ScenarioConfig, rng: np.random.Generator) -> tuple:
+    """One replication's (annual, winter, summer) maxima as (d, n) arrays, site by row;
+    the seasons are None under block-maximum margins."""
     cop = config.copula
+    draw = partial(khoudraji_sample, cop.theta1, cop.theta2, cop.c, rng, size=config.n)
     if isinstance(config.margins, BlockMaxMargin):
-        u = khoudraji_sample(cop.theta1, cop.theta2, cop.c, rng, size=config.n)
-        x = blockmax_quantile(config.margins, u)
-        return SeasonalSchemes(None, None, ObservationScheme.from_matrix(x))
+        return blockmax_quantile(config.margins, draw()).T, None, None
     # seasonal margins: one independent copula draw per season
-    u_w = khoudraji_sample(cop.theta1, cop.theta2, cop.c, rng, size=config.n)
-    u_s = khoudraji_sample(cop.theta1, cop.theta2, cop.c, rng, size=config.n)
-    w = gev_quantile(config.margins.winter, u_w)
-    s = gev_quantile(config.margins.summer, u_s)
-    return SeasonalSchemes(
-        ObservationScheme.from_matrix(w),
-        ObservationScheme.from_matrix(s),
-        ObservationScheme.from_matrix(np.maximum(w, s)),
-    )
+    w = gev_quantile(config.margins.winter, draw()).T
+    s = gev_quantile(config.margins.summer, draw()).T
+    return np.maximum(w, s), w, s
+
+
+def _schemes(draw: tuple) -> SeasonalSchemes:
+    """The :class:`SeasonalSchemes` of a :func:`_draw_region` draw."""
+    annual, winter, summer = (x if x is None else ObservationScheme.from_matrix(x.T) for x in draw)
+    return SeasonalSchemes(winter, summer, annual)
+
+
+def _simulate_region(config: ScenarioConfig, rng: np.random.Generator) -> SeasonalSchemes:
+    return _schemes(_draw_region(config, rng))
 
 
 def quantile_function(
@@ -508,11 +513,6 @@ def _summarize(name: str, values: np.ndarray, q_true: float) -> EstimatorStats:
     )
 
 
-def _stack(schemes) -> np.ndarray:
-    """The site values of equal-length schemes of one shape as an (R, d, n) array."""
-    return np.array([[site.values for site in scheme.sites] for scheme in schemes])
-
-
 def _read(quantile, *args) -> float:
     """A quantile read-off, NaN where it raises or an argument is None."""
     if any(arg is None for arg in args):
@@ -523,57 +523,52 @@ def _read(quantile, *args) -> float:
         return math.nan
 
 
-def _batch_estimates(config: ScenarioConfig, regions: list, options: dict) -> dict:
-    """The estimates at site 1 of the replications ``regions``, fitted at once.
+def _batch_estimates(config: ScenarioConfig, draws: list, options: dict) -> dict:
+    """The estimates at site 1 of the replications ``draws`` of :func:`_draw_region`, at once.
 
     Per estimator the batch covers, a list with the single path's value bit for bit,
     or NaN where the fit failed or one of the batch's checks rejected it.  Not
     covered: W with ``pickands_cfg`` dependence, and the moment estimators with
     unbiased PWMs on fewer years than their order.
     """
-    p, pwm_estimator = config.p, options["pwm_estimator"]
+    p, pwm_estimator, R = config.p, options["pwm_estimator"], len(draws)
     names = set(config.estimators)
-    seasonal = names & set(_SEASONAL_ONLY)
-    kinds = (["annual"] if names - seasonal else []) + (["winter", "summer"] if seasonal else [])
-    stacks = {kind: _stack([getattr(region, kind) for region in regions]) for kind in kinds}
-    # one stable sort per stack serves the moment and the tail lane alike
-    orders = {kind: np.argsort(stack, axis=-1, kind="stable") for kind, stack in stacks.items()}
-    thetas = {}
-    for kind in kinds:
-        methods = [
-            m for m in ("L", "TL") if (m if kind == "annual" else "s" + m) in names
-            and not (pwm_estimator == "unbiased" and config.n < _moment_method(m).order)
-        ]
-        if methods:
-            fits = _fit_gev_regional_stack(stacks[kind], orders[kind], methods, pwm_estimator)
-            thetas.update(((kind, m), fit) for m, fit in fits.items())
+    annual, seasonal = bool(names - set(_SEASONAL_ONLY)), bool(names & set(_SEASONAL_ONLY))
+    # one stack of the kinds read, annual then winter then summer, sorted once
+    stack = np.array([draw[kind] for kind in (0,) * annual + (1, 2) * seasonal for draw in draws])
+    order = np.argsort(stack, axis=-1, kind="stable")
+
+    def reads(on_annual: bool, on_seasons: bool) -> slice:  # the stack's regions a fit reads
+        return slice(0 if on_annual else R * annual, R * (annual + 2 * on_seasons))
+
+    methods = {
+        m: reads(m in names, "s" + m in names) for m in ("L", "TL") if names & {m, "s" + m}
+        and not (pwm_estimator == "unbiased" and config.n < _moment_method(m).order)
+    }
+    thetas = _fit_gev_regional_stack(stack, order, methods, pwm_estimator) if methods else {}
     out = {}
     with warnings.catch_warnings():  # the fits warn too: default_k clamps short records
         warnings.simplefilter("ignore")
-        annual_tails = None
-        if "W" in names and options.get("dependence_method", "empirical") == "empirical":
-            ks = _as_k_vector(regions[0].annual, None)
-            annual_tails = _tail_fits(stacks["annual"], orders["annual"], ks)
-        for m in ("L", "TL"):
-            if ("annual", m) in thetas:
-                out[m] = [_read(gev_quantile, theta, p) for theta in thetas["annual", m]]
-            if ("winter", m) in thetas:
-                models = [
-                    None if w is None or s is None else TwoComponentGev(w, s)
-                    for w, s in zip(thetas["winter", m], thetas["summer", m])
+        for m, fits in thetas.items():
+            if m in names:
+                out[m] = [_read(gev_quantile, theta, p) for theta in fits[:R]]
+            if "s" + m in names:
+                out["s" + m] = [
+                    _read(lambda w, s: twocomp_quantile(TwoComponentGev(w, s), p), w, s)
+                    for w, s in zip(fits[-2 * R : -R], fits[-R:])
                 ]
-                out["s" + m] = [_read(twocomp_quantile, model, p) for model in models]
-        if annual_tails is not None:
-            out["W"] = [
-                _read(lambda tail: _power_tail_quantile(*tail, p)[0], tail) for tail in annual_tails
-            ]
-        if "sW" in names:
-            ks = _as_k_vector(regions[0].winter, None)
-            seasons = zip(*(_tail_fits(stacks[k], orders[k], ks) for k in ("winter", "summer")))
-            out["sW"] = [
-                _read(_product_quantile, [w, s] if w and s and w[3] > 0 and s[3] > 0 else None, p)
-                for w, s in seasons
-            ]
+        on_annual = "W" in names and options.get("dependence_method", "empirical") == "empirical"
+        if on_annual or "sW" in names:
+            span = reads(on_annual, "sW" in names)
+            ks = np.full(config.d, default_k(config.n, config.d))
+            tails = _tail_fits(stack[span], order[span], ks)
+            if on_annual:
+                out["W"] = [_read(lambda t: _power_tail_quantile(*t, p)[0], t) for t in tails[:R]]
+            if "sW" in names:
+                out["sW"] = [
+                    _read(lambda w, s: _product_quantile([w, s], p), w, s)  # raises at gamma <= 0
+                    for w, s in zip(tails[-2 * R : -R], tails[-R:])
+                ]
     return out
 
 
@@ -594,19 +589,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     Replications run on independent, deterministically spawned random
     streams, so results depend only on the seed (and are reproducible
-    under any execution order).  They are fitted in chunks of up to 32 at
-    once, each lane's kernels taking a leading replication axis; a
-    replication that any check of the chunk rejects, or an estimator the
-    chunk does not cover, is refit alone by :func:`quantile_function`.
+    under any execution order).  Chunks of up to 32 are drawn as arrays
+    and fitted as one stack of the kinds of maxima their estimators read;
+    a replication that a check of the chunk rejects, or an estimator it
+    does not cover, is refit alone by :func:`quantile_function`.
     The estimates equal those of fitting every replication alone, bit for
     bit.  Estimator failures are recorded per replication as NaN rather
     than aborting the run, and counted by exception class in the report's
     ``failures``.
     """
     q_true = config.true_quantile()
-    estimates = {
-        name: np.full(config.replications, np.nan) for name in config.estimators
-    }
+    estimates = {name: np.full(config.replications, np.nan) for name in config.estimators}
     failures = {name: {} for name in config.estimators}
     # the lab reproduces the published study, whose moment estimators are
     # the plug-in versions covered by the asymptotic theory; production
@@ -616,20 +609,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     cells = config.d * 4 * (config.n + config.d * 4)  # TL's influence rows and covariance
     chunk = max(1, min(_CHUNK, _CHUNK_CELLS // cells))
     for lo in range(0, config.replications, chunk):
-        regions = [
-            _simulate_region(config, np.random.default_rng(stream))
-            for stream in streams[lo : lo + chunk]
-        ]
-        batch = _batch_estimates(config, regions, options)
+        draws = [_draw_region(config, np.random.default_rng(s)) for s in streams[lo : lo + chunk]]
+        batch = _batch_estimates(config, draws, options)
+        regions = [None] * len(draws)  # the schemes of the replications refit alone
         for name in config.estimators:
-            values = batch.get(name, [math.nan] * len(regions))
-            for rep, (region, value) in enumerate(zip(regions, values), start=lo):
+            for i, value in enumerate(batch.get(name, [math.nan] * len(draws))):
                 if math.isnan(value):
-                    value = _single_estimate(name, region, config.p, options, failures[name])
-                estimates[name][rep] = value
-    stats = tuple(
-        _summarize(name, estimates[name], q_true) for name in config.estimators
-    )
+                    regions[i] = regions[i] or _schemes(draws[i])
+                    value = _single_estimate(name, regions[i], config.p, options, failures[name])
+                estimates[name][lo + i] = value
+    stats = tuple(_summarize(name, estimates[name], q_true) for name in config.estimators)
     return ScenarioReport(
         q_true=q_true,
         replications=config.replications,

@@ -554,6 +554,9 @@ def regional_tail_fit(
     gammas, thresholds = _hill_block(sorted_rows, ks)
     if (thresholds <= 0).any():
         raise _threshold_error(thresholds[np.argmax(thresholds <= 0)])
+    if (flat := sorted_rows[:, -1] == thresholds).any():  # a Hill index of exactly 0
+        j = int(np.argmax(flat))
+        raise DataError(f"site {scheme.site_ids[j]!r}: its top {ks[j]} values are all equal")
     dependence = TailDependence._from_order(scheme._order, scheme.offsets, ks, dependence_method)
     sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
     if weights is None:
@@ -581,7 +584,9 @@ def _tail_fits(stack: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list:
     :meth:`RegionalTailFit._site_tail` gives it, bit for bit, or None where the fit
     failed or a check of the batch rejected it."""
     R, d, n = stack.shape
-    gammas, thresholds = _hill_block(np.take_along_axis(stack, order, axis=-1), ks)
+    sorted_rows = np.take_along_axis(stack, order, axis=-1)
+    gammas, thresholds = _hill_block(sorted_rows, ks)
+    good = ((thresholds > 0) & (sorted_rows[..., -1] != thresholds)).all(axis=1)
     dependence = TailDependence._from_order(order, np.zeros(d, dtype=int), ks)
     sigma = semi_sigma(TailConfig(k=ks), np.ones(d), dependence)
     try:
@@ -590,8 +595,8 @@ def _tail_fits(stack: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list:
         return [None] * R
     gamma = (w[:, None, :] @ gammas[:, :, None])[:, 0, 0]
     return [
-        (u, int(ks[0]), n, g) if good else None
-        for u, g, good in zip(thresholds[:, 0], gamma.tolist(), (thresholds > 0).all(axis=1))
+        (u, int(ks[0]), n, g) if ok else None
+        for u, g, ok in zip(thresholds[:, 0], gamma.tolist(), good)
     ]
 
 

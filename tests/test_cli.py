@@ -149,14 +149,18 @@ def test_return_levels_unknown_method_is_an_input_error(monthly_csv, tmp_path, c
     assert "unknown return-level method 'X'" in capsys.readouterr().err
 
 
-def test_constant_site_is_an_input_error(monthly_csv, capsys):
+@pytest.mark.parametrize("command", [["fit-gev"], ["return-levels", "--method", "W"]])
+@pytest.mark.parametrize("flat", [("site2",), ("site1", "site2", "site3", "site4")])
+def test_constant_site_is_an_input_error(monthly_csv, capsys, command, flat):
+    # the tail lane too: a flat site's Hill index of 0 must not pool into the curve
     lines = monthly_csv.read_text().splitlines()
     monthly_csv.write_text("\n".join(
-        line if not line.startswith("site2,") else line.rsplit(",", 1)[0] + ",5.0"
+        line if not line.startswith(tuple(f"{site}," for site in flat))
+        else line.rsplit(",", 1)[0] + ",5.0"
         for line in lines
     ) + "\n")
-    assert main(["fit-gev", "--data", str(monthly_csv)]) == EXIT_INPUT
-    assert "site 'site2'" in capsys.readouterr().err
+    assert main([*command, "--data", str(monthly_csv)]) == EXIT_INPUT
+    assert f"site {flat[0]!r}" in capsys.readouterr().err
 
 
 def test_simulate(tmp_path, capsys):

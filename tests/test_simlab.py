@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
 
+import regflood.regional as regional
 import regflood.simlab as simlab
 from regflood.errors import DataError, DomainError, ParameterError, RegfloodError
 from regflood.gev import GevParams, TwoComponentGev, gev_cdf, twocomp_quantile
@@ -487,29 +488,24 @@ class TestBatchedScenario:
         assert sum(sum(f.values()) for f in failures.values()) > 0
 
     def test_a_constant_site_fails_as_on_the_single_path(self, monkeypatch):
-        simulate = simlab._simulate_region
+        draw_region = simlab._draw_region
         calls = []
 
         def third_has_a_constant_site(config, rng):
-            region = simulate(config, rng)
+            draw = draw_region(config, rng)
             calls.append(None)
-            if len(calls) % 4 != 3:
-                return region
+            if len(calls) % 4 == 3:
+                for values in draw:  # annual, winter and summer
+                    values[1] = values[1, 0]
+            return draw
 
-            def flatten(scheme):
-                values = np.stack([s.values for s in scheme.sites], axis=1)
-                values[:, 1] = values[0, 1]
-                return ObservationScheme.from_matrix(values)
-
-            return SeasonalSchemes(*map(flatten, (region.winter, region.summer, region.annual)))
-
-        monkeypatch.setattr(simlab, "_simulate_region", third_has_a_constant_site)
+        monkeypatch.setattr(simlab, "_draw_region", third_has_a_constant_site)
         config = make_config(estimators=ESTIMATOR_NAMES, replications=4)
         report = run_scenario(config)
         estimates, failures = _single_path(config)
         _assert_same_estimates(report, estimates)
         assert report.failures == failures
-        for name in ("L", "TL", "sL", "sTL"):
+        for name in ESTIMATOR_NAMES:
             assert np.isnan(report.estimates[name][2])
             assert np.isfinite(np.delete(report.estimates[name], 2)).all()
             assert report.failures[name] == {"DataError": 1}
@@ -530,7 +526,7 @@ class TestBatchedScenario:
         assert refits == ["W"] * 3
 
     def test_each_stack_is_sorted_once(self, monkeypatch):
-        # W and L/TL share the annual stack's sort, sW and sTL the seasonal ones'
+        # a chunk's annual, winter and summer maxima are one stack with one sort
         sorted_shapes = []
         argsort = np.argsort
 
@@ -540,11 +536,63 @@ class TestBatchedScenario:
 
         monkeypatch.setattr(np, "argsort", counting)
         run_scenario(make_config(estimators=("W", "L", "TL", "sW", "sTL"), replications=5))
-        assert sorted_shapes == [(5, 3, 50)] * 3
-        # a stack no estimator reads is not sorted
+        assert sorted_shapes == [(15, 3, 50)]
+        # a kind no estimator reads is not stacked
         sorted_shapes.clear()
         run_scenario(make_config(estimators=("sTL",), replications=5))
-        assert sorted_shapes == [(5, 3, 50)] * 2
+        assert sorted_shapes == [(10, 3, 50)]
+
+    @pytest.mark.parametrize(
+        "estimators, spans, ranked, tail_regions",
+        [  # a chunk of R stacks its annual regions, then winter's, then summer's
+            (("sW",), {}, 0, 2),
+            (("W", "sTL"), {"TL": (1, 3)}, 2, 1),
+            (("L", "sL"), {"L": (0, 3)}, 3, 0),
+            (("TL", "sL"), {"TL": (0, 1), "L": (1, 3)}, 3, 0),
+            (("sL", "sTL"), {"L": (0, 2), "TL": (0, 2)}, 2, 0),
+            (("W", "L", "TL", "sW", "sTL"), {"L": (0, 1), "TL": (0, 3)}, 3, 3),
+        ],
+    )
+    @pytest.mark.parametrize("pwm_estimator", ["plugin", "unbiased"])
+    def test_each_method_fits_the_kinds_that_read_it(
+        self, monkeypatch, pwm_estimator, estimators, spans, ranked, tail_regions
+    ):
+        calls = {}
+
+        def spy(module, name, record):
+            kernel = getattr(module, name)
+
+            def recording(*args, **kwargs):
+                if (seen := record(*args)) is not None:
+                    calls.setdefault(name, []).append(seen)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+        spy(simlab, "_fit_gev_regional_stack", lambda stack, order, reads, *_: {
+            m: (s.start, s.stop) for m, s in reads.items()
+        })
+        spy(simlab, "_tail_fits", lambda stack, *_: len(stack))
+        spy(regional, "_rank_stack", lambda stack, *_: len(stack))
+        # a replication refit alone takes the PWM covariance of its (n, d, K) rows
+        spy(regional, "_pwm_covariance", lambda rows, *_: len(rows) if rows.ndim == 4 else None)
+        config = make_config(
+            d=4, n=30, replications=37, seed=21, copula=CopulaSpec.default_for(4),
+            estimators=estimators, method_options={"pwm_estimator": pwm_estimator},
+        )
+        report = run_scenario(config)
+        # one call per chunk of 32, then 5: the moment kernels rank and take the PWM
+        # covariance of the regions from the first that a method reads to the last
+        chunks = (32, 5)
+        assert calls.get("_fit_gev_regional_stack", []) == [
+            {m: (R * lo, R * hi) for m, (lo, hi) in spans.items()} for R in chunks if spans
+        ]
+        ranked_regions = [R * ranked for R in chunks if ranked]
+        assert calls.get("_rank_stack", []) == calls.get("_pwm_covariance", []) == ranked_regions
+        assert calls.get("_tail_fits", []) == [R * tail_regions for R in chunks if tail_regions]
+        estimates, failures = _single_path(config)
+        _assert_same_estimates(report, estimates)
+        assert report.failures == failures
 
     def test_shape_maps_match_the_scalar_gradient_where_pow_and_product_differ(self):
         # summer region of replication 78 of the gate-9 scenario: C pow rounds

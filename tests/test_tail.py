@@ -501,6 +501,17 @@ class TestRegionalGamma:
         with pytest.raises(DataError, match=">= 10 pairs"):
             regional_tail_fit(scheme, dependence_method="pickands_cfg")
 
+    def test_a_site_whose_top_values_tie_is_rejected(self):
+        # top k values that all equal the threshold give a Hill index of exactly 0,
+        # which would pool into a regional index as if it were estimated
+        data = np.stack([s.values for s in make_tail_scheme(seed=9, d=3, n=200).sites], axis=1)
+        ranked, k = np.sort(data[:, 1]), 20
+        data[:, 1] = np.minimum(data[:, 1], ranked[-k])  # the top k tie above the threshold
+        assert regional_tail_fit(ObservationScheme.from_matrix(data), k).gammas[1] > 0
+        data[:, 1] = np.minimum(data[:, 1], ranked[-k - 1])  # ... and at it
+        with pytest.raises(DataError, match="site 'site2': its top 20 values are all equal"):
+            regional_tail_fit(ObservationScheme.from_matrix(data), k)
+
     def test_single_site_is_local(self):
         scheme = make_tail_scheme(d=1, n=300)
         fit = regional_tail_fit(scheme)
@@ -709,14 +720,35 @@ class TestSeasonalWeissman:
         assert q == pytest.approx(expected, rel=1e-9)
 
     def test_zero_pooled_index_rejected(self):
-        # a constant season pools to gamma = 0, where its tail cdf is undefined
+        # a constant season has a Hill index of exactly 0 at every site
         const = ObservationScheme.from_matrix(np.full((50, 3), 2.0))
         heavy = make_tail_scheme(seed=19, d=3, n=50)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for winter, summer in ((const, heavy), (heavy, const)):
-                with pytest.raises(NumericError, match="not positive"):
+                with pytest.raises(DataError, match="site 'site1': its top 18 values are all"):
                     seasonal_weissman_quantile(winter, summer, "site1", 0.99)
+
+    def test_negative_pooled_index_rejected(self):
+        # the Lagrange weights of a staggered region can be negative, so positive
+        # local indices can pool to a negative one, where the tail cdf is undefined
+        rng = np.random.default_rng(37)
+        x = rng.pareto(1.0, size=(30, 4)) + 1
+        common = rng.uniform(size=(30, 4)) < 0.5
+        x[common] = (x[:, :1] * rng.uniform(0.5, 2.0, size=(30, 4)))[common]
+        offsets, k = [0, 10, 13, 13], [26, 17, 4, 11]
+        negative = ObservationScheme(
+            tuple(SiteSeries(f"site{j + 1}", a, x[a:, j]) for j, a in enumerate(offsets))
+        )
+        fit = regional_tail_fit(negative, k)
+        assert (fit.gammas > 0).all() and fit.weights.min() < 0 and fit.gamma < 0
+        heavy = make_tail_scheme(seed=19, d=4, n=30)
+        assert regional_tail_fit(heavy, k).gamma > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for winter, summer in ((negative, heavy), (heavy, negative)):
+                with pytest.raises(NumericError, match="not positive"):
+                    seasonal_weissman_quantile(winter, summer, "site1", 0.99, k=k)
 
     def test_level_below_threshold_coverage_rejected(self):
         scheme_w = make_tail_scheme(seed=17, d=3, n=200)
