@@ -168,6 +168,16 @@ class ObservationScheme:
         """Each padded row's stable sort order: the ranking every lane reads."""
         return _read_only(np.argsort(self._padded, axis=-1, kind="stable"))
 
+    @cached_property
+    def _rank_tables(self) -> tuple:
+        """The :func:`_start_ranks` tables of ``_order``: the joint ranks the tail lane reads."""
+        return tuple(map(_read_only, _start_ranks(self._order, self.offsets)))
+
+    @cached_property
+    def _pwm_covariances(self) -> dict:
+        """:func:`sigma_r_hat`'s read-only matrix per order K, added on first use."""
+        return {}
+
     @property
     def site_ids(self) -> list[str]:
         return [s.site_id for s in self.sites]
@@ -187,6 +197,27 @@ class ObservationScheme:
         return ObservationScheme(
             tuple(SiteSeries(s.site_id, s.offset - shift, s.values) for s in keep)
         )
+
+
+def _start_ranks(order: np.ndarray, offsets: np.ndarray):
+    """Every site's ranks among the rows from each distinct start (start x site x
+    year after the leading axes of ``order``, in the narrowest unsigned type
+    holding n; a row before the start ranks 0), from the stable sort orders
+    (..., d, n) of the -inf-padded rows of a scheme, and per pair l < m
+    (``np.triu_indices`` order) its start and overlap length."""
+    d, n = order.shape[-2:]
+    l, m = np.triu_indices(d, 1)
+    # the padding sorts first: the later site of a pair ranks 0 before its start
+    starts, start_of = np.unique(offsets, return_inverse=True)
+    counted = (order[..., None, :, :] >= starts[:, None, None]).astype(np.min_scalar_type(n))
+    np.cumsum(counted, axis=-1, out=counted)
+    ranks = np.empty_like(counted)
+    by_region = order.reshape(-1, d, n)
+    ranks.reshape(-1, len(starts), d, n)[
+        np.arange(len(by_region))[:, None, None], :, np.arange(d)[:, None], by_region
+    ] = counted.reshape(-1, len(starts), d, n).transpose(0, 2, 3, 1)
+    start = np.maximum(start_of[l], start_of[m])
+    return ranks, start, n - starts[start]
 
 
 def zhat_vectors(series, K: int) -> np.ndarray:
@@ -226,14 +257,21 @@ def sigma_r_hat(scheme: ObservationScheme, K: int) -> np.ndarray:
     finite-sample estimates can have negative eigenvalues, which the
     shape weighting handles with its fallback.  Data whose scale
     overflows the matrix raise :class:`NumericError`.
+
+    The scheme keeps the matrix of each order it is asked for, as it
+    depends on the data and K only: later calls, from any moment method or
+    PWM estimator, return that same array.  It is read-only, so writing
+    into it raises ``ValueError``; copy it to edit it.
     """
     K = _integer(K, "K")
     if K < 1:
         raise ParameterError("K must be >= 1")
-    zhats = _ranked_block(scheme._padded, scheme._order, scheme.offsets, K)
-    matrix = _pwm_covariance(zhats, scheme.offsets, scheme.ratios)
-    if not np.isfinite(matrix).all():
-        raise NumericError("PWM covariance is not finite: the data's scale overflows it")
+    if (matrix := scheme._pwm_covariances.get(K)) is None:
+        zhats = _ranked_block(scheme._padded, scheme._order, scheme.offsets, K)
+        matrix = _pwm_covariance(zhats, scheme.offsets, scheme.ratios)
+        if not np.isfinite(matrix).all():
+            raise NumericError("PWM covariance is not finite: the data's scale overflows it")
+        scheme._pwm_covariances[K] = _read_only(matrix)
     return matrix
 
 

@@ -495,16 +495,16 @@ def _summarize(name: str, values: np.ndarray, q_true: float) -> EstimatorStats:
     q25, med, q75 = np.percentile(ok, [25, 50, 75])
     iqr = q75 - q25
     outliers = int(np.sum((ok < q25 - 1.5 * iqr) | (ok > q75 + 1.5 * iqr)))
-    sd = float(np.std(ok, ddof=1)) if n_ok > 1 else 0.0
+    variance = float(np.var(ok, ddof=1)) if n_ok > 1 else 0.0
     se_sq = float(np.std(sq, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0
     return EstimatorStats(
         name=name,
         n_ok=n_ok,
         n_failed=n_failed,
         bias=float(np.mean(err)),
-        variance=float(np.var(ok, ddof=1)) if n_ok > 1 else 0.0,
+        variance=variance,
         mse_scaled=float(np.mean(sq)),
-        se_bias=sd / math.sqrt(n_ok),
+        se_bias=math.sqrt(variance) / math.sqrt(n_ok),
         se_mse_scaled=se_sq,
         q25=float(q25),
         median=float(med),

@@ -22,6 +22,7 @@ from .regional import (
     ObservationScheme,
     _length_weights,
     _pool_weights,
+    _start_ranks,
     _unit_sum,
     _weights_source,
 )
@@ -326,27 +327,28 @@ class TailDependence:
         The scheme's cached stable sort order, the ranking the Hill indices
         and the moment lane read too, is counted cumulatively over the rows
         from each distinct start; that gives every site's ranks among them,
-        ties broken by position.  For the empirical method ``matrix`` then
-        equals :func:`tail_dependence_empirical` on each pair's overlap
-        rows with k = min(k_l, k_m) (below the overlap length, since each
-        k_j is below its site's length).  For ``pickands_cfg`` it equals
+        ties broken by position.  The scheme keeps these rank tables, read-only,
+        so all dependence estimates and tail fits of one scheme count them
+        once; nothing estimated from them is kept.  For the empirical method
+        ``matrix`` then equals :func:`tail_dependence_empirical` on each pair's
+        overlap rows with k = min(k_l, k_m) (below the overlap length, since
+        each k_j is below its site's length).  For ``pickands_cfg`` it equals
         :func:`pickands_cfg` on each pair's overlap rows, interpolated
         with ``np.interp`` on ``PICKANDS_T_GRID``, but estimates A only at
         the two grid points around the pair's argument (and the endpoints).
         """
         _check_dependence_method(method)
-        return cls._from_order(scheme._order, scheme.offsets, _as_k_vector(scheme, k), method)
+        return cls._from_ranks(scheme._rank_tables, _as_k_vector(scheme, k), method)
 
     @classmethod
-    def _from_order(
-        cls, order: np.ndarray, offsets: np.ndarray, ks: np.ndarray, method: str = "empirical"
-    ) -> "TailDependence":
-        """The estimate from the stable sort orders (..., d, n) of the -inf-padded rows
-        of a scheme; for the empirical method leading axes stack regions of its
-        shape, and :meth:`matrix` then gives one matrix per region."""
+    def _from_ranks(cls, tables, ks: np.ndarray, method: str = "empirical") -> "TailDependence":
+        """The estimate from the :func:`~regflood.regional._start_ranks` tables
+        ``(ranks, start, rows)`` of a scheme; for the empirical method leading axes
+        of ``ranks`` stack regions of its shape, and :meth:`matrix` then gives one
+        matrix per region."""
         _check_dependence_method(method)
-        d = order.shape[-2]
-        ranks, start, rows = _start_ranks(order, offsets)
+        ranks, start, rows = tables
+        d = ranks.shape[-2]
         if method == "empirical":
             l, m = np.triu_indices(d, 1)
             return cls(d, method, (ranks, start, rows, np.minimum(ks[l], ks[m])))
@@ -412,27 +414,6 @@ class TailDependence:
         slope = (above - below) / (nodes[:, 1] - nodes[:, 0])
         # t = 1 is the last grid point, which np.interp reads off as it is
         return np.where(t == nodes[:, 1], above, slope * (t - nodes[:, 0]) + below)
-
-
-def _start_ranks(order: np.ndarray, offsets: np.ndarray):
-    """Every site's ranks among the rows from each distinct start (start x site x
-    year after the leading axes of ``order``, in the narrowest unsigned type
-    holding n; a row before the start ranks 0), from the stable sort orders
-    (..., d, n) of the -inf-padded rows of a scheme, and per pair l < m
-    (``np.triu_indices`` order) its start and overlap length."""
-    d, n = order.shape[-2:]
-    l, m = np.triu_indices(d, 1)
-    # the padding sorts first: the later site of a pair ranks 0 before its start
-    starts, start_of = np.unique(offsets, return_inverse=True)
-    counted = (order[..., None, :, :] >= starts[:, None, None]).astype(np.min_scalar_type(n))
-    np.cumsum(counted, axis=-1, out=counted)
-    ranks = np.empty_like(counted)
-    by_region = order.reshape(-1, d, n)
-    ranks.reshape(-1, len(starts), d, n)[
-        np.arange(len(by_region))[:, None, None], :, np.arange(d)[:, None], by_region
-    ] = counted.reshape(-1, len(starts), d, n).transpose(0, 2, 3, 1)
-    start = np.maximum(start_of[l], start_of[m])
-    return ranks, start, n - starts[start]
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +538,7 @@ def regional_tail_fit(
     if (flat := sorted_rows[:, -1] == thresholds).any():  # a Hill index of exactly 0
         j = int(np.argmax(flat))
         raise DataError(f"site {scheme.site_ids[j]!r}: its top {ks[j]} values are all equal")
-    dependence = TailDependence._from_order(scheme._order, scheme.offsets, ks, dependence_method)
+    dependence = TailDependence._from_ranks(scheme._rank_tables, ks, dependence_method)
     sigma = semi_sigma(TailConfig(k=ks), scheme.ratios, dependence)
     if weights is None:
         w, valid, _ = _pool_weights(sigma, _length_weights(scheme.lengths))
@@ -587,7 +568,7 @@ def _tail_fits(stack: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list:
     sorted_rows = np.take_along_axis(stack, order, axis=-1)
     gammas, thresholds = _hill_block(sorted_rows, ks)
     good = ((thresholds > 0) & (sorted_rows[..., -1] != thresholds)).all(axis=1)
-    dependence = TailDependence._from_order(order, np.zeros(d, dtype=int), ks)
+    dependence = TailDependence._from_ranks(_start_ranks(order, np.zeros(d, dtype=int)), ks)
     sigma = semi_sigma(TailConfig(k=ks), np.ones(d), dependence)
     try:
         w, _, _ = _pool_weights(sigma, _length_weights(np.full(d, n)))

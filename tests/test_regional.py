@@ -1,8 +1,11 @@
 """Observation scheme, PWM covariance and regional shape tests."""
 
+import importlib.util
+import sys
 import warnings
 from dataclasses import astuple
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,13 @@ from regflood.regional import (
 )
 from regflood.ingest import SeasonalSchemes
 from regflood.simlab import ESTIMATOR_NAMES, quantile_function
-from regflood.tail import DEPENDENCE_METHODS, TailDependence, regional_tail_fit
+from regflood.tail import (
+    DEPENDENCE_METHODS,
+    TailConfig,
+    TailDependence,
+    regional_tail_fit,
+    weissman_ci,
+)
 from regflood.twocomp import fit_seasonal_regional, gev_quantile_ci, twocomp_quantile_ci
 
 
@@ -124,6 +133,18 @@ class TestScheme:
                 array[0] = 7
             np.testing.assert_array_equal(array, value)
         assert list(scheme.lengths) == [50, 40, 30]
+        # the per-start rank tables and the PWM covariance of each order asked for
+        fresh = ObservationScheme(scheme.sites)
+        tables = regional_module._start_ranks(expected["_order"], np.array([0, 10, 20]))
+        reads = [(lambda i=i: scheme._rank_tables[i], table) for i, table in enumerate(tables)]
+        reads += [(lambda K=K: sigma_r_hat(scheme, K), sigma_r_hat(fresh, K)) for K in (2, 4)]
+        for read, value in reads:
+            array = read()
+            assert read() is array
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+            np.testing.assert_array_equal(array, value)
+        assert scheme._rank_tables is scheme._rank_tables
 
 
     @pytest.mark.parametrize("build", ["from_matrix", "SiteSeries"])
@@ -798,9 +819,9 @@ def test_one_ranking_matches_per_site_sorts_bit_for_bit(monkeypatch):
         for method in ("L", "TL"):
             for pwm_estimator in ("plugin", "unbiased"):
                 got = _fit_outcome(scheme, target, method, pwm_estimator)
-                with monkeypatch.context() as patch:
+                with monkeypatch.context() as patch:  # a new scheme: none of its own cache
                     patch.setattr(regional_module, "_ranked_block", _per_site_block)
-                    expected = _fit_outcome(scheme, target, method, pwm_estimator)
+                    expected = _fit_outcome(_oracle_scheme(seed), target, method, pwm_estimator)
                 assert len(got) == len(expected), (seed, method, pwm_estimator)
                 for a, b in zip(got, expected):
                     np.testing.assert_array_equal(a, b, err_msg=f"{seed} {method} {pwm_estimator}")
@@ -823,6 +844,84 @@ def test_one_ranking_per_scheme(monkeypatch):
         gev_quantile_ci(fit, 0.99, 0.05)
         regional_tail_fit(scheme).interval("s1", 0.99, 0.05)
     assert sorted_shapes == [(6, 70)]
+
+
+def _region_pipeline(scheme):
+    """The benchmark's region-wide pipeline at the scheme's first site: its 12 values
+    and the moment fit."""
+    target = scheme.site_ids[0]
+    stat, p_value = homogeneity_test(scheme, "TL")
+    fit = fit_gev_regional(scheme, target, "TL")
+    gev_ci = gev_quantile_ci(fit, 0.99, 0.05)
+    tail_fit = regional_tail_fit(scheme, dependence_method="empirical")
+    w_ci = weissman_ci(
+        scheme, TailConfig(k=tail_fit.k, weights=tail_fit.weights), target, 0.99, 0.05
+    )
+    values = [stat, p_value, *astuple(fit.theta), gev_ci.estimate, gev_ci.lower, gev_ci.upper,
+              tail_fit.gamma, w_ci.estimate, w_ci.lower, w_ci.upper]
+    return values, fit
+
+
+def test_one_pwm_covariance_and_one_rank_count_per_scheme(monkeypatch):
+    # the region-wide pipeline, run twice, takes the staggered scheme's PWM covariance
+    # once per order and counts its per-start ranks once; each used to run 4 times
+    calls = []
+    for name, key in (("_pwm_covariance", lambda rows: rows.shape[-1]),
+                      ("_start_ranks", lambda order: order.shape)):
+        def counting(first, *args, _kernel=getattr(regional_module, name), _name=name, _key=key):
+            calls.append((_name, _key(first)))
+            return _kernel(first, *args)
+
+        monkeypatch.setattr(regional_module, name, counting)
+    scheme = make_scheme(d=6, n=70, offsets=[0, 10, 0, 25, 40, 5])
+    for _ in range(2):
+        _region_pipeline(scheme)
+    assert sorted(calls) == [("_pwm_covariance", 4), ("_start_ranks", (6, 70))]
+    for method in ("L", "L", "TL"):  # a new order adds its own matrix
+        homogeneity_test(scheme, method)
+    assert sorted(calls) == [("_pwm_covariance", 3), ("_pwm_covariance", 4),
+                             ("_start_ranks", (6, 70))]
+
+
+def _region_wide_scheme(monkeypatch, seed):
+    """Region 0 of the benchmark's seeded region-wide pool: 40 staggered sites over
+    100 years, drawn without the package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    region = gen.staggered_region(seed, 0)
+    return ObservationScheme(tuple(
+        SiteSeries(*site) for site in zip(region.site_ids, region.offsets, region.values)
+    ))
+
+
+# The region-wide pipeline's values before the scheme kept its PWM covariance
+# and rank tables, per pool seed
+REGION_PIPELINE_VALUES = {
+    1: [98.6767356863223, 4.468183897943973e-07, 8.295757333789728, 2.7204570693821104,
+        0.19305963824717892, 28.453541347526787, 24.0548805211088, 32.852202173944775,
+        0.24648642740883778, 27.82525452299816, 20.56665611513715, 35.08385293085917],
+    4000: [204.025694745775, 3.1580617577089124e-24, 12.197950887369132, 3.2248440506422473,
+           0.1845702871394781, 35.56571183431201, 30.508450966400826, 40.622972702223194,
+           0.21432919199992695, 32.08074043793018, 24.9622468581222, 39.19923401773816],
+    20250810: [122.09098079631995, 1.7086783354849308e-10, 14.791995617671208,
+               4.3140760959244515, 0.23414661947578017, 50.46548747381982, 43.506005578915406,
+               57.424969368724234, 0.2643392356730153, 50.1693656941209, 35.5514524126191,
+               64.7872789756227],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REGION_PIPELINE_VALUES))
+def test_the_scheme_tables_change_no_value(monkeypatch, seed):
+    # bit for bit: a second run reads the tables the first left on the scheme
+    scheme = _region_wide_scheme(monkeypatch, seed)
+    first, fit = _region_pipeline(scheme)
+    again, _ = _region_pipeline(scheme)
+    fresh, _ = _region_pipeline(ObservationScheme(scheme.sites))
+    assert first == again == fresh == REGION_PIPELINE_VALUES[seed]
+    assert fit.shape.pwm_covariance is sigma_r_hat(scheme, 4)
 
 
 def test_one_column_calls_match_per_site_sorts_bit_for_bit():
